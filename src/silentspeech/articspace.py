@@ -19,6 +19,7 @@ logger = logging.getLogger(__name__)
 
 _EULER_GAMMA = 0.5772156649015329
 _ORIENT_SCALE = 1 << 16
+_ORIENT_LIMIT = float(1 << 47)  # |x| * _ORIENT_SCALE stays below 2^63
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,9 @@ class ContourCloud:
         self.points = np.asarray(self.points, dtype=np.float64)
         if self.points.size == 0:
             raise DataError(f"{self.speaker_id}/{self.mode}: empty contour cloud")
+        if not np.isfinite(self.points).all():
+            raise DataError(
+                f"{self.speaker_id}/{self.mode}: contour cloud has NaN or inf points")
 
 
 @dataclass
@@ -129,6 +133,14 @@ def ridge_track(frame: np.ndarray, threshold: float = 0.5,
 # Isolation forest
 
 
+def _finite_2d(points: np.ndarray, what: str) -> np.ndarray:
+    """``points`` as an at-least-2-D float64 array; DataError on NaN or inf."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not np.isfinite(points).all():
+        raise DataError(f"{what}: points contain NaN or inf")
+    return points
+
+
 def average_path_length(n: int | np.ndarray) -> np.ndarray | float:
     """Expected isolation path length c(n) = 2 H(n-1) - 2 (n-1)/n with
     H(i) = ln(i) + Euler-Mascheroni; 0 for n <= 1."""
@@ -159,53 +171,75 @@ class IsolationForest:
     trees: list[_Tree] = field(repr=False, default_factory=list)
 
     def path_lengths(self, points: np.ndarray) -> np.ndarray:
-        """Mean isolation depth E[h(x)] per point, leaf-adjusted."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        total = np.zeros(points.shape[0])
+        """Mean isolation depth E[h(x)] per point, leaf-adjusted.
+
+        Equal rows take the same path through every tree, so the trees are
+        walked once per distinct row and the result is mapped back to every
+        row; the output is bit-identical to scoring each row on its own.
+        """
+        points = _finite_2d(points, "isolation forest scoring")
+        uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+        total = np.zeros(uniq.shape[0])
         for tree in self.trees:
-            node = np.zeros(points.shape[0], dtype=np.int64)
+            node = np.zeros(uniq.shape[0], dtype=np.int64)
             for _ in range(self.height_limit + 1):
                 feat = tree.feature[node]
                 active = feat >= 0
                 if not active.any():
                     break
                 idx = np.nonzero(active)[0]
-                go_left = points[idx, feat[idx]] < tree.threshold[node[idx]]
+                go_left = uniq[idx, feat[idx]] < tree.threshold[node[idx]]
                 node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
             total += tree.depth[node] + tree.leaf_adjust[node]
-        return total / self.n_trees
+        return (total / self.n_trees)[inverse.reshape(-1)]
 
 
-def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator) -> _Tree:
+def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
+                leaf_c: list[float]) -> _Tree:
+    """Grow one isolation tree, numbering nodes in pre-order.
+
+    Nodes come off an explicit stack with the left child pushed last, so
+    each internal node draws its split dimension, then its split value, in
+    pre-order. ``leaf_c[n]`` is c(n) for a leaf holding n points.
+    """
     feature, threshold, left, right, depth, adjust = [], [], [], [], [], []
-
-    def add_node(d: int) -> int:
+    # (columns of the node's points, point count, depth, parent node, the
+    # parent's child list to link into). Points are held one row per
+    # dimension, which makes the per-node reductions contiguous.
+    stack = [(np.ascontiguousarray(data.T), data.shape[0], 0, -1, left)]
+    while stack:
+        cols, n, d, parent, link = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         depth.append(d)
+        if d >= height_limit or n <= 1:
+            adjust.append(leaf_c[n])
+            continue
+        lo = np.minimum.reduce(cols, axis=1)
+        hi = np.maximum.reduce(cols, axis=1)
+        splittable = (hi > lo).nonzero()[0]
+        if splittable.size == 0:
+            adjust.append(leaf_c[n])
+            continue
         adjust.append(0.0)
-        return len(feature) - 1
-
-    def grow(idx: np.ndarray, d: int) -> int:
-        node = add_node(d)
-        sub = data[idx]
-        lo, hi = sub.min(axis=0), sub.max(axis=0)
-        splittable = np.nonzero(hi > lo)[0]
-        if d >= height_limit or idx.size <= 1 or splittable.size == 0:
-            adjust[node] = float(average_path_length(int(idx.size)))
-            return node
-        dim = int(rng.choice(splittable))
-        val = float(rng.uniform(lo[dim], hi[dim]))
-        mask = sub[:, dim] < val
+        dim = int(splittable[rng.integers(0, splittable.size)])
+        a, b = float(lo[dim]), float(hi[dim])
+        val = a + (b - a) * rng.random()
         feature[node] = dim
         threshold[node] = val
-        left[node] = grow(idx[mask], d + 1)
-        right[node] = grow(idx[~mask], d + 1)
-        return node
-
-    grow(np.arange(data.shape[0]), 0)
+        mask = cols[dim] < val
+        n_left = int(np.count_nonzero(mask))
+        # a child that will be a leaf needs only its point count
+        grow = d + 1 < height_limit
+        stack.append((cols.compress(~mask, axis=1) if grow and n - n_left > 1 else None,
+                      n - n_left, d + 1, node, right))
+        stack.append((cols.compress(mask, axis=1) if grow and n_left > 1 else None,
+                      n_left, d + 1, node, left))
     return _Tree(np.array(feature), np.array(threshold), np.array(left),
                  np.array(right), np.array(depth, dtype=np.float64),
                  np.array(adjust))
@@ -215,19 +249,31 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
                 seed: int = 0) -> IsolationForest:
     """Standard isolation forest: each tree on a psi-subsample with uniform
     random split dimension and uniform split value, grown to height limit
-    ceil(log2 psi)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    ceil(log2 psi).
+
+    Random numbers are drawn in a fixed order: per tree, the subsample,
+    then one split dimension and one split value per internal node in
+    pre-order. A given seed therefore always yields the same trees.
+    """
+    if n_trees < 1 or psi < 2:
+        raise ValueError(f"need n_trees >= 1 and psi >= 2, got {n_trees} and {psi}")
+    points = _finite_2d(points, "isolation forest fit")
     n = points.shape[0]
     if n < 2:
         raise DataError(f"isolation forest needs >= 2 points, got {n}")
+    with np.errstate(over="ignore"):
+        span = points.max(axis=0) - points.min(axis=0)
+    if not np.isfinite(span).all():
+        raise DataError("isolation forest fit: coordinate range overflows float64")
     psi_eff = min(psi, n)
     height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
+    leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
     rng = np.random.default_rng(seed)
     forest = IsolationForest(n_trees=n_trees, psi=psi_eff,
                              height_limit=height_limit, seed=seed)
     for _ in range(n_trees):
         idx = rng.choice(n, size=psi_eff, replace=False)
-        forest.trees.append(_build_tree(points[idx], height_limit, rng))
+        forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
     return forest
 
 
@@ -276,10 +322,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
     Orientation tests run on exact integers after scaling coordinates by
     2^16, so hull membership never depends on floating-point rounding.
+    Coordinates must be finite and below 2^47 in magnitude, so that the
+    scaled values fit in int64.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = _finite_2d(points, "convex_hull")
     if points.shape[0] < 1 or points.shape[1] != 2:
         raise DataError(f"convex_hull expects (n, 2) points, got {points.shape}")
+    if np.abs(points).max() >= _ORIENT_LIMIT:
+        raise DataError("convex_hull: coordinates must be below 2^47 in magnitude")
     scaled = np.rint(points * _ORIENT_SCALE).astype(np.int64)
 
     first_of: dict[tuple[int, int], int] = {}

@@ -110,7 +110,11 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    data = np.frombuffer(Path(path).read_bytes(), dtype="<u2")
+    raw = Path(path).read_bytes()
+    if len(raw) % 2:
+        raise DataError(f"{path}: label file has an odd byte count ({len(raw)}); "
+                        "expected u16 labels")
+    data = np.frombuffer(raw, dtype="<u2")
     return data.astype(np.int64)
 
 

@@ -39,6 +39,65 @@ def brute_force_hull_vertices(points):
     return verts
 
 
+def reference_build_tree(data, height_limit, rng):
+    """Recursive isolation-tree builder the iterative one must reproduce:
+    nodes in pre-order, ``rng.choice`` for the split dimension and
+    ``rng.uniform`` for the split value."""
+    feature, threshold, left, right, depth, adjust = [], [], [], [], [], []
+
+    def add_node(d):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        depth.append(d)
+        adjust.append(0.0)
+        return len(feature) - 1
+
+    def grow(idx, d):
+        node = add_node(d)
+        sub = data[idx]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        splittable = np.nonzero(hi > lo)[0]
+        if d >= height_limit or idx.size <= 1 or splittable.size == 0:
+            adjust[node] = float(arts.average_path_length(int(idx.size)))
+            return node
+        dim = int(rng.choice(splittable))
+        val = float(rng.uniform(lo[dim], hi[dim]))
+        mask = sub[:, dim] < val
+        feature[node] = dim
+        threshold[node] = val
+        left[node] = grow(idx[mask], d + 1)
+        right[node] = grow(idx[~mask], d + 1)
+        return node
+
+    grow(np.arange(data.shape[0]), 0)
+    return (np.array(feature), np.array(threshold), np.array(left),
+            np.array(right), np.array(depth, dtype=np.float64), np.array(adjust))
+
+
+def reference_fit_trees(points, n_trees, psi, seed):
+    n = points.shape[0]
+    psi_eff = min(psi, n)
+    height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_trees):
+        idx = rng.choice(n, size=psi_eff, replace=False)
+        trees.append(reference_build_tree(points[idx], height_limit, rng))
+    return trees
+
+
+def reference_path(tree, x):
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] < tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.depth[node] + tree.leaf_adjust[node]
+
+
 def hull_vertex_set(hull):
     scaled = np.rint(np.asarray(hull) * (1 << 16)).astype(np.int64)
     return {tuple(p) for p in scaled}
@@ -88,6 +147,25 @@ class TestConvexHull:
         h1 = hull_vertex_set(arts.convex_hull(pts))
         h2 = hull_vertex_set(arts.convex_hull(pts[rng.permutation(40)]))
         assert h1 == h2
+
+    def test_coordinates_beyond_integer_scaling_rejected(self):
+        # scaled by 2^16 these overflow int64; the hull used to drop (0, 0)
+        # and keep the interior point (1, 1)
+        pts = np.array([[0, 0], [1e15, 0], [0, 1e15], [1, 1]])
+        with pytest.raises(DataError, match="2\\^47"):
+            arts.convex_hull(pts)
+
+    def test_large_coordinates_below_limit(self):
+        big = float(1 << 46)
+        pts = np.array([[0, 0], [big, 0], [0, big], [1, 1]])
+        hull = arts.convex_hull(pts)
+        assert hull_vertex_set(hull) == hull_vertex_set(pts[:3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = np.array([[0, 0], [1, 0], [0, 1], [bad, 0.5]])
+        with pytest.raises(DataError, match="NaN or inf"):
+            arts.convex_hull(pts)
 
     def test_area_monotone_under_point_addition(self):
         rng = np.random.default_rng(3)
@@ -166,25 +244,80 @@ class TestIsolationForest:
         assert scores[200:].mean() > scores[:200].mean()
 
     def test_matches_reference_scorer(self):
-        """Vectorized scoring equals an independent recursive traversal of
-        the same trees."""
+        """Vectorized scoring equals an independent traversal of the same
+        trees, on distinct points and on an integer grid full of repeats."""
         rng = np.random.default_rng(7)
-        pts = rng.standard_normal((50, 3))
-        forest = arts.fit_iforest(pts, n_trees=25, psi=32, seed=2)
+        inputs = [rng.standard_normal((50, 3)),
+                  rng.integers(0, 4, size=(50, 3)).astype(np.float64)]
+        for pts in inputs:
+            forest = arts.fit_iforest(pts, n_trees=25, psi=32, seed=2)
+            c_psi = arts.average_path_length(forest.psi)
+            scores = arts.anomaly_score(forest, pts)
+            for i in range(50):
+                mean_h = np.mean([reference_path(t, pts[i]) for t in forest.trees])
+                ref_score = 2.0 ** (-mean_h / c_psi)
+                assert abs(arts.anomaly_score(forest, pts[i])[0] - ref_score) < 1e-6
+                assert abs(scores[i] - ref_score) < 1e-6
 
-        def ref_path(tree, x, node=0):
-            while tree.feature[node] >= 0:
-                if x[tree.feature[node]] < tree.threshold[node]:
-                    node = tree.left[node]
-                else:
-                    node = tree.right[node]
-            return tree.depth[node] + tree.leaf_adjust[node]
+    def test_path_lengths_bit_equal_to_per_point_walk(self):
+        """Scoring each distinct row once changes no bit: the result equals
+        the per-point walk summed over trees in the same order."""
+        rng = np.random.default_rng(15)
+        pts = rng.integers(0, 6, size=(400, 2)).astype(np.float64)
+        pts[::7] = -0.0  # -0.0 and 0.0 compare equal and share a path
+        forest = arts.fit_iforest(pts, n_trees=30, psi=64, seed=4)
+        got = forest.path_lengths(pts)
+        for i in range(pts.shape[0]):
+            total = 0.0
+            for t in forest.trees:
+                total += reference_path(t, pts[i])
+            assert got[i] == total / forest.n_trees
 
-        c_psi = arts.average_path_length(forest.psi)
-        for i in range(50):
-            mean_h = np.mean([ref_path(t, pts[i]) for t in forest.trees])
-            ref_score = 2.0 ** (-mean_h / c_psi)
-            assert abs(arts.anomaly_score(forest, pts[i])[0] - ref_score) < 1e-6
+    @pytest.mark.parametrize("dims", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["normal", "int_grid", "constant"])
+    def test_trees_identical_to_recursive_builder(self, dims, kind):
+        """The iterative builder draws the same numbers in the same order as
+        the recursive reference, so every tree array is identical."""
+        rng = np.random.default_rng(100 * dims + len(kind))
+        if kind == "normal":
+            pts = rng.standard_normal((300, dims))
+        elif kind == "int_grid":
+            pts = rng.integers(0, 5, size=(300, dims)).astype(np.float64)
+        else:
+            pts = np.full((300, dims), 3.0)
+        for psi in (4, 16, 64, 256):
+            seed = psi + dims
+            forest = arts.fit_iforest(pts, n_trees=20, psi=psi, seed=seed)
+            ref = reference_fit_trees(pts, n_trees=20, psi=psi, seed=seed)
+            assert len(forest.trees) == len(ref)
+            for tree, want in zip(forest.trees, ref):
+                got = (tree.feature, tree.threshold, tree.left, tree.right,
+                       tree.depth, tree.leaf_adjust)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
+
+    def test_non_finite_rejected(self):
+        pts = np.random.default_rng(16).standard_normal((20, 2))
+        forest = arts.fit_iforest(pts, n_trees=5, psi=8, seed=0)
+        for bad in (np.nan, np.inf):
+            broken = pts.copy()
+            broken[3, 1] = bad
+            with pytest.raises(DataError, match="NaN or inf"):
+                arts.fit_iforest(broken, n_trees=5, psi=8, seed=0)
+            with pytest.raises(DataError, match="NaN or inf"):
+                forest.path_lengths(broken)
+
+    def test_degenerate_parameters_rejected(self):
+        pts = np.random.default_rng(18).random((10, 2))
+        for n_trees, psi in ((0, 8), (5, 1), (5, 0)):
+            with pytest.raises(ValueError):
+                arts.fit_iforest(pts, n_trees=n_trees, psi=psi, seed=0)
+
+    def test_overflowing_range_rejected(self):
+        pts = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0]])
+        with pytest.raises(DataError, match="range"):
+            arts.fit_iforest(pts, n_trees=5, psi=4, seed=0)
 
     def test_score_invariant_to_tree_order(self):
         rng = np.random.default_rng(8)
@@ -234,6 +367,12 @@ class TestPruneOutliers:
         full = arts.polygon_area(arts.convex_hull(pts))
         out = arts.prune_outliers(cloud, 0.1, n_trees=20, psi=32, seed=0)
         assert arts.polygon_area(arts.convex_hull(out.points)) <= full + 1e-12
+
+    def test_non_finite_cloud_rejected(self):
+        pts = np.random.default_rng(17).random((10, 2))
+        pts[4, 0] = np.nan
+        with pytest.raises(DataError, match="spk3/silent"):
+            arts.ContourCloud("spk3", "silent", pts)
 
     def test_pruning_everything_rejected(self):
         cloud = arts.ContourCloud("s", "modal", np.ones((1, 2)))

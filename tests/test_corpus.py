@@ -55,6 +55,12 @@ class TestFrameContainer:
         corpus.write_labels(tmp_path / "l.lab", labs)
         assert np.array_equal(corpus.read_labels(tmp_path / "l.lab"), labs)
 
+    def test_odd_label_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "odd.lab"
+        path.write_bytes(b"\x01\x00\x02")
+        with pytest.raises(DataError, match="odd.lab"):
+            corpus.read_labels(path)
+
 
 class TestManifest:
     def test_load_two_records(self, tmp_path):
