@@ -411,7 +411,11 @@ def normalize(sequences: list[np.ndarray]) -> tuple[float, float, list[np.ndarra
         raise DataError("cannot compute normalization statistics from an empty set")
     flat = np.concatenate([np.asarray(s, dtype=np.float64).ravel() for s in sequences])
     mean = float(flat.mean())
-    std = float(flat.std())
+    with np.errstate(invalid="ignore"):  # inf pixels: reported below
+        std = float(flat.std())
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DataError("training pixels contain NaN or inf; "
+                        f"normalization statistics are mean={mean}, std={std}")
     if std <= 0.0:
         raise NumericalError("training pixels are constant; zero variance")
     return mean, std, [apply_normalization(s, mean, std) for s in sequences]

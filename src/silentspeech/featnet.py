@@ -6,18 +6,25 @@ normalization over the flattened map, four fully-connected ReLU layers
 whose third (narrow) layer is exported as the per-frame feature, and a
 softmax output layer. Forward, backward, and the optimizer are plain
 numpy in double precision so gradients can be finite-difference checked.
+
+Convolutions are im2col plus one BLAS matmul per sample (Chellapilla et
+al. 2006): each sample's k x k patches are copied into one column buffer
+of shape (c*k*k, oh*ow), allocated once per layer call and reused for
+every sample of the batch, so its size does not grow with the batch.
+The backward pass reuses the same buffer for the column gradient and
+scatters it back with k*k slice-adds (col2im). The first layer's input
+gradient is never formed, since nothing consumes it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .corpus import window_stack
 from .errors import DataError, NumericalError
@@ -100,32 +107,41 @@ class FeatNetParams:
         return FeatNetParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def init_params(config: FeatNetConfig, seed: int | None = None) -> FeatNetParams:
-    """Fan-in-scaled zero-mean init, zero biases, unit batch-norm."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def param_shapes(config: FeatNetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor, keyed and ordered as ``TENSOR_NAMES``."""
     c, _, _ = config.input_shape
     k = config.conv_kernel
     f1, f2 = config.conv_filters
     d = config.flat_dim
-    dims = [d, *config.fc_dims, config.n_classes]
-
-    def he(shape, fan_in):
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-    t = {
-        "conv1_w": he((f1, c, k, k), c * k * k),
-        "conv1_b": np.zeros(f1),
-        "conv2_w": he((f2, f1, k, k), f1 * k * k),
-        "conv2_b": np.zeros(f2),
-        "bn_gamma": np.ones(d),
-        "bn_beta": np.zeros(d),
-        "bn_mean": np.zeros(d),
-        "bn_var": np.ones(d),
+    shapes = {
+        "conv1_w": (f1, c, k, k), "conv1_b": (f1,),
+        "conv2_w": (f2, f1, k, k), "conv2_b": (f2,),
+        "bn_gamma": (d,), "bn_beta": (d,), "bn_mean": (d,), "bn_var": (d,),
     }
-    fc_names = ("fc1", "fc2", "fc3", "fc4", "out")
-    for name, din, dout in zip(fc_names, dims[:-1], dims[1:]):
-        t[f"{name}_w"] = he((din, dout), din)
-        t[f"{name}_b"] = np.zeros(dout)
+    dims = [d, *config.fc_dims, config.n_classes]
+    for name, din, dout in zip(("fc1", "fc2", "fc3", "fc4", "out"), dims[:-1], dims[1:]):
+        shapes[f"{name}_w"] = (din, dout)
+        shapes[f"{name}_b"] = (dout,)
+    return shapes
+
+
+def init_params(config: FeatNetConfig, seed: int | None = None) -> FeatNetParams:
+    """Fan-in-scaled zero-mean init, zero biases, unit batch-norm.
+
+    Weights are drawn in ``TENSOR_NAMES`` order (conv1, conv2, fc1-fc4,
+    out), so a seed always yields the same tensors.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    t = {}
+    for name, shape in param_shapes(config).items():
+        if name in FeatNetParams.WEIGHT_NAMES:
+            # conv fan-in is c*k*k; fc weights are (fan_in, fan_out)
+            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+            t[name] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+        elif name in ("bn_gamma", "bn_var"):
+            t[name] = np.ones(shape)
+        else:
+            t[name] = np.zeros(shape)
     return FeatNetParams(config, t)
 
 
@@ -133,30 +149,63 @@ def init_params(config: FeatNetConfig, seed: int | None = None) -> FeatNetParams
 # Layers
 
 
-def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """All k x k patches of x as a strided view (n, c, oh, ow, k, k)."""
-    n, c, h, w = x.shape
-    sn, sc, sh, sw = x.strides
-    return as_strided(x, (n, c, h - k + 1, w - k + 1, k, k),
-                      (sn, sc, sh, sw, sh, sw), writeable=False)
+def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """im2col of one sample x_s (c, h, w) into ``out`` (c*k*k, oh*ow).
+
+    Row ``(ci*k + i)*k + j`` holds ``x_s[ci, i:i+oh, j:j+ow]`` flattened,
+    matching ``w.reshape(f, -1)`` for w of shape (f, c, k, k).
+    """
+    c, h, w = x_s.shape
+    oh, ow = h - k + 1, w - k + 1
+    view = out.reshape(c, k, k, oh, ow)
+    for i in range(k):
+        for j in range(k):
+            view[:, i, j] = x_s[:, i:i + oh, j:j + ow]
+    return out
 
 
 def _conv_forward(x, w, b):
-    pat = _patches(x, w.shape[-1])
-    out = np.einsum("nchwij,fcij->nfhw", pat, w, optimize=True)
-    return out + b[None, :, None, None]
+    """Valid convolution (cross-correlation) of x (n, c, h, w) with
+    w (f, c, k, k): one im2col buffer reused across the batch and one
+    matmul per sample."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    w2 = w.reshape(f, -1)
+    cols = np.empty((c * k * k, oh * ow))
+    out = np.empty((n, f, oh * ow))
+    for s in range(n):
+        np.matmul(w2, _cols(x[s], k, cols), out=out[s])
+    out += b[:, None]
+    return out.reshape(n, f, oh, ow)
 
 
-def _conv_backward(x, w, dout):
-    pat = _patches(x, w.shape[-1])
-    dw = np.einsum("nchwij,nfhw->fcij", pat, dout, optimize=True)
+def _conv_backward(x, w, dout, need_dx=True):
+    """Gradients (dx, dw, db) of :func:`_conv_forward`.
+
+    Per sample, dw accumulates ``dout_s @ cols_s.T``; for dx the column
+    gradient ``w2.T @ dout_s`` is written into the same buffer and
+    scattered back with k*k slice-adds (col2im). With ``need_dx`` False,
+    dx is skipped and returned as None.
+    """
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    w2 = w.reshape(f, -1)
+    d = dout.reshape(n, f, oh * ow)
+    cols = np.empty((c * k * k, oh * ow))
+    view = cols.reshape(c, k, k, oh, ow)
+    dw = np.zeros_like(w2)
+    dx = np.zeros(x.shape) if need_dx else None
+    for s in range(n):
+        dw += d[s] @ _cols(x[s], k, cols).T
+        if need_dx:
+            np.matmul(w2.T, d[s], out=cols)
+            for i in range(k):
+                for j in range(k):
+                    dx[s, :, i:i + oh, j:j + ow] += view[:, i, j]
     db = dout.sum(axis=(0, 2, 3))
-    k = w.shape[-1]
-    padded = np.pad(dout, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    dpat = _patches(padded, k)
-    w_flip = w[:, :, ::-1, ::-1]
-    dx = np.einsum("nfhwij,fcij->nchw", dpat, w_flip, optimize=True)
-    return dx, dw, db
+    return dx, dw.reshape(w.shape), db
 
 
 def _pool_forward(x, p):
@@ -267,7 +316,7 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     n = logits.shape[0]
     probs = _softmax(logits)
     ce = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-    l2 = 0.5 * cfg.l2_weight * sum(float((t[w] ** 2).sum())
+    l2 = 0.5 * cfg.l2_weight * sum(float(np.vdot(t[w], t[w]))
                                    for w in FeatNetParams.WEIGHT_NAMES)
     loss = ce + l2
     if not np.isfinite(loss):
@@ -305,11 +354,11 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
     dr1 = _pool_backward(dp1, cache["idx1"], cache["r1"].shape, cfg.pool)
     da1 = dr1 * (cache["a1"] > 0)
-    _, dw1, db1 = _conv_backward(cache["x"], t["conv1_w"], da1)
+    _, dw1, db1 = _conv_backward(cache["x"], t["conv1_w"], da1, need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
 
     for w in FeatNetParams.WEIGHT_NAMES:
-        grads[w] = grads[w] + cfg.l2_weight * t[w]
+        grads[w] += cfg.l2_weight * t[w]
     return loss, grads
 
 
@@ -337,7 +386,6 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     epochs = cfg.epochs if epochs is None else epochs
     rng = np.random.default_rng(cfg.seed)
     params = params.copy()
-    best = params.copy()
     best_acc = -1.0
     best_epoch = 0
     metrics: list[dict] = []
@@ -354,7 +402,9 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
             losses.append(loss)
             if not frozen:
                 for name in FeatNetParams.LEARNABLE_NAMES:
-                    params.tensors[name] -= cfg.lr * grads[name]
+                    # in place: no fc1-sized temporary for lr * grad
+                    grads[name] *= cfg.lr
+                    params.tensors[name] -= grads[name]
         val_acc = accuracy(params, val_x, val_y)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_acc": val_acc, "selected": False})
@@ -429,20 +479,28 @@ def load_params(path: str | Path) -> FeatNetParams:
     raw = Path(path).read_bytes()
     if raw[:4] != _CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    if len(raw) < 8:
+        raise DataError(f"{path}: truncated checkpoint header")
     (n,) = struct.unpack("<I", raw[4:8])
-    cfg_dict = json.loads(raw[8:8 + n].decode())
-    for key in ("input_shape", "conv_filters", "fc_dims"):
-        cfg_dict[key] = tuple(cfg_dict[key])
-    config = FeatNetConfig(**cfg_dict)
-    ref = init_params(config, seed=0)
-    tensors = {}
+    if len(raw) < 8 + n:
+        raise DataError(f"{path}: truncated checkpoint header")
+    try:
+        cfg_dict = json.loads(raw[8:8 + n].decode())
+        for key in ("input_shape", "conv_filters", "fc_dims"):
+            cfg_dict[key] = tuple(cfg_dict[key])
+        config = FeatNetConfig(**cfg_dict)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint config ({exc})") from exc
+    shapes = param_shapes(config)
     offset = 8 + n
+    expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(raw) != expected:
+        raise DataError(f"{path}: {len(raw)} bytes, but its config needs {expected}; "
+                        "truncated or trailing tensor data")
+    tensors = {}
     for name in FeatNetParams.TENSOR_NAMES:
-        shape = ref.tensors[name].shape
-        count = ref.tensors[name].size
+        count = math.prod(shapes[name])
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.astype(np.float64).reshape(shape)
+        tensors[name] = arr.astype(np.float64).reshape(shapes[name])
         offset += 4 * count
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing or missing tensor data")
     return FeatNetParams(config, tensors)

@@ -197,6 +197,13 @@ class TestNormalize:
         with pytest.raises(NumericalError):
             corpus.normalize([np.ones((3, 2, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        frames = np.random.default_rng(7).random((3, 4, 4))
+        frames[1, 2, 3] = bad
+        with pytest.raises(DataError, match="NaN or inf"):
+            corpus.normalize([np.ones((2, 4, 4)), frames])
+
 
 class TestWindowing:
     def test_interior_anchor_indices(self):

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from silentspeech import featnet
 from silentspeech.errors import DataError
@@ -13,6 +17,65 @@ SMALL = featnet.FeatNetConfig(
     input_shape=(7, 16, 32), conv_kernel=5, conv_filters=(4, 6),
     fc_dims=(32, 16, 8, 16), n_classes=8, batch_size=32, l2_weight=0.001,
     lr=0.02, epochs=10, seed=1)
+
+
+def reference_init_params(config, seed):
+    """init_params with shapes and draw order written out by hand: the
+    oracle that param_shapes-driven initialization matches bit for bit."""
+    rng = np.random.default_rng(seed)
+    c, _, _ = config.input_shape
+    k = config.conv_kernel
+    f1, f2 = config.conv_filters
+    d = config.flat_dim
+    dims = [d, *config.fc_dims, config.n_classes]
+
+    def he(shape, fan_in):
+        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+
+    t = {
+        "conv1_w": he((f1, c, k, k), c * k * k),
+        "conv1_b": np.zeros(f1),
+        "conv2_w": he((f2, f1, k, k), f1 * k * k),
+        "conv2_b": np.zeros(f2),
+        "bn_gamma": np.ones(d),
+        "bn_beta": np.zeros(d),
+        "bn_mean": np.zeros(d),
+        "bn_var": np.ones(d),
+    }
+    for name, din, dout in zip(("fc1", "fc2", "fc3", "fc4", "out"), dims[:-1], dims[1:]):
+        t[f"{name}_w"] = he((din, dout), din)
+        t[f"{name}_b"] = np.zeros(dout)
+    return t
+
+
+def reference_patches(x, k):
+    """All k x k patches of x as a strided view (n, c, oh, ow, k, k)."""
+    n, c, h, w = x.shape
+    sn, sc, sh, sw = x.strides
+    return as_strided(x, (n, c, h - k + 1, w - k + 1, k, k),
+                      (sn, sc, sh, sw, sh, sw), writeable=False)
+
+
+def reference_conv_forward(x, w, b):
+    pat = reference_patches(x, w.shape[-1])
+    out = np.einsum("nchwij,fcij->nfhw", pat, w, optimize=True)
+    return out + b[None, :, None, None]
+
+
+def reference_conv_backward(x, w, dout):
+    pat = reference_patches(x, w.shape[-1])
+    dw = np.einsum("nchwij,nfhw->fcij", pat, dout, optimize=True)
+    db = dout.sum(axis=(0, 2, 3))
+    k = w.shape[-1]
+    padded = np.pad(dout, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    dpat = reference_patches(padded, k)
+    w_flip = w[:, :, ::-1, ::-1]
+    dx = np.einsum("nfhwij,fcij->nchw", dpat, w_flip, optimize=True)
+    return dx, dw, db
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 class TestConfig:
@@ -32,6 +95,16 @@ class TestConfig:
 
 
 class TestInit:
+    @pytest.mark.parametrize("cfg,seed", [(TINY, 0), (TINY, 3), (SMALL, 1)])
+    def test_bit_identical_to_reference_draw_order(self, cfg, seed):
+        params = featnet.init_params(cfg, seed=seed)
+        ref = reference_init_params(cfg, seed)
+        assert featnet.param_shapes(cfg) == {n: a.shape for n, a in ref.items()}
+        assert list(params.tensors) == list(featnet.FeatNetParams.TENSOR_NAMES)
+        for name in featnet.FeatNetParams.TENSOR_NAMES:
+            assert params[name].dtype == ref[name].dtype
+            assert np.array_equal(params[name], ref[name]), name
+
     def test_same_seed_bitwise_identical(self):
         a = featnet.init_params(TINY, seed=3)
         b = featnet.init_params(TINY, seed=3)
@@ -138,6 +211,59 @@ class TestForward:
         params = featnet.init_params(TINY, seed=0)
         with pytest.raises(DataError):
             featnet.forward(params, np.zeros((1, 9, 9)))
+
+
+class TestConvolution:
+    """im2col + matmul layers against the strided-view einsum reference."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 7])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_einsum_reference(self, n, c, k):
+        rng = np.random.default_rng(100 * n + 10 * c + k)
+        x = rng.standard_normal((n, c, k + 6, k + 11))  # non-square input
+        w = rng.standard_normal((4, c, k, k))
+        b = rng.standard_normal(4)
+        out = featnet._conv_forward(x, w, b)
+        ref_out = reference_conv_forward(x, w, b)
+        assert out.shape == ref_out.shape
+        assert rel_err(out, ref_out) < 1e-12
+        dout = rng.standard_normal(out.shape)
+        dx, dw, db = featnet._conv_backward(x, w, dout)
+        ref_dx, ref_dw, ref_db = reference_conv_backward(x, w, dout)
+        for got, want in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
+            assert got.shape == want.shape
+            assert rel_err(got, want) < 1e-12
+
+    def test_skipped_input_gradient(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 7, 9, 13))
+        w = rng.standard_normal((5, 7, 3, 3))
+        dout = rng.standard_normal((3, 5, 7, 11))
+        _, dw, db = featnet._conv_backward(x, w, dout)
+        dx, dw_skip, db_skip = featnet._conv_backward(x, w, dout, need_dx=False)
+        assert dx is None
+        assert np.array_equal(dw, dw_skip)
+        assert np.array_equal(db, db_skip)
+
+
+class TestMemory:
+    def test_paper_shape_step_peak_allocation(self):
+        """One paper-shape training step at batch 2 stays below 700 MiB of
+        allocations: column buffers hold one sample and conv1's input
+        gradient is never formed."""
+        cfg = featnet.FeatNetConfig(batch_size=2)
+        params = featnet.init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, *cfg.input_shape))
+        y = rng.integers(0, cfg.n_classes, 2)
+        tracemalloc.start()
+        try:
+            featnet.loss_and_grads(params, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * 2 ** 20
 
 
 def toy_dataset(cfg, n_per_class, rng, gap=1.0):
@@ -290,6 +416,23 @@ class TestCheckpoint:
         a = featnet.extract_bottleneck(params, frames)
         b = featnet.extract_bottleneck(back, frames)
         assert np.max(np.abs(a - b)) < 1e-4
+
+    @pytest.mark.parametrize("cut", ["magic_only", "mid_config", "bad_config",
+                                     "no_tensors", "mid_tensors", "trailing"])
+    def test_damaged_checkpoint_rejected(self, tmp_path, cut):
+        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        raw = (tmp_path / "net.ckpt").read_bytes()
+        header = 8 + int.from_bytes(raw[4:8], "little")
+        payload = 4 * sum(math.prod(s) for s in featnet.param_shapes(TINY).values())
+        assert len(raw) == header + payload
+        data = {"magic_only": raw[:4], "mid_config": raw[:header - 5],
+                "bad_config": raw[:8] + b"x" * (header - 8) + raw[header:],
+                "no_tensors": raw[:header], "mid_tensors": raw[:header + payload // 2],
+                "trailing": raw + b"\0\0\0\0"}[cut]
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="cut.ckpt"):
+            featnet.load_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"JUNKxxxx")
