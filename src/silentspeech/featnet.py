@@ -8,12 +8,19 @@ softmax output layer. Forward, backward, and the optimizer are plain
 numpy in double precision so gradients can be finite-difference checked.
 
 Convolutions are im2col plus one BLAS matmul per sample (Chellapilla et
-al. 2006): each sample's k x k patches are copied into one column buffer
-of shape (c*k*k, oh*ow), allocated once per layer call and reused for
-every sample of the batch, so its size does not grow with the batch.
-The backward pass reuses the same buffer for the column gradient and
-scatters it back with k*k slice-adds (col2im). The first layer's input
-gradient is never formed, since nothing consumes it.
+al. 2006): each sample's k x k patches are copied, in one copy from a
+sliding-window view, into one column buffer of shape (c*k*k, oh*ow),
+allocated once per layer call and reused for every sample of the batch,
+so its size does not grow with the batch. The backward pass reuses the
+same buffer for the column gradient and scatters it back with k*k
+slice-adds (col2im). The first layer's input gradient is never formed,
+since nothing consumes it.
+
+Each stage max-pools the pre-activation map and applies ReLU to the
+pooled map, which is p*p times smaller; max-pooling commutes with the
+monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
+p*p strided maxima without copying windows, and the argmax positions the
+backward pass needs are found only in train mode.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import window_stack
 from .errors import DataError, NumericalError
 
 _CKPT_MAGIC = b"FNET"
+_DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
 
 
 @dataclass(frozen=True)
@@ -153,14 +162,12 @@ def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """im2col of one sample x_s (c, h, w) into ``out`` (c*k*k, oh*ow).
 
     Row ``(ci*k + i)*k + j`` holds ``x_s[ci, i:i+oh, j:j+ow]`` flattened,
-    matching ``w.reshape(f, -1)`` for w of shape (f, c, k, k).
+    matching ``w.reshape(f, -1)`` for w of shape (f, c, k, k). One copy
+    from the (c, oh, ow, k, k) window view, reordered to (c, k, k, oh, ow).
     """
     c, h, w = x_s.shape
-    oh, ow = h - k + 1, w - k + 1
-    view = out.reshape(c, k, k, oh, ow)
-    for i in range(k):
-        for j in range(k):
-            view[:, i, j] = x_s[:, i:i + oh, j:j + ow]
+    np.copyto(out.reshape(c, k, k, h - k + 1, w - k + 1),
+              sliding_window_view(x_s, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2))
     return out
 
 
@@ -176,7 +183,7 @@ def _conv_forward(x, w, b):
     out = np.empty((n, f, oh * ow))
     for s in range(n):
         np.matmul(w2, _cols(x[s], k, cols), out=out[s])
-    out += b[:, None]
+        out[s] += b[:, None]  # while this sample's output is still in cache
     return out.reshape(n, f, oh, ow)
 
 
@@ -208,25 +215,37 @@ def _conv_backward(x, w, dout, need_dx=True):
     return dx, dw.reshape(w.shape), db
 
 
-def _pool_forward(x, p):
+def _pool_forward(x, p, need_idx):
+    """p x p max-pool of x (n, f, h, w), dropping trailing rows and columns.
+
+    The max is taken over the p*p strided views ``x[:, :, i::p, j::p]``, so
+    no window copy is made. With ``need_idx``, also returns the first
+    argmax within each window (row-major, ``i*p + j``); otherwise None.
+    """
     n, f, h, w = x.shape
     oh, ow = h // p, w // p
-    x = x[:, :, :oh * p, :ow * p]
-    windows = x.reshape(n, f, oh, p, ow, p).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, f, oh, ow, p * p)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    views = [x[:, :, i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+    if not need_idx:
+        return out, None
+    idx = np.zeros(out.shape, dtype=np.intp)
+    # in reverse, so the first position holding the max is written last
+    for q in range(p * p - 1, -1, -1):
+        np.copyto(idx, q, where=views[q] == out)
     return out, idx
 
 
 def _pool_backward(dout, idx, in_shape, p):
+    """Gradient of :func:`_pool_forward`: each window's ``dout`` goes to its
+    argmax position, zeros elsewhere and in the dropped rows and columns."""
     n, f, h, w = in_shape
     oh, ow = h // p, w // p
-    dwin = np.zeros((n, f, oh, ow, p * p))
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
     dx = np.zeros(in_shape)
-    dx[:, :, :oh * p, :ow * p] = dwin.reshape(n, f, oh, ow, p, p).transpose(
-        0, 1, 2, 4, 3, 5).reshape(n, f, oh * p, ow * p)
+    for i in range(p):
+        for j in range(p):
+            np.copyto(dx[:, :, i:oh * p:p, j:ow * p:p], dout, where=idx == i * p + j)
     return dx
 
 
@@ -271,12 +290,14 @@ def _forward_full(params, x, train_mode, update_running):
         raise DataError(f"sample shape {x.shape[1:]} != config {cfg.input_shape}")
     cache: dict[str, np.ndarray] = {"x": x}
 
-    a1 = _conv_forward(x, t["conv1_w"], t["conv1_b"])
-    r1 = np.maximum(a1, 0.0)
-    p1, idx1 = _pool_forward(r1, cfg.pool)
-    a2 = _conv_forward(p1, t["conv2_w"], t["conv2_b"])
-    r2 = np.maximum(a2, 0.0)
-    p2, idx2 = _pool_forward(r2, cfg.pool)
+    # pool, then ReLU in place on the pooled map (see the module docstring);
+    # each full-size conv output is freed once pooled
+    p1, idx1 = _pool_forward(_conv_forward(x, t["conv1_w"], t["conv1_b"]),
+                             cfg.pool, train_mode)
+    np.maximum(p1, 0.0, out=p1)
+    p2, idx2 = _pool_forward(_conv_forward(p1, t["conv2_w"], t["conv2_b"]),
+                             cfg.pool, train_mode)
+    np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
     if train_mode:
@@ -292,8 +313,8 @@ def _forward_full(params, x, train_mode, update_running):
         mu, var = t["bn_mean"], t["bn_var"]
     bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var, cfg.bn_eps)
 
-    cache.update(a1=a1, r1=r1, idx1=idx1, p1=p1, a2=a2, r2=r2, idx2=idx2,
-                 p2=p2, flat=flat, xhat=xhat, bn_var=var, bn=bn)
+    cache.update(idx1=idx1, p1=p1, idx2=idx2, p2=p2, flat=flat, xhat=xhat,
+                 bn_var=var, bn=bn)
     h = bn
     acts = []
     for i, name in enumerate(("fc1", "fc2", "fc3", "fc4")):
@@ -347,18 +368,26 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     dflat = inv_std * (dxhat - dxhat.mean(axis=0)
                        - xhat * (dxhat * xhat).mean(axis=0))
 
-    dp2 = dflat.reshape(cache["p2"].shape)
-    dr2 = _pool_backward(dp2, cache["idx2"], cache["r2"].shape, cfg.pool)
-    da2 = dr2 * (cache["a2"] > 0)
-    dp1, dw2, db2 = _conv_backward(cache["p1"], t["conv2_w"], da2)
+    # A window whose pooled max is not positive was zeroed by the ReLU and
+    # passes no gradient; elsewhere the argmax of the pre-activation window
+    # is the unit the ReLU let through.
+    f1, f2 = cfg.conv_filters
+    stages = cfg.stage_shapes()
+    p1, p2 = cache["p1"], cache["p2"]
+    dp2 = dflat.reshape(p2.shape) * (p2 > 0)
+    da2 = _pool_backward(dp2, cache["idx2"], (n, f2, *stages["conv2"]), cfg.pool)
+    dp1, dw2, db2 = _conv_backward(p1, t["conv2_w"], da2)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
-    dr1 = _pool_backward(dp1, cache["idx1"], cache["r1"].shape, cfg.pool)
-    da1 = dr1 * (cache["a1"] > 0)
+    da1 = _pool_backward(dp1 * (p1 > 0), cache["idx1"], (n, f1, *stages["conv1"]),
+                         cfg.pool)
     _, dw1, db1 = _conv_backward(cache["x"], t["conv1_w"], da1, need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
 
+    # weight decay in row blocks: no fc1-sized temporary for l2 * w
     for w in FeatNetParams.WEIGHT_NAMES:
-        grads[w] += cfg.l2_weight * t[w]
+        g, tw = grads[w], t[w]
+        for lo in range(0, g.shape[0], _DECAY_ROWS):
+            g[lo:lo + _DECAY_ROWS] += cfg.l2_weight * tw[lo:lo + _DECAY_ROWS]
     return loss, grads
 
 
@@ -384,6 +413,8 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
     epochs = cfg.epochs if epochs is None else epochs
+    if epochs < 1:
+        raise ValueError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng(cfg.seed)
     params = params.copy()
     best_acc = -1.0
@@ -472,7 +503,8 @@ def save_params(params: FeatNetParams, path: str | Path) -> None:
         fh.write(struct.pack("<I", len(cfg_json)))
         fh.write(cfg_json)
         for name in FeatNetParams.TENSOR_NAMES:
-            fh.write(params.tensors[name].astype("<f4").tobytes())
+            # written through the buffer protocol, with no bytes copy
+            fh.write(params.tensors[name].astype("<f4", order="C"))
 
 
 def load_params(path: str | Path) -> FeatNetParams:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -72,6 +74,30 @@ def reference_conv_backward(x, w, dout):
     w_flip = w[:, :, ::-1, ::-1]
     dx = np.einsum("nfhwij,fcij->nchw", dpat, w_flip, optimize=True)
     return dx, dw, db
+
+
+def reference_pool_forward(x, p):
+    """Window-copy max-pool: argmax and take_along_axis over the p*p
+    entries of each window, reordered into a trailing axis."""
+    n, f, h, w = x.shape
+    oh, ow = h // p, w // p
+    x = x[:, :, :oh * p, :ow * p]
+    windows = x.reshape(n, f, oh, p, ow, p).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, f, oh, ow, p * p)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def reference_pool_backward(dout, idx, in_shape, p):
+    n, f, h, w = in_shape
+    oh, ow = h // p, w // p
+    dwin = np.zeros((n, f, oh, ow, p * p))
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    dx = np.zeros(in_shape)
+    dx[:, :, :oh * p, :ow * p] = dwin.reshape(n, f, oh, ow, p, p).transpose(
+        0, 1, 2, 4, 3, 5).reshape(n, f, oh * p, ow * p)
+    return dx
 
 
 def rel_err(a, b):
@@ -247,6 +273,38 @@ class TestConvolution:
         assert np.array_equal(db, db_skip)
 
 
+class TestPooling:
+    """Strided-maxima pooling against the window-copy argmax reference."""
+
+    @staticmethod
+    def pool_input(kind, shape, rng):
+        if kind == "normal":
+            return rng.standard_normal(shape)
+        if kind == "negative":
+            return -np.abs(rng.standard_normal(shape)) - 0.1
+        if kind == "ties":  # many tied maxima, some all-equal windows
+            return rng.integers(-1, 2, shape).astype(np.float64)
+        return np.full(shape, -0.5)  # every window all-equal
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3, 7, 9), (1, 2, 9, 10), (3, 1, 11, 8)])
+    @pytest.mark.parametrize("kind", ["normal", "negative", "ties", "constant"])
+    def test_matches_argmax_reference(self, p, shape, kind):
+        rng = np.random.default_rng(p * 1000 + shape[2] * 10 + shape[3])
+        x = self.pool_input(kind, shape, rng)
+        out, idx = featnet._pool_forward(x, p, need_idx=True)
+        ref_out, ref_idx = reference_pool_forward(x, p)
+        assert out.shape == ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(idx, ref_idx)
+        dout = rng.standard_normal(out.shape)
+        dx = featnet._pool_backward(dout, idx, x.shape, p)
+        assert np.array_equal(dx, reference_pool_backward(dout, ref_idx, x.shape, p))
+        out_only, no_idx = featnet._pool_forward(x, p, need_idx=False)
+        assert no_idx is None
+        assert np.array_equal(out_only, out)
+
+
 class TestMemory:
     def test_paper_shape_step_peak_allocation(self):
         """One paper-shape training step at batch 2 stays below 700 MiB of
@@ -264,6 +322,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 700 * 2 ** 20
+
+    def test_paper_shape_inference_peak_allocation(self):
+        """Paper-shape inference at batch 8 stays below 90 MiB of
+        allocations: conv outputs are pooled without window copies or
+        argmax indices and freed once pooled."""
+        cfg = featnet.FeatNetConfig()
+        params = featnet.init_params(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((8, *cfg.input_shape))
+        tracemalloc.start()
+        try:
+            featnet.forward(params, x, train_mode=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 90 * 2 ** 20
 
 
 def toy_dataset(cfg, n_per_class, rng, gap=1.0):
@@ -308,6 +381,14 @@ class TestTraining:
                                        epochs=8)
         accs = [m["val_acc"] for m in metrics]
         assert metrics[int(np.argmax(accs))]["selected"]
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected(self, epochs):
+        rng = np.random.default_rng(14)
+        x, y = toy_dataset(TINY, 4, rng)
+        params = featnet.init_params(TINY, seed=0)
+        with pytest.raises(ValueError, match="epochs"):
+            featnet.train_sgd(params, x, y, x, y, epochs=epochs)
 
     def test_full_batch_loss_nonincreasing_small_lr(self):
         import dataclasses
@@ -416,6 +497,18 @@ class TestCheckpoint:
         a = featnet.extract_bottleneck(params, frames)
         b = featnet.extract_bottleneck(back, frames)
         assert np.max(np.abs(a - b)) < 1e-4
+
+    def test_file_layout(self, tmp_path):
+        """Magic, config length and JSON, then each tensor as C-order
+        little-endian float32, whatever the tensor's memory layout."""
+        params = featnet.init_params(TINY, seed=2)
+        params.tensors["fc1_w"] = np.asfortranarray(params["fc1_w"])
+        featnet.save_params(params, tmp_path / "net.ckpt")
+        cfg_json = json.dumps(dataclasses.asdict(TINY)).encode()
+        expected = (b"FNET" + len(cfg_json).to_bytes(4, "little") + cfg_json
+                    + b"".join(params[name].astype("<f4").tobytes()
+                               for name in featnet.FeatNetParams.TENSOR_NAMES))
+        assert (tmp_path / "net.ckpt").read_bytes() == expected
 
     @pytest.mark.parametrize("cut", ["magic_only", "mid_config", "bad_config",
                                      "no_tensors", "mid_tensors", "trailing"])
