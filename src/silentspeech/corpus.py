@@ -5,8 +5,10 @@ File formats:
     code (0=u8, 1=f32 little-endian), u16 height, u16 width, u32 n_frames,
     3 reserved bytes -- followed by row-major frames.
   * Phone labels (".lab"): little-endian u16 phone indices, one per frame.
-  * Manifest: JSON with top-level ``phones`` and ``records`` (see
-    ``save_manifest``). Paths are stored relative to the manifest file.
+  * Manifest: JSON with top-level ``phones`` and ``records``. The record
+    keys and the :class:`UtteranceRecord` fields they hold are listed once,
+    in ``_RECORD_FIELDS``. Paths are stored relative to the manifest file;
+    frames are read with ``read_frames(rec.root / rec.ult_path)``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import DataError, ManifestError, NumericalError
 
 MODES = ("modal", "silent", "whispered")
-MODALITIES = ("ultrasound", "video")
 SPLITS = ("train", "validation", "test")
 
 #: Channel offsets of one windowed sample relative to its anchor frame:
@@ -123,37 +124,8 @@ def read_labels(path: str | Path) -> np.ndarray:
 
 
 @dataclass
-class FrameSequence:
-    """Time-ordered stack of equally sized grayscale frames."""
-
-    modality: str
-    fps: float
-    frames: np.ndarray  # (n, h, w)
-
-    def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise DataError(f"unknown modality {self.modality!r}")
-        self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 3 or self.frames.shape[0] < 1:
-            raise DataError(f"frames must be non-empty (n, h, w), got {self.frames.shape}")
-        if not self.fps > 0:
-            raise DataError(f"fps must be positive, got {self.fps}")
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
-
-
-@dataclass
 class UtteranceRecord:
-    """Metadata for one utterance; frame payloads load lazily."""
+    """Metadata for one utterance; its frame and label files stay on disk."""
 
     utt_id: str
     speaker_id: str
@@ -167,7 +139,6 @@ class UtteranceRecord:
     labels_path: str | None
     split: str
     root: Path = field(default_factory=Path, compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -184,32 +155,12 @@ class UtteranceRecord:
         return self.prompt.split()
 
     def _resolve(self, rel: str) -> Path:
-        return (self.root / rel) if self.root else Path(rel)
-
-    def ultrasound(self) -> FrameSequence | None:
-        if self.ult_path is None:
-            return None
-        if "ult" not in self._cache:
-            frames = read_frames(self._resolve(self.ult_path))
-            fps = frames.shape[0] / self.duration_s
-            self._cache["ult"] = FrameSequence("ultrasound", fps, frames)
-        return self._cache["ult"]
-
-    def video(self) -> FrameSequence | None:
-        if self.vid_path is None:
-            return None
-        if "vid" not in self._cache:
-            frames = read_frames(self._resolve(self.vid_path))
-            fps = frames.shape[0] / self.duration_s
-            self._cache["vid"] = FrameSequence("video", fps, frames)
-        return self._cache["vid"]
+        return self.root / rel
 
     def phone_labels(self) -> np.ndarray | None:
         if self.labels_path is None:
             return None
-        if "lab" not in self._cache:
-            self._cache["lab"] = read_labels(self._resolve(self.labels_path))
-        return self._cache["lab"]
+        return read_labels(self._resolve(self.labels_path))
 
 
 @dataclass
@@ -233,47 +184,30 @@ class Manifest:
             raise ManifestError(f"prompts shared between train and test: {sorted(shared)[:5]}")
 
 
-@dataclass
-class WindowSample:
-    """One classifier input: 7 channel frames around an anchor frame."""
-
-    channels: np.ndarray  # (7, h, w)
-    anchor_index: int
-    label: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.channels.shape[0] != len(WINDOW_OFFSETS):
-            raise DataError(f"expected {len(WINDOW_OFFSETS)} channels, got {self.channels.shape[0]}")
-
-
 # ---------------------------------------------------------------------------
 # Manifest I/O
 
-_RECORD_KEYS = (
-    "id", "speaker", "session", "mode", "prompt", "syllables",
-    "duration_s", "ult_path", "vid_path", "labels_path", "split",
+#: (JSON key, UtteranceRecord field) of every manifest record, in file order.
+_RECORD_FIELDS = (
+    ("id", "utt_id"),
+    ("speaker", "speaker_id"),
+    ("session", "session_id"),
+    ("mode", "mode"),
+    ("prompt", "prompt"),
+    ("syllables", "syllable_count"),
+    ("duration_s", "duration_s"),
+    ("ult_path", "ult_path"),
+    ("vid_path", "vid_path"),
+    ("labels_path", "labels_path"),
+    ("split", "split"),
 )
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    path = Path(path)
-    records = []
-    for r in manifest.records:
-        records.append({
-            "id": r.utt_id,
-            "speaker": r.speaker_id,
-            "session": r.session_id,
-            "mode": r.mode,
-            "prompt": r.prompt,
-            "syllables": r.syllable_count,
-            "duration_s": r.duration_s,
-            "ult_path": r.ult_path,
-            "vid_path": r.vid_path,
-            "labels_path": r.labels_path,
-            "split": r.split,
-        })
+    records = [{key: getattr(r, name) for key, name in _RECORD_FIELDS}
+               for r in manifest.records]
     payload = {"phones": list(manifest.phones), "records": records}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
@@ -290,32 +224,29 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
 
+    if not isinstance(payload, dict):
+        raise ManifestError(f"{path}: top level must be a JSON object")
     for key in ("phones", "records"):
         if key not in payload:
             raise ManifestError(f"{path}: missing top-level field {key!r}")
+        if not isinstance(payload[key], list):
+            raise ManifestError(f"{path}: top-level field {key!r} must be a list")
     phones = list(payload["phones"])
     root = path.parent
 
     records = []
     for i, raw in enumerate(payload["records"]):
-        missing = [k for k in _RECORD_KEYS if k not in raw]
-        if missing:
-            raise ManifestError(f"{path}: record {i} missing fields {missing}")
+        if not isinstance(raw, dict):
+            raise ManifestError(f"{path}: record {i} must be a JSON object")
         try:
-            rec = UtteranceRecord(
-                utt_id=raw["id"],
-                speaker_id=raw["speaker"],
-                session_id=raw["session"],
-                mode=raw["mode"],
-                prompt=raw["prompt"],
-                syllable_count=int(raw["syllables"]),
-                duration_s=float(raw["duration_s"]),
-                ult_path=raw["ult_path"],
-                vid_path=raw["vid_path"],
-                labels_path=raw["labels_path"],
-                split=raw["split"],
-                root=root,
-            )
+            values = {name: raw[key] for key, name in _RECORD_FIELDS}
+        except KeyError:
+            missing = [key for key, _ in _RECORD_FIELDS if key not in raw]
+            raise ManifestError(f"{path}: record {i} missing fields {missing}") from None
+        try:
+            values["syllable_count"] = int(values["syllable_count"])
+            values["duration_s"] = float(values["duration_s"])
+            rec = UtteranceRecord(**values, root=root)
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: record {i} ({raw.get('id', '?')}): {exc}") from exc
         records.append(rec)
@@ -344,7 +275,11 @@ def _check_record_files(manifest: Manifest) -> None:
             p = r._resolve(r.labels_path)
             if not p.exists():
                 raise ManifestError(f"{r.utt_id}: referenced label file missing: {p}")
-            n_lab = p.stat().st_size // 2
+            size = p.stat().st_size
+            if size % 2:
+                raise ManifestError(f"{r.utt_id}: label file {p} has an odd byte count "
+                                    f"({size}); expected u16 labels")
+            n_lab = size // 2
             if n_ult is not None and n_lab != n_ult:
                 raise ManifestError(
                     f"{r.utt_id}: {n_lab} phone labels for {n_ult} ultrasound frames"
@@ -438,21 +373,6 @@ def window_stack(frames: np.ndarray) -> np.ndarray:
     anchors = np.arange(n)[:, None]
     idx = np.clip(anchors + np.asarray(WINDOW_OFFSETS)[None, :], 0, n - 1)
     return frames[idx]
-
-
-def window_samples(frames: np.ndarray | FrameSequence,
-                   labels: np.ndarray | None = None) -> list[WindowSample]:
-    """One :class:`WindowSample` per frame of the sequence."""
-    if isinstance(frames, FrameSequence):
-        frames = frames.frames
-    stacked = window_stack(frames)
-    if labels is not None and len(labels) != stacked.shape[0]:
-        raise DataError(f"{len(labels)} labels for {stacked.shape[0]} frames")
-    return [
-        WindowSample(channels=stacked[i], anchor_index=i,
-                     label=None if labels is None else int(labels[i]))
-        for i in range(stacked.shape[0])
-    ]
 
 
 def nearest_frame_indices(n_src: int, fps_src: float, n_dst: int, fps_dst: float) -> np.ndarray:

@@ -264,19 +264,15 @@ def _softmax(logits):
 # Forward / backward
 
 
-def forward(params: FeatNetParams, x: np.ndarray, train_mode: bool = False,
-            update_running: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the classifier; returns (logits, bottleneck).
+def forward(params: FeatNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the classifier in inference mode; returns (logits, bottleneck).
 
-    ``x`` is one sample (c, h, w) or a batch (n, c, h, w). In train mode
-    batch statistics normalize the flattened map and, unless
-    ``update_running`` is False, the running moments are updated in place;
-    in inference mode the running moments are used.
+    ``x`` is one sample (c, h, w) or a batch (n, c, h, w). Batch norm uses
+    the running moments, which stay unchanged.
     """
     single = x.ndim == 3
-    logits, bneck, _ = _forward_full(
-        params, x[None] if single else x, train_mode,
-        train_mode if update_running is None else update_running)
+    logits, bneck, _ = _forward_full(params, x[None] if single else x,
+                                     train_mode=False, update_running=False)
     if single:
         return logits[0], bneck[0]
     return logits, bneck
@@ -399,7 +395,7 @@ def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
              chunk: int = 512) -> float:
     hits = 0
     for i in range(0, x.shape[0], chunk):
-        logits, _ = forward(params, x[i:i + chunk], train_mode=False)
+        logits, _ = forward(params, x[i:i + chunk])
         hits += int((logits.argmax(axis=1) == y[i:i + chunk]).sum())
     return hits / x.shape[0]
 
@@ -454,7 +450,7 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     x = window_stack(np.asarray(frames, dtype=np.float64))
     out = np.empty((x.shape[0], params.config.bottleneck_dim))
     for i in range(0, x.shape[0], chunk):
-        _, bneck = forward(params, x[i:i + chunk], train_mode=False)
+        _, bneck = forward(params, x[i:i + chunk])
         out[i:i + chunk] = bneck
     return out
 

@@ -1,25 +1,9 @@
-"""GMM-HMM recognition stack over bottleneck features."""
+"""Recognition stack over bottleneck features: lexicon and language model."""
 
 from .lexicon import Lexicon, load_lexicon, save_lexicon
 from .lm import BigramLm, train_bigram
-from .gmm import (GmmHmmModel, flat_start, train_em, align, map_adapt_means,
-                  save_model, load_model)
-from .lda import LdaTransform, estimate_lda, apply_lda
-from .fmllr import (FmllrTransform, FmllrStats, accumulate_fmllr_stats,
-                    estimate_fmllr, apply_fmllr)
-from .decoder import Hypothesis, decode_viterbi
-from .wer import wer, edit_counts
-from .adapt import AdaptResult, adapt_unsupervised
 
 __all__ = [
     "Lexicon", "load_lexicon", "save_lexicon",
     "BigramLm", "train_bigram",
-    "GmmHmmModel", "flat_start", "train_em", "align", "map_adapt_means",
-    "save_model", "load_model",
-    "LdaTransform", "estimate_lda", "apply_lda",
-    "FmllrTransform", "FmllrStats", "accumulate_fmllr_stats",
-    "estimate_fmllr", "apply_fmllr",
-    "Hypothesis", "decode_viterbi",
-    "wer", "edit_counts",
-    "AdaptResult", "adapt_unsupervised",
 ]

@@ -94,8 +94,6 @@ class PairedSeries:
     keys: list[str]
     values_a: np.ndarray
     values_b: np.ndarray
-    label_a: str = "a"
-    label_b: str = "b"
 
     def __post_init__(self) -> None:
         self.values_a = np.asarray(self.values_a, dtype=np.float64)
@@ -113,12 +111,6 @@ class TestResult:
     t: float
     df: int
     p: float
-    mean_a: float
-    std_a: float
-    mean_b: float
-    std_b: float
-    mean_diff: float
-    std_diff: float
     degenerate: bool = False
 
 
@@ -128,21 +120,17 @@ def paired_ttest(series: PairedSeries) -> TestResult:
     Zero-variance differences: all-zero -> t=0, p=1; nonzero mean ->
     p=0 with the degenerate flag set.
     """
-    a, b = series.values_a, series.values_b
-    d = a - b
+    d = series.values_a - series.values_b
     n = d.size
     mean_d = float(d.mean())
     sd = float(d.std(ddof=1))
-    common = dict(df=n - 1, mean_a=float(a.mean()), std_a=float(a.std(ddof=1)),
-                  mean_b=float(b.mean()), std_b=float(b.std(ddof=1)),
-                  mean_diff=mean_d, std_diff=sd)
     if sd == 0.0:
         if mean_d == 0.0:
-            return TestResult(t=0.0, p=1.0, **common)
-        return TestResult(t=math.copysign(math.inf, mean_d), p=0.0,
-                          degenerate=True, **common)
+            return TestResult(t=0.0, df=n - 1, p=1.0)
+        return TestResult(t=math.copysign(math.inf, mean_d), df=n - 1, p=0.0,
+                          degenerate=True)
     t = mean_d / (sd / math.sqrt(n))
-    return TestResult(t=t, p=student_t_sf(t, n - 1), **common)
+    return TestResult(t=t, df=n - 1, p=student_t_sf(t, n - 1))
 
 
 @dataclass
@@ -192,18 +180,6 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line y = slope * x + intercept."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dx = x - x.mean()
-    den = float(dx @ dx)
-    if den == 0.0:
-        raise NumericalError("linear_fit undefined for constant x")
-    slope = float(dx @ (y - y.mean())) / den
-    return slope, float(y.mean() - slope * x.mean())
-
-
 def syllable_rate(syllable_count: int, duration_s: float) -> float:
     """Syllables per second for one utterance."""
     if duration_s <= 0:
@@ -246,23 +222,6 @@ class TestRow:
 
 
 @dataclass
-class PairedData:
-    """Raw paired values backing one test row, for scatter/histogram output."""
-
-    metric: str
-    level: str
-    mode_a: str
-    mode_b: str
-    keys: list[str]
-    values_a: np.ndarray
-    values_b: np.ndarray
-
-    @property
-    def diffs(self) -> np.ndarray:
-        return self.values_a - self.values_b
-
-
-@dataclass
 class DifferenceTable:
     """Per-speaker mode_a-minus-mode_b differences with pairwise structure."""
 
@@ -271,7 +230,6 @@ class DifferenceTable:
     speakers: list[str]
     columns: dict[str, np.ndarray]
     correlations: dict[tuple[str, str], float] = field(default_factory=dict)
-    fits: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -279,7 +237,6 @@ class ModeReport:
     alpha: float
     summaries: list[SummaryRow]
     tests: list[TestRow]
-    paired: list[PairedData]
     differences: DifferenceTable | None
     excluded_keys: list[str]
 
@@ -304,7 +261,6 @@ def build_mode_report(utterance_metrics: MetricTable,
     """
     summaries: list[SummaryRow] = []
     tests: list[TestRow] = []
-    paired: list[PairedData] = []
     excluded: set[str] = set()
 
     for level, metrics in (("utterance", utterance_metrics),
@@ -326,12 +282,10 @@ def build_mode_report(utterance_metrics: MetricTable,
                                     - set(keys))
                     if len(keys) < 2:
                         continue
-                    res = paired_ttest(PairedSeries(keys, a, b, mode_a, mode_b))
+                    res = paired_ttest(PairedSeries(keys, a, b))
                     family.append(TestRow(metric, level, mode_a, mode_b,
                                           len(keys), res.t, res.df, res.p,
                                           reject=False))
-                    paired.append(PairedData(metric, level, mode_a, mode_b,
-                                             keys, a, b))
             if family:
                 outcome = holm_bonferroni([row.p for row in family], alpha)
                 for row, rej in zip(family, outcome.reject):
@@ -340,8 +294,7 @@ def build_mode_report(utterance_metrics: MetricTable,
 
     differences = _difference_table(speaker_metrics, primary_pair)
     return ModeReport(alpha=alpha, summaries=summaries, tests=tests,
-                      paired=paired, differences=differences,
-                      excluded_keys=sorted(excluded))
+                      differences=differences, excluded_keys=sorted(excluded))
 
 
 def _difference_table(speaker_metrics: MetricTable,
@@ -369,7 +322,6 @@ def _difference_table(speaker_metrics: MetricTable,
             x, y = table.columns[ma], table.columns[mb]
             try:
                 table.correlations[(ma, mb)] = pearson_r(x, y)
-                table.fits[(ma, mb)] = linear_fit(x, y)
             except NumericalError:
                 continue
     return table

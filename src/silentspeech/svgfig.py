@@ -27,11 +27,10 @@ class Canvas:
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
 
-    def line(self, x1, y1, x2, y2, color="#333", width=1.0, dash=None) -> None:
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color="#333", width=1.0) -> None:
         self.parts.append(
             f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>')
+            f'stroke="{color}" stroke-width="{width}"/>')
 
     def polyline(self, xs, ys, color="#333", width=1.0, opacity=1.0) -> None:
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xs, ys))
@@ -39,21 +38,10 @@ class Canvas:
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}" stroke-opacity="{_f(opacity)}"/>')
 
-    def polygon(self, xs, ys, color="#333", width=2.0) -> None:
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xs, ys))
-        self.parts.append(
-            f'<polygon points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>')
-
     def circle(self, x, y, r=2.5, color="#4878a8", opacity=0.8) -> None:
         self.parts.append(
             f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{r}" fill="{color}" '
             f'fill-opacity="{_f(opacity)}"/>')
-
-    def rect(self, x, y, w, h, color="#4878a8") -> None:
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{color}" stroke="white" stroke-width="0.5"/>')
 
     def text(self, x, y, s, size=11, anchor="middle", rotate=None) -> None:
         tr = f' transform="rotate({rotate} {_f(x)} {_f(y)})"' if rotate else ""
@@ -113,47 +101,6 @@ class Axes:
             c.text(12, (self.y0 + self.y1) / 2, ylabel, rotate=-90)
         if title:
             c.text((self.x0 + self.x1) / 2, 11, title, size=12)
-
-
-def scatter_svg(path, x, y, xlabel="", ylabel="", title="",
-                identity_line=False, fit=None, size=(480, 360)) -> None:
-    """Scatter plot; optional identity line and dashed least-squares line."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = Canvas(*size)
-    lo = min(x.min(), y.min()) if identity_line else None
-    hi = max(x.max(), y.max()) if identity_line else None
-    ax = Axes(c, (lo, hi) if identity_line else (x.min(), x.max()),
-              (lo, hi) if identity_line else (y.min(), y.max()),
-              xlabel, ylabel, title)
-    if identity_line:
-        c.line(float(ax.px(lo)), float(ax.py(lo)), float(ax.px(hi)), float(ax.py(hi)),
-               color="#999")
-    if fit is not None:
-        slope, intercept = fit
-        xs = np.array(ax.xlim)
-        c.line(float(ax.px(xs[0])), float(ax.py(slope * xs[0] + intercept)),
-               float(ax.px(xs[1])), float(ax.py(slope * xs[1] + intercept)),
-               color="#d65f5f", dash="6,4", width=1.5)
-    for xi, yi in zip(ax.px(x), ax.py(y)):
-        c.circle(float(xi), float(yi))
-    c.save(path)
-
-
-def histogram_svg(path, values, bins=15, xlabel="", title="", size=(480, 360)) -> None:
-    values = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(values, bins=bins)
-    c = Canvas(*size)
-    ax = Axes(c, (edges[0], edges[-1]), (0, max(1, counts.max())),
-              xlabel, "count", title)
-    for k, n in enumerate(counts):
-        if n == 0:
-            continue
-        x = float(ax.px(edges[k]))
-        w = float(ax.px(edges[k + 1])) - x
-        y = float(ax.py(n))
-        c.rect(x, y, w, ax.y0 - y)
-    c.save(path)
 
 
 def contour_hull_svg(path, points_by_label: dict[str, np.ndarray],

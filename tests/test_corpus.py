@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,17 @@ class TestManifest:
         again = corpus.load_manifest(tmp_path / "m2.json")
         assert again == loaded
         for a, b in zip(loaded.records, again.records):
-            assert np.array_equal(a.ultrasound().frames, b.ultrasound().frames)
+            assert np.array_equal(corpus.read_frames(a.root / a.ult_path),
+                                  corpus.read_frames(b.root / b.ult_path))
+
+    def test_record_keys_in_file_order(self, tmp_path):
+        man = corpus.Manifest(phones=["p0"], records=[make_record(tmp_path)], root=tmp_path)
+        corpus.save_manifest(man, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert list(payload) == ["phones", "records"]
+        assert list(payload["records"][0]) == [
+            "id", "speaker", "session", "mode", "prompt", "syllables",
+            "duration_s", "ult_path", "vid_path", "labels_path", "split"]
 
     def test_label_length_mismatch_rejected(self, tmp_path):
         rec = make_record(tmp_path, "u1", "a b", n_frames=10)
@@ -104,10 +116,26 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line"):
             corpus.load_manifest(tmp_path / "m.json")
 
-    def test_lazy_loading_cached(self, tmp_path):
-        rec = make_record(tmp_path, "u1", "a b")
-        first = rec.ultrasound()
-        assert rec.ultrasound() is first
+    def test_odd_label_file_rejected(self, tmp_path):
+        rec = make_record(tmp_path, "u1", "a b", n_frames=10)
+        (tmp_path / rec.labels_path).write_bytes(bytes(21))
+        man = corpus.Manifest(phones=["p0"], records=[rec], root=tmp_path)
+        corpus.save_manifest(man, tmp_path / "m.json")
+        with pytest.raises(ManifestError, match=r"u1\.lab.*odd byte count"):
+            corpus.load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("payload, where", [
+        ("5", "top level"),
+        ('{"phones": [], "records": 7}', "'records'"),
+        ('{"phones": [], "records": [1]}', "record 0"),
+        ('{"phones": 3, "records": []}', "'phones'"),
+        ('{"phones": [], "records": [{"id": "u1", "mode": "modal"}]}',
+         "record 0 missing fields \\['speaker', 'session', 'prompt'"),
+    ])
+    def test_malformed_json_rejected(self, tmp_path, payload, where):
+        (tmp_path / "m.json").write_text(payload)
+        with pytest.raises(ManifestError, match=f"m\\.json: .*{where}"):
+            corpus.load_manifest(tmp_path / "m.json")
 
 
 class TestResizeBilinear:
@@ -208,30 +236,24 @@ class TestNormalize:
 class TestWindowing:
     def test_interior_anchor_indices(self):
         frames = np.arange(25)[:, None, None] * np.ones((1, 2, 2))
-        samples = corpus.window_samples(frames)
-        got = samples[12].channels[:, 0, 0]
+        got = corpus.window_stack(frames)[12, :, 0, 0]
         assert np.array_equal(got, [0, 4, 8, 12, 16, 20, 24])
 
     def test_left_clamping(self):
         frames = np.arange(25)[:, None, None] * np.ones((1, 1, 1))
-        got = corpus.window_samples(frames)[0].channels[:, 0, 0]
+        got = corpus.window_stack(frames)[0, :, 0, 0]
         assert np.array_equal(got, [0, 0, 0, 0, 4, 8, 12])
 
     def test_single_frame_sequence(self):
         frames = np.full((1, 3, 3), 2.0)
-        samples = corpus.window_samples(frames)
-        assert len(samples) == 1
-        assert np.allclose(samples[0].channels, 2.0)
+        samples = corpus.window_stack(frames)
+        assert samples.shape[0] == 1
+        assert np.allclose(samples[0], 2.0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 13, 30])
     def test_one_sample_per_frame(self, n):
         frames = np.random.default_rng(n).random((n, 2, 2))
-        assert len(corpus.window_samples(frames)) == n
-
-    def test_labels_attached(self):
-        frames = np.zeros((4, 2, 2))
-        samples = corpus.window_samples(frames, labels=np.array([3, 1, 0, 2]))
-        assert [s.label for s in samples] == [3, 1, 0, 2]
+        assert corpus.window_stack(frames).shape[0] == n
 
 
 class TestNearestFrameIndices:

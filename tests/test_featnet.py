@@ -158,7 +158,7 @@ class TestForward:
     def test_zero_input_zero_bottleneck(self):
         params = featnet.init_params(TINY, seed=0)
         x = np.zeros(TINY.input_shape)
-        _, bneck = featnet.forward(params, x, train_mode=False)
+        _, bneck = featnet.forward(params, x)
         assert np.allclose(bneck, 0.0)
 
     def test_softmax_sums_to_one(self):
@@ -178,7 +178,7 @@ class TestForward:
         params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim) * 0.1
         params.tensors["bn_var"] = rng.uniform(0.5, 2.0, TINY.flat_dim)
         x = rng.standard_normal(TINY.input_shape)
-        logits, bneck = featnet.forward(params, x, train_mode=False)
+        logits, bneck = featnet.forward(params, x)
 
         def conv_ref(inp, w, b):
             f, c, k, _ = w.shape
@@ -332,7 +332,7 @@ class TestMemory:
         x = np.random.default_rng(0).standard_normal((8, *cfg.input_shape))
         tracemalloc.start()
         try:
-            featnet.forward(params, x, train_mode=False)
+            featnet.forward(params, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -213,7 +213,6 @@ class TestModeReport:
         assert table is not None
         assert set(table.columns) == {"hull_area", "wer"}
         assert ("hull_area", "wer") in table.correlations
-        assert ("hull_area", "wer") in table.fits
 
     def test_csv_round_trip(self, tmp_path):
         utt, spk = self._metrics()
