@@ -14,6 +14,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -145,8 +146,9 @@ class UtteranceRecord:
             raise ManifestError(f"{self.utt_id}: unknown mode {self.mode!r}")
         if self.split not in SPLITS:
             raise ManifestError(f"{self.utt_id}: unknown split {self.split!r}")
-        if not self.duration_s > 0:
-            raise ManifestError(f"{self.utt_id}: duration must be positive")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ManifestError(f"{self.utt_id}: duration must be positive and finite, "
+                                f"got {self.duration_s}")
         if self.syllable_count < 1:
             raise ManifestError(f"{self.utt_id}: syllable_count must be >= 1")
 
@@ -187,24 +189,31 @@ class Manifest:
 # ---------------------------------------------------------------------------
 # Manifest I/O
 
-#: (JSON key, UtteranceRecord field) of every manifest record, in file order.
+_STR, _INT, _NUM, _PATH = (str,), (int,), (int, float), (str, type(None))
+#: how error messages name each set of accepted JSON value types
+_KIND_NAMES = {_STR: "a string", _INT: "an integer", _NUM: "a number",
+               _PATH: "a string or null"}
+
+#: (JSON key, UtteranceRecord field, accepted value types) of every manifest
+#: record, in file order. JSON booleans are rejected even where numbers are
+#: accepted.
 _RECORD_FIELDS = (
-    ("id", "utt_id"),
-    ("speaker", "speaker_id"),
-    ("session", "session_id"),
-    ("mode", "mode"),
-    ("prompt", "prompt"),
-    ("syllables", "syllable_count"),
-    ("duration_s", "duration_s"),
-    ("ult_path", "ult_path"),
-    ("vid_path", "vid_path"),
-    ("labels_path", "labels_path"),
-    ("split", "split"),
+    ("id", "utt_id", _STR),
+    ("speaker", "speaker_id", _STR),
+    ("session", "session_id", _STR),
+    ("mode", "mode", _STR),
+    ("prompt", "prompt", _STR),
+    ("syllables", "syllable_count", _INT),
+    ("duration_s", "duration_s", _NUM),
+    ("ult_path", "ult_path", _PATH),
+    ("vid_path", "vid_path", _PATH),
+    ("labels_path", "labels_path", _PATH),
+    ("split", "split", _STR),
 )
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    records = [{key: getattr(r, name) for key, name in _RECORD_FIELDS}
+    records = [{key: getattr(r, name) for key, name, _ in _RECORD_FIELDS}
                for r in manifest.records]
     payload = {"phones": list(manifest.phones), "records": records}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -238,18 +247,25 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     for i, raw in enumerate(payload["records"]):
         if not isinstance(raw, dict):
             raise ManifestError(f"{path}: record {i} must be a JSON object")
+        values: dict[str, object] = {}
+        missing = []
+        for key, name, kinds in _RECORD_FIELDS:
+            if key not in raw:
+                missing.append(key)
+                continue
+            value = raw[key]
+            if not isinstance(value, kinds) or type(value) is bool:
+                raise ManifestError(
+                    f"{path}: record {i} ({raw.get('id', '?')!r}): {key!r} must be "
+                    f"{_KIND_NAMES[kinds]}, got {type(value).__name__} {value!r:.40}")
+            values[name] = value
+        if missing:
+            raise ManifestError(f"{path}: record {i} missing fields {missing}")
         try:
-            values = {name: raw[key] for key, name in _RECORD_FIELDS}
-        except KeyError:
-            missing = [key for key, _ in _RECORD_FIELDS if key not in raw]
-            raise ManifestError(f"{path}: record {i} missing fields {missing}") from None
-        try:
-            values["syllable_count"] = int(values["syllable_count"])
             values["duration_s"] = float(values["duration_s"])
-            rec = UtteranceRecord(**values, root=root)
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"{path}: record {i} ({raw.get('id', '?')}): {exc}") from exc
-        records.append(rec)
+            records.append(UtteranceRecord(**values, root=root))
+        except (OverflowError, ManifestError) as exc:
+            raise ManifestError(f"{path}: record {i}: {exc}") from exc
 
     manifest = Manifest(phones=phones, records=records, root=root)
     manifest.validate_prompt_disjoint()

@@ -21,6 +21,11 @@ pooled map, which is p*p times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
 p*p strided maxima without copying windows, and the argmax positions the
 backward pass needs are found only in train mode.
+
+Parameter tensors are values: no function here writes into the arrays of a
+:class:`FeatNetParams` it is given. Training rebinds tensors instead, so
+:func:`train_sgd` needs no copy of its input, and its result may share
+arrays with it. :func:`gradient_check` perturbs a private copy.
 """
 
 from __future__ import annotations
@@ -92,7 +97,13 @@ class FeatNetConfig:
 
 @dataclass
 class FeatNetParams:
-    """All learnable tensors plus batch-norm running moments."""
+    """All learnable tensors plus batch-norm running moments.
+
+    Functions never write into the tensors of a ``FeatNetParams`` they are
+    given; updates rebind entries of ``tensors`` to new arrays. A caller
+    that writes into a tensor in place changes every ``FeatNetParams`` that
+    shares it, such as the input and result of :func:`train_sgd`.
+    """
 
     config: FeatNetConfig
     tensors: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
@@ -301,10 +312,8 @@ def _forward_full(params, x, train_mode, update_running):
         var = flat.var(axis=0)
         if update_running:
             m = cfg.bn_momentum
-            t["bn_mean"] *= 1.0 - m
-            t["bn_mean"] += m * mu
-            t["bn_var"] *= 1.0 - m
-            t["bn_var"] += m * var
+            t["bn_mean"] = t["bn_mean"] * (1.0 - m) + m * mu
+            t["bn_var"] = t["bn_var"] * (1.0 - m) + m * var
     else:
         mu, var = t["bn_mean"], t["bn_var"]
     bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var, cfg.bn_eps)
@@ -404,7 +413,12 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
               val_x: np.ndarray, val_y: np.ndarray,
               epochs: int | None = None) -> tuple[FeatNetParams, list[dict]]:
     """Minibatch SGD; returns the params of the epoch with the highest
-    validation accuracy (earliest epoch on ties) and per-epoch metrics."""
+    validation accuracy (earliest epoch on ties) and per-epoch metrics.
+
+    ``params`` is left unchanged, and the result may share arrays with it.
+    Each update is written into the step's gradient array, which then
+    becomes the tensor, so no parameter set is ever copied.
+    """
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
@@ -412,7 +426,7 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     if epochs < 1:
         raise ValueError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng(cfg.seed)
-    params = params.copy()
+    params = FeatNetParams(cfg, dict(params.tensors))
     best_acc = -1.0
     best_epoch = 0
     metrics: list[dict] = []
@@ -429,15 +443,18 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
             losses.append(loss)
             if not frozen:
                 for name in FeatNetParams.LEARNABLE_NAMES:
-                    # in place: no fc1-sized temporary for lr * grad
-                    grads[name] *= cfg.lr
-                    params.tensors[name] -= grads[name]
+                    # p - lr * g into g's own buffer: no fc1-sized temporary
+                    g = grads[name]
+                    g *= cfg.lr
+                    np.subtract(params.tensors[name], g, out=g)
+                    params.tensors[name] = g
+            del grads  # or the lr == 0 path holds them through the next step
         val_acc = accuracy(params, val_x, val_y)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_acc": val_acc, "selected": False})
         if val_acc > best_acc:
             best_acc = val_acc
-            best = params.copy()
+            best = FeatNetParams(cfg, dict(params.tensors))
             best_epoch = epoch
     metrics[best_epoch]["selected"] = True
     return best, metrics

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ class TestManifest:
     def test_malformed_json_rejected(self, tmp_path, payload, where):
         (tmp_path / "m.json").write_text(payload)
         with pytest.raises(ManifestError, match=f"m\\.json: .*{where}"):
+            corpus.load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("prompt", ["a", "b"], "'prompt' must be a string, got list"),
+        ("id", 7, "'id' must be a string, got int"),
+        ("ult_path", 3, "'ult_path' must be a string or null, got int"),
+        ("labels_path", {"f": 1}, "'labels_path' must be a string or null, got dict"),
+        ("syllables", 2.7, "'syllables' must be an integer, got float"),
+        ("syllables", True, "'syllables' must be an integer, got bool"),
+        ("duration_s", "0.5", "'duration_s' must be a number, got str"),
+        ("duration_s", False, "'duration_s' must be a number, got bool"),
+        ("duration_s", math.inf, "positive and finite, got inf"),
+        pytest.param("duration_s", 10 ** 400, "too large", id="duration_s-huge-int"),
+        ("mode", "shouting", "u1: unknown mode"),
+    ])
+    def test_bad_field_value_rejected(self, tmp_path, key, value, why):
+        man = corpus.Manifest(phones=["p0"], records=[make_record(tmp_path)], root=tmp_path)
+        corpus.save_manifest(man, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload["records"][0][key] = value
+        (tmp_path / "m.json").write_text(json.dumps(payload))  # inf as Infinity
+        with pytest.raises(ManifestError, match=f"m\\.json: record 0.*{why}"):
             corpus.load_manifest(tmp_path / "m.json")
 
 

@@ -338,6 +338,49 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 90 * 2 ** 20
 
+    def test_paper_shape_training_peak_allocation(self):
+        """Paper-shape train_sgd over 2 epochs of 2 steps stays below 3.5
+        parameter sets of allocations: the caller's parameters are never
+        copied, each update is written into its gradient buffer, and the
+        best epoch is kept without a copy."""
+        cfg = featnet.FeatNetConfig(batch_size=2)
+        params = featnet.init_params(cfg, seed=0)
+        param_bytes = sum(a.nbytes for a in params.tensors.values())
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((6, *cfg.input_shape))
+        y = rng.integers(0, cfg.n_classes, 6)
+        tracemalloc.start()
+        try:
+            featnet.train_sgd(params, x[:4], y[:4], x[4:], y[4:], epochs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * param_bytes
+
+
+class TestRunningMoments:
+    def test_update_rebinds_without_writing(self):
+        """update_running rebinds bn_mean/bn_var to the momentum blend of
+        the batch moments and leaves the caller's arrays as they were."""
+        params = featnet.init_params(TINY, seed=4)
+        rng = np.random.default_rng(22)
+        params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim)
+        params.tensors["bn_var"] = rng.uniform(0.5, 2.0, TINY.flat_dim)
+        x = rng.standard_normal((5, *TINY.input_shape))
+        y = rng.integers(0, TINY.n_classes, 5)
+        old_mean, old_var = params["bn_mean"], params["bn_var"]
+        kept_mean, kept_var = old_mean.copy(), old_var.copy()
+        _, _, cache = featnet._forward_full(params, x, train_mode=True,
+                                            update_running=False)
+        mu, var = cache["flat"].mean(axis=0), cache["bn_var"]
+        featnet.loss_and_grads(params, x, y, update_running=True)
+        assert np.array_equal(old_mean, kept_mean)
+        assert np.array_equal(old_var, kept_var)
+        m = TINY.bn_momentum
+        assert np.array_equal(params["bn_mean"], kept_mean * (1.0 - m) + m * mu)
+        assert np.array_equal(params["bn_var"], kept_var * (1.0 - m) + m * var)
+        assert not np.array_equal(params["bn_mean"], kept_mean)
+
 
 def toy_dataset(cfg, n_per_class, rng, gap=1.0):
     """Linearly separable: class k has channel intensities around k * gap."""
@@ -351,6 +394,38 @@ def toy_dataset(cfg, n_per_class, rng, gap=1.0):
     y = np.concatenate(ys)
     order = rng.permutation(x.shape[0])
     return x[order], y[order]
+
+
+def reference_train_sgd(params, train_x, train_y, val_x, val_y, epochs):
+    """train_sgd as it was before parameters became values: one deep copy
+    on entry, in-place updates and a deep copy per improving epoch. The
+    oracle that the copy-free train_sgd matches bit for bit."""
+    cfg = params.config
+    rng = np.random.default_rng(cfg.seed)
+    params = params.copy()
+    best_acc = -1.0
+    best_epoch = 0
+    metrics = []
+    for epoch in range(epochs):
+        order = rng.permutation(train_x.shape[0])
+        losses = []
+        for lo in range(0, order.size, cfg.batch_size):
+            sel = order[lo:lo + cfg.batch_size]
+            loss, grads = featnet.loss_and_grads(params, train_x[sel], train_y[sel],
+                                                 update_running=True)
+            losses.append(loss)
+            for name in featnet.FeatNetParams.LEARNABLE_NAMES:
+                grads[name] *= cfg.lr
+                params.tensors[name] -= grads[name]
+        val_acc = featnet.accuracy(params, val_x, val_y)
+        metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                        "val_acc": val_acc, "selected": False})
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best = params.copy()
+            best_epoch = epoch
+    metrics[best_epoch]["selected"] = True
+    return best, metrics
 
 
 class TestTraining:
@@ -372,6 +447,36 @@ class TestTraining:
         best, _ = featnet.train_sgd(params, x, y, x, y)
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.array_equal(best[name], before[name])
+
+    def test_caller_tensors_unchanged(self):
+        rng = np.random.default_rng(11)
+        x, y = toy_dataset(TINY, 10, rng)
+        params = featnet.init_params(TINY, seed=1)
+        arrays = dict(params.tensors)
+        before = {n: a.copy() for n, a in arrays.items()}
+        best, _ = featnet.train_sgd(params, x, y, x, y, epochs=3)
+        assert not np.array_equal(best["fc1_w"], before["fc1_w"])
+        assert not np.array_equal(best["bn_mean"], before["bn_mean"])
+        for name in featnet.FeatNetParams.TENSOR_NAMES:
+            assert params.tensors[name] is arrays[name], name
+            assert np.array_equal(arrays[name], before[name]), name
+
+    def test_matches_copying_reference(self):
+        """Bit-identical to the deep-copying train_sgd, on a run whose
+        selected epoch is not the last, so a snapshot that later updates
+        reach would differ."""
+        cfg = dataclasses.replace(TINY, batch_size=4)
+        rng = np.random.default_rng(12)
+        x, y = toy_dataset(cfg, 10, rng)
+        params = featnet.init_params(cfg, seed=2)
+        best, metrics = featnet.train_sgd(params, x[:12], y[:12], x[12:], y[12:],
+                                          epochs=6)
+        ref_best, ref_metrics = reference_train_sgd(
+            params, x[:12], y[:12], x[12:], y[12:], epochs=6)
+        assert metrics == ref_metrics
+        assert not metrics[-1]["selected"]
+        for name in featnet.FeatNetParams.TENSOR_NAMES:
+            assert np.array_equal(best[name], ref_best[name]), name
 
     def test_selected_epoch_is_argmax(self):
         rng = np.random.default_rng(12)
