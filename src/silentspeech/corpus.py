@@ -5,7 +5,8 @@ File formats:
     code (0=u8, 1=f32 little-endian), u16 height, u16 width, u32 n_frames,
     3 reserved bytes -- followed by row-major frames.
   * Phone labels (".lab"): little-endian u16 phone indices, one per frame.
-  * Manifest: JSON with top-level ``phones`` and ``records``. The record
+  * Manifest: JSON with top-level ``phones`` (distinct strings; a phone's
+    label is its index) and ``records``. The record
     keys and the :class:`UtteranceRecord` fields they hold are listed once,
     in ``_RECORD_FIELDS``. Paths are stored relative to the manifest file;
     frames are read with ``read_frames(rec.root / rec.ult_path)``.
@@ -241,6 +242,14 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
         if not isinstance(payload[key], list):
             raise ManifestError(f"{path}: top-level field {key!r} must be a list")
     phones = list(payload["phones"])
+    first: dict[str, int] = {}  # index of each phone's first listing
+    for i, phone in enumerate(phones):
+        if not isinstance(phone, str):
+            raise ManifestError(f"{path}: phone {i} must be a string, "
+                                f"got {type(phone).__name__} {phone!r:.40}")
+        if phone in first:
+            raise ManifestError(f"{path}: phone {i} ({phone!r}) repeats phone {first[phone]}")
+        first[phone] = i
     root = path.parent
 
     records = []

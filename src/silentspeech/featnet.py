@@ -7,20 +7,28 @@ whose third (narrow) layer is exported as the per-frame feature, and a
 softmax output layer. Forward, backward, and the optimizer are plain
 numpy in double precision so gradients can be finite-difference checked.
 
-Convolutions are im2col plus one BLAS matmul per sample (Chellapilla et
-al. 2006): each sample's k x k patches are copied, in one copy from a
-sliding-window view, into one column buffer of shape (c*k*k, oh*ow),
-allocated once per layer call and reused for every sample of the batch,
-so its size does not grow with the batch. The backward pass reuses the
-same buffer for the column gradient and scatters it back with k*k
-slice-adds (col2im). The first layer's input gradient is never formed,
-since nothing consumes it.
+Each conv stage runs one sample at a time: the sample's k x k patches
+are copied, in one copy from a sliding-window view, into a column buffer
+of shape (c*k*k, oh*ow); one BLAS matmul (Chellapilla et al. 2006) and
+the bias add fill a one-sample conv map, which is max-pooled straight
+into the batch's pooled output. The column buffer and the conv map are
+allocated once per layer call and reused for every sample, so only pooled
+maps grow with the batch. The backward pass mirrors this: per sample, the
+pooled gradient is scattered to that sample's conv-map gradient, which
+feeds the bias and weight gradients and, for the second stage, the column
+gradient that k*k slice-adds scatter back to the input (col2im). The first
+layer's input gradient is never formed, since nothing consumes it.
 
 Each stage max-pools the pre-activation map and applies ReLU to the
-pooled map, which is p*p times smaller; max-pooling commutes with the
+pooled batch, which is p*p times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
 p*p strided maxima without copying windows, and the argmax positions the
-backward pass needs are found only in train mode.
+backward pass needs are found only in train mode, stored in the smallest
+unsigned type that holds 0 .. p*p - 1 (one byte for any p up to 16).
+
+Checkpoints are read through one reused 1 MiB float32 block, so loading
+holds no more than the float64 tensors it returns. Bottleneck extraction
+windows the frames one chunk at a time.
 
 Parameter tensors are values: no function here writes into the arrays of a
 :class:`FeatNetParams` it is given. Training rebinds tensors instead, so
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -39,11 +48,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import window_stack
+from .corpus import WINDOW_OFFSETS, window_stack
 from .errors import DataError, NumericalError
 
 _CKPT_MAGIC = b"FNET"
+_WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans past its anchor
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
+_LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -182,27 +193,38 @@ def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_forward(x, w, b):
+def _conv_pool_forward(x, w, b, p, need_idx):
     """Valid convolution (cross-correlation) of x (n, c, h, w) with
-    w (f, c, k, k): one im2col buffer reused across the batch and one
-    matmul per sample."""
+    w (f, c, k, k) plus bias, then p x p max-pool, one sample at a time.
+
+    One im2col buffer and one one-sample conv map are reused across the
+    batch, so only the pooled (n, f, oh // p, ow // p) output and, with
+    ``need_idx``, its argmax indices grow with the batch.
+    """
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
     w2 = w.reshape(f, -1)
     cols = np.empty((c * k * k, oh * ow))
-    out = np.empty((n, f, oh * ow))
+    conv = np.empty((f, oh * ow))
+    out = np.empty((n, f, oh // p, ow // p))
+    idx = np.empty(out.shape, dtype=_pool_index_dtype(p)) if need_idx else None
     for s in range(n):
-        np.matmul(w2, _cols(x[s], k, cols), out=out[s])
-        out[s] += b[:, None]  # while this sample's output is still in cache
-    return out.reshape(n, f, oh, ow)
+        np.matmul(w2, _cols(x[s], k, cols), out=conv)
+        conv += b[:, None]  # while this sample's map is still in cache
+        out[s], idx_s = _pool_forward(conv.reshape(f, oh, ow), p, need_idx)
+        if need_idx:
+            idx[s] = idx_s
+    return out, idx
 
 
-def _conv_backward(x, w, dout, need_dx=True):
-    """Gradients (dx, dw, db) of :func:`_conv_forward`.
+def _pool_conv_backward(x, w, dpool, idx, p, need_dx):
+    """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
+    gradient ``dpool`` of its pooled output.
 
-    Per sample, dw accumulates ``dout_s @ cols_s.T``; for dx the column
-    gradient ``w2.T @ dout_s`` is written into the same buffer and
+    Per sample, the pool gradient forms that sample's conv-map gradient
+    ``da``; db accumulates its sums and dw ``da @ cols.T``. For dx the
+    column gradient ``w2.T @ da`` is written into the column buffer and
     scattered back with k*k slice-adds (col2im). With ``need_dx`` False,
     dx is skipped and returned as None.
     """
@@ -210,38 +232,46 @@ def _conv_backward(x, w, dout, need_dx=True):
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
     w2 = w.reshape(f, -1)
-    d = dout.reshape(n, f, oh * ow)
     cols = np.empty((c * k * k, oh * ow))
     view = cols.reshape(c, k, k, oh, ow)
     dw = np.zeros_like(w2)
+    db = np.zeros(f)
     dx = np.zeros(x.shape) if need_dx else None
     for s in range(n):
-        dw += d[s] @ _cols(x[s], k, cols).T
+        da = _pool_backward(dpool[s], idx[s], (f, oh, ow), p)
+        db += da.sum(axis=(1, 2))
+        da = da.reshape(f, oh * ow)
+        dw += da @ _cols(x[s], k, cols).T
         if need_dx:
-            np.matmul(w2.T, d[s], out=cols)
+            np.matmul(w2.T, da, out=cols)
             for i in range(k):
                 for j in range(k):
                     dx[s, :, i:i + oh, j:j + ow] += view[:, i, j]
-    db = dout.sum(axis=(0, 2, 3))
     return dx, dw.reshape(w.shape), db
 
 
-def _pool_forward(x, p, need_idx):
-    """p x p max-pool of x (n, f, h, w), dropping trailing rows and columns.
+def _pool_index_dtype(p):
+    """Smallest unsigned type that holds a window position 0 .. p*p - 1."""
+    return np.min_scalar_type(p * p - 1)
 
-    The max is taken over the p*p strided views ``x[:, :, i::p, j::p]``, so
+
+def _pool_forward(x, p, need_idx):
+    """p x p max-pool over the last two axes of x (..., h, w), dropping
+    trailing rows and columns.
+
+    The max is taken over the p*p strided views ``x[..., i::p, j::p]``, so
     no window copy is made. With ``need_idx``, also returns the first
     argmax within each window (row-major, ``i*p + j``); otherwise None.
     """
-    n, f, h, w = x.shape
+    h, w = x.shape[-2:]
     oh, ow = h // p, w // p
-    views = [x[:, :, i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
+    views = [x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(out, v, out=out)
     if not need_idx:
         return out, None
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = np.zeros(out.shape, dtype=_pool_index_dtype(p))
     # in reverse, so the first position holding the max is written last
     for q in range(p * p - 1, -1, -1):
         np.copyto(idx, q, where=views[q] == out)
@@ -251,12 +281,12 @@ def _pool_forward(x, p, need_idx):
 def _pool_backward(dout, idx, in_shape, p):
     """Gradient of :func:`_pool_forward`: each window's ``dout`` goes to its
     argmax position, zeros elsewhere and in the dropped rows and columns."""
-    n, f, h, w = in_shape
+    h, w = in_shape[-2:]
     oh, ow = h // p, w // p
     dx = np.zeros(in_shape)
     for i in range(p):
         for j in range(p):
-            np.copyto(dx[:, :, i:oh * p:p, j:ow * p:p], dout, where=idx == i * p + j)
+            np.copyto(dx[..., i:oh * p:p, j:ow * p:p], dout, where=idx == i * p + j)
     return dx
 
 
@@ -297,13 +327,11 @@ def _forward_full(params, x, train_mode, update_running):
         raise DataError(f"sample shape {x.shape[1:]} != config {cfg.input_shape}")
     cache: dict[str, np.ndarray] = {"x": x}
 
-    # pool, then ReLU in place on the pooled map (see the module docstring);
-    # each full-size conv output is freed once pooled
-    p1, idx1 = _pool_forward(_conv_forward(x, t["conv1_w"], t["conv1_b"]),
-                             cfg.pool, train_mode)
+    # pool each sample's conv map, then ReLU in place on the pooled batch
+    # (see the module docstring)
+    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], cfg.pool, train_mode)
     np.maximum(p1, 0.0, out=p1)
-    p2, idx2 = _pool_forward(_conv_forward(p1, t["conv2_w"], t["conv2_b"]),
-                             cfg.pool, train_mode)
+    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], cfg.pool, train_mode)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
@@ -376,16 +404,14 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     # A window whose pooled max is not positive was zeroed by the ReLU and
     # passes no gradient; elsewhere the argmax of the pre-activation window
     # is the unit the ReLU let through.
-    f1, f2 = cfg.conv_filters
-    stages = cfg.stage_shapes()
     p1, p2 = cache["p1"], cache["p2"]
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
-    da2 = _pool_backward(dp2, cache["idx2"], (n, f2, *stages["conv2"]), cfg.pool)
-    dp1, dw2, db2 = _conv_backward(p1, t["conv2_w"], da2)
+    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], cfg.pool,
+                                        need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
-    da1 = _pool_backward(dp1 * (p1 > 0), cache["idx1"], (n, f1, *stages["conv1"]),
-                         cfg.pool)
-    _, dw1, db1 = _conv_backward(cache["x"], t["conv1_w"], da1, need_dx=False)
+    dp1 *= p1 > 0
+    _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],
+                                      cfg.pool, need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
 
     # weight decay in row blocks: no fc1-sized temporary for l2 * w
@@ -463,12 +489,22 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
 def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
                        chunk: int = 256) -> np.ndarray:
     """One feature vector per frame: windowed samples through the trained
-    network in inference mode."""
-    x = window_stack(np.asarray(frames, dtype=np.float64))
-    out = np.empty((x.shape[0], params.config.bottleneck_dim))
-    for i in range(0, x.shape[0], chunk):
-        _, bneck = forward(params, x[i:i + chunk])
-        out[i:i + chunk] = bneck
+    network in inference mode.
+
+    Frames are windowed one chunk of anchors at a time, from the frames
+    that chunk's windows reach. Clamping happens only at the true ends of
+    the sequence, so the windows are those of the whole sequence.
+    """
+    if chunk < 1:
+        raise ValueError(f"need chunk >= 1, got {chunk}")
+    frames = np.asarray(frames)
+    n = frames.shape[0]
+    out = np.empty((n, params.config.bottleneck_dim))
+    # an empty sequence still reaches window_stack, which rejects it
+    for lo in range(0, max(n, 1), chunk):
+        hi = min(n, lo + chunk)
+        a, b = max(0, lo - _WINDOW_REACH), min(n, hi + _WINDOW_REACH)
+        out[lo:hi] = forward(params, window_stack(frames[a:b])[lo - a:hi - a])[1]
     return out
 
 
@@ -521,31 +557,43 @@ def save_params(params: FeatNetParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> FeatNetParams:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated checkpoint header")
-    (n,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + n:
-        raise DataError(f"{path}: truncated checkpoint header")
-    try:
-        cfg_dict = json.loads(raw[8:8 + n].decode())
-        for key in ("input_shape", "conv_filters", "fc_dims"):
-            cfg_dict[key] = tuple(cfg_dict[key])
-        config = FeatNetConfig(**cfg_dict)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: unreadable checkpoint config ({exc})") from exc
-    shapes = param_shapes(config)
-    offset = 8 + n
-    expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
-    if len(raw) != expected:
-        raise DataError(f"{path}: {len(raw)} bytes, but its config needs {expected}; "
-                        "truncated or trailing tensor data")
-    tensors = {}
-    for name in FeatNetParams.TENSOR_NAMES:
-        count = math.prod(shapes[name])
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.astype(np.float64).reshape(shapes[name])
-        offset += 4 * count
+    """Read a checkpoint written by :func:`save_params`.
+
+    The float32 payload is streamed through one reused block of
+    ``_LOAD_BLOCK`` values into the float64 tensors, so the file is never
+    held whole in memory.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != _CKPT_MAGIC:
+            raise DataError(f"{path}: not a checkpoint file")
+        if len(head) < 8:
+            raise DataError(f"{path}: truncated checkpoint header")
+        (n,) = struct.unpack("<I", head[4:8])
+        if size < 8 + n:
+            raise DataError(f"{path}: truncated checkpoint header")
+        try:
+            cfg_dict = json.loads(fh.read(n).decode())
+            for key in ("input_shape", "conv_filters", "fc_dims"):
+                cfg_dict[key] = tuple(cfg_dict[key])
+            config = FeatNetConfig(**cfg_dict)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: unreadable checkpoint config ({exc})") from exc
+        shapes = param_shapes(config)
+        expected = 8 + n + 4 * sum(math.prod(shape) for shape in shapes.values())
+        if size != expected:
+            raise DataError(f"{path}: {size} bytes, but its config needs {expected}; "
+                            "truncated or trailing tensor data")
+        block = np.empty(_LOAD_BLOCK, dtype="<f4")
+        tensors = {}
+        for name in FeatNetParams.TENSOR_NAMES:
+            tensor = np.empty(shapes[name])
+            flat = tensor.reshape(-1)
+            for lo in range(0, flat.size, _LOAD_BLOCK):
+                part = block[:min(_LOAD_BLOCK, flat.size - lo)]
+                if fh.readinto(part) != part.nbytes:
+                    raise DataError(f"{path}: checkpoint ended inside tensor {name}")
+                flat[lo:lo + part.size] = part
+            tensors[name] = tensor
     return FeatNetParams(config, tensors)

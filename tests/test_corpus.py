@@ -130,6 +130,9 @@ class TestManifest:
         ('{"phones": [], "records": 7}', "'records'"),
         ('{"phones": [], "records": [1]}', "record 0"),
         ('{"phones": 3, "records": []}', "'phones'"),
+        ('{"phones": [1, null, [2]], "records": []}', "phone 0 must be a string, got int"),
+        ('{"phones": ["a", [2]], "records": []}', "phone 1 must be a string, got list"),
+        ('{"phones": ["a", "b", "a"], "records": []}', "phone 2 \\('a'\\) repeats phone 0"),
         ('{"phones": [], "records": [{"id": "u1", "mode": "modal"}]}',
          "record 0 missing fields \\['speaker', 'session', 'prompt'"),
     ])

@@ -1,13 +1,16 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from silentspeech import featnet
+from silentspeech.corpus import window_stack
 from silentspeech.errors import DataError
 
 TINY = featnet.FeatNetConfig(
@@ -240,34 +243,43 @@ class TestForward:
 
 
 class TestConvolution:
-    """im2col + matmul layers against the strided-view einsum reference."""
+    """Per-sample im2col + matmul + pool layers against the strided-view
+    einsum convolution followed by the window-copy pooling reference."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("c", [1, 3, 7])
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_matches_einsum_reference(self, n, c, k):
         rng = np.random.default_rng(100 * n + 10 * c + k)
-        x = rng.standard_normal((n, c, k + 6, k + 11))  # non-square input
+        x = rng.standard_normal((n, c, k + 6, k + 11))  # non-square, odd conv rows
         w = rng.standard_normal((4, c, k, k))
         b = rng.standard_normal(4)
-        out = featnet._conv_forward(x, w, b)
-        ref_out = reference_conv_forward(x, w, b)
+        out, idx = featnet._conv_pool_forward(x, w, b, 2, need_idx=True)
+        conv = reference_conv_forward(x, w, b)
+        ref_out, ref_idx = reference_pool_forward(conv, 2)
         assert out.shape == ref_out.shape
         assert rel_err(out, ref_out) < 1e-12
-        dout = rng.standard_normal(out.shape)
-        dx, dw, db = featnet._conv_backward(x, w, dout)
-        ref_dx, ref_dw, ref_db = reference_conv_backward(x, w, dout)
+        assert np.array_equal(idx, ref_idx)
+        dpool = rng.standard_normal(out.shape)
+        dx, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, 2, need_dx=True)
+        dconv = reference_pool_backward(dpool, ref_idx, conv.shape, 2)
+        ref_dx, ref_dw, ref_db = reference_conv_backward(x, w, dconv)
         for got, want in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
             assert got.shape == want.shape
             assert rel_err(got, want) < 1e-12
+        out_only, no_idx = featnet._conv_pool_forward(x, w, b, 2, need_idx=False)
+        assert no_idx is None
+        assert np.array_equal(out_only, out)
 
     def test_skipped_input_gradient(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 7, 9, 13))
         w = rng.standard_normal((5, 7, 3, 3))
-        dout = rng.standard_normal((3, 5, 7, 11))
-        _, dw, db = featnet._conv_backward(x, w, dout)
-        dx, dw_skip, db_skip = featnet._conv_backward(x, w, dout, need_dx=False)
+        _, idx = featnet._conv_pool_forward(x, w, np.zeros(5), 2, need_idx=True)
+        dpool = rng.standard_normal(idx.shape)
+        _, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, 2, need_dx=True)
+        dx, dw_skip, db_skip = featnet._pool_conv_backward(x, w, dpool, idx, 2,
+                                                           need_dx=False)
         assert dx is None
         assert np.array_equal(dw, dw_skip)
         assert np.array_equal(db, db_skip)
@@ -296,6 +308,7 @@ class TestPooling:
         ref_out, ref_idx = reference_pool_forward(x, p)
         assert out.shape == ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
         assert np.array_equal(out, ref_out)
+        assert idx.dtype == np.uint8  # positions 0 .. p*p - 1 fit one byte
         assert np.array_equal(idx, ref_idx)
         dout = rng.standard_normal(out.shape)
         dx = featnet._pool_backward(dout, idx, x.shape, p)
@@ -305,38 +318,67 @@ class TestPooling:
         assert np.array_equal(out_only, out)
 
 
+def traced_peak(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="class")
+def paper_params():
+    return featnet.init_params(featnet.FeatNetConfig(), seed=0)
+
+
+@pytest.fixture(scope="class")
+def paper_peak(paper_params):
+    """``paper_peak(name, n)``: traced peak of one paper-shape ``forward``
+    or ``loss_and_grads`` call at batch n, measured once per class."""
+    cfg = paper_params.config
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((24, *cfg.input_shape))
+    y = rng.integers(0, cfg.n_classes, 24)
+    calls = {"forward": lambda n: featnet.forward(paper_params, x[:n]),
+             "step": lambda n: featnet.loss_and_grads(paper_params, x[:n], y[:n])}
+    return functools.cache(lambda name, n: traced_peak(calls[name], n))
+
+
 class TestMemory:
-    def test_paper_shape_step_peak_allocation(self):
+    def test_paper_shape_step_peak_allocation(self, paper_peak):
         """One paper-shape training step at batch 2 stays below 700 MiB of
         allocations: column buffers hold one sample and conv1's input
         gradient is never formed."""
-        cfg = featnet.FeatNetConfig(batch_size=2)
-        params = featnet.init_params(cfg, seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, *cfg.input_shape))
-        y = rng.integers(0, cfg.n_classes, 2)
-        tracemalloc.start()
-        try:
-            featnet.loss_and_grads(params, x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 700 * 2 ** 20
+        assert paper_peak("step", 2) < 700 * 2 ** 20
 
-    def test_paper_shape_inference_peak_allocation(self):
+    def test_paper_shape_inference_peak_allocation(self, paper_peak):
         """Paper-shape inference at batch 8 stays below 90 MiB of
-        allocations: conv outputs are pooled without window copies or
-        argmax indices and freed once pooled."""
-        cfg = featnet.FeatNetConfig()
-        params = featnet.init_params(cfg, seed=0)
-        x = np.random.default_rng(0).standard_normal((8, *cfg.input_shape))
-        tracemalloc.start()
-        try:
-            featnet.forward(params, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 90 * 2 ** 20
+        allocations: each sample's conv map is pooled without window
+        copies or argmax indices, and no batch-sized conv map is held."""
+        assert paper_peak("forward", 8) < 90 * 2 ** 20
+
+    def test_inference_growth_per_sample(self, paper_peak):
+        """Each added sample costs paper-shape inference less than 1.6 MiB
+        (3.2 MiB with batch-sized conv maps): only pooled maps grow with
+        the batch."""
+        growth = (paper_peak("forward", 24) - paper_peak("forward", 8)) / 16
+        assert growth < 1.6 * 2 ** 20
+
+    def test_step_growth_per_sample(self, paper_peak):
+        """Each added sample costs a paper-shape training step less than
+        5.5 MiB (6.8 MiB with batch-sized conv maps and their gradients)."""
+        growth = (paper_peak("step", 8) - paper_peak("step", 2)) / 6
+        assert growth < 5.5 * 2 ** 20
+
+    def test_load_streams_checkpoint(self, paper_params, tmp_path):
+        """Loading a paper-shape checkpoint allocates little beyond the
+        float64 tensors themselves: the float32 file is never held whole
+        (1.5 parameter sets when it was)."""
+        featnet.save_params(paper_params, tmp_path / "net.ckpt")
+        param_bytes = sum(a.nbytes for a in paper_params.tensors.values())
+        assert traced_peak(featnet.load_params, tmp_path / "net.ckpt") < 1.1 * param_bytes
 
     def test_paper_shape_training_peak_allocation(self):
         """Paper-shape train_sgd over 2 epochs of 2 steps stays below 3.5
@@ -534,6 +576,33 @@ class TestBottleneck:
         for i in range(1, 5):
             assert np.allclose(feats[i], feats[0])
 
+    @pytest.mark.parametrize("n_frames", [30, 7])  # 7 is shorter than a window's reach
+    @pytest.mark.parametrize("chunk", [1, 5, 13, 40])
+    def test_chunked_windows_match_whole_sequence(self, n_frames, chunk):
+        """Windowing one chunk of anchors at a time gives the same windows,
+        and so the same features, as windowing the whole sequence. The
+        reference runs the same chunks, since a one-row matmul may round
+        differently from a many-row one."""
+        params = featnet.init_params(SMALL, seed=8)
+        frames = np.random.default_rng(17).random((n_frames, 16, 32))
+        x = window_stack(frames)
+        whole = np.concatenate([featnet.forward(params, x[i:i + chunk])[1]
+                                for i in range(0, n_frames, chunk)])
+        assert np.array_equal(featnet.extract_bottleneck(params, frames, chunk=chunk), whole)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_no_chunk_rejected(self, chunk):
+        """A chunk below 1 is rejected by name; left to range(), 0 raises a
+        bare error and -1 returns the output array uninitialised."""
+        params = featnet.init_params(SMALL, seed=8)
+        with pytest.raises(ValueError, match="chunk"):
+            featnet.extract_bottleneck(params, np.zeros((5, 16, 32)), chunk=chunk)
+
+    def test_empty_sequence_rejected(self):
+        params = featnet.init_params(SMALL, seed=8)
+        with pytest.raises(DataError, match="empty"):
+            featnet.extract_bottleneck(params, np.zeros((0, 16, 32)))
+
     def test_batch_composition_invariance(self):
         params = featnet.init_params(SMALL, seed=7)
         rng = np.random.default_rng(16)
@@ -594,6 +663,18 @@ class TestCheckpoint:
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.allclose(back[name], params[name], atol=1e-6)
 
+    @pytest.mark.parametrize("block", [7, 1 << 18])
+    def test_load_exact_across_read_blocks(self, tmp_path, monkeypatch, block):
+        """Each tensor is its saved float32 values, exactly, whether a read
+        block splits tensors at odd offsets or holds several whole."""
+        params = featnet.init_params(SMALL, seed=11)
+        featnet.save_params(params, tmp_path / "net.ckpt")
+        monkeypatch.setattr(featnet, "_LOAD_BLOCK", block)
+        back = featnet.load_params(tmp_path / "net.ckpt")
+        for name in featnet.FeatNetParams.TENSOR_NAMES:
+            assert back[name].dtype == np.float64
+            assert np.array_equal(back[name], params[name].astype(np.float32)), name
+
     def test_checkpoint_drives_identical_inference(self, tmp_path):
         params = featnet.init_params(SMALL, seed=12)
         featnet.save_params(params, tmp_path / "net.ckpt")
@@ -631,6 +712,16 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(DataError, match="cut.ckpt"):
             featnet.load_params(path)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        """A file that ends before the size it reported raises DataError
+        naming the file and the tensor it was reading."""
+        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        raw = (tmp_path / "net.ckpt").read_bytes()
+        (tmp_path / "cut.ckpt").write_bytes(raw[:-4])
+        monkeypatch.setattr(featnet.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(DataError, match="cut.ckpt: checkpoint ended inside tensor out_b"):
+            featnet.load_params(tmp_path / "cut.ckpt")
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"JUNKxxxx")
