@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 _EULER_GAMMA = 0.5772156649015329
 _ORIENT_SCALE = 1 << 16
 _ORIENT_LIMIT = float(1 << 47)  # |x| * _ORIENT_SCALE stays below 2^63
+_RIDGE_SIGMA = 2.0  # Gaussian sigma, in rows, of the smoothing ridge_track applies
 
 
 # ---------------------------------------------------------------------------
@@ -64,34 +65,6 @@ class HullResult:
     n_pruned: int
 
 
-def write_contours(path: str | Path, contours: list[TongueContour]) -> None:
-    """CSV with one point per row: utt_id,frame,x,y."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["utt_id", "frame", "x", "y"])
-        for c in contours:
-            for x, y in c.points:
-                w.writerow([c.utt_id, c.frame_index, f"{x:.10g}", f"{y:.10g}"])
-
-
-def read_contours(path: str | Path) -> list[TongueContour]:
-    rows: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    order: list[tuple[str, int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader):
-            try:
-                key = (row["utt_id"], int(row["frame"]))
-                pt = (float(row["x"]), float(row["y"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: bad contour row {i + 2}: {exc}") from exc
-            if key not in rows:
-                rows[key] = []
-                order.append(key)
-            rows[key].append(pt)
-    return [TongueContour(u, f, np.array(rows[(u, f)])) for u, f in order]
-
-
 # ---------------------------------------------------------------------------
 # Ridge tracking (stand-in contour extractor for synthetic frames)
 
@@ -110,8 +83,7 @@ def _smooth_columns(frame: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def ridge_track(frame: np.ndarray, threshold: float = 0.5,
-                smooth_sigma: float = 2.0, utt_id: str = "",
+def ridge_track(frame: np.ndarray, threshold: float = 0.5, utt_id: str = "",
                 frame_index: int = 0) -> TongueContour:
     """Track the brightest ridge: per column, the row of maximum smoothed
     intensity; columns whose smoothed maximum stays below ``threshold`` are
@@ -119,7 +91,7 @@ def ridge_track(frame: np.ndarray, threshold: float = 0.5,
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
-    smoothed = _smooth_columns(frame, smooth_sigma)
+    smoothed = _smooth_columns(frame, _RIDGE_SIGMA)
     rows = smoothed.argmax(axis=0)
     peak = smoothed.max(axis=0)
     cols = np.nonzero(peak >= threshold)[0]
@@ -167,7 +139,6 @@ class IsolationForest:
     n_trees: int
     psi: int            # effective subsample size
     height_limit: int
-    seed: int
     trees: list[_Tree] = field(repr=False, default_factory=list)
 
     def path_lengths(self, points: np.ndarray) -> np.ndarray:
@@ -269,8 +240,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
     leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
     rng = np.random.default_rng(seed)
-    forest = IsolationForest(n_trees=n_trees, psi=psi_eff,
-                             height_limit=height_limit, seed=seed)
+    forest = IsolationForest(n_trees=n_trees, psi=psi_eff, height_limit=height_limit)
     for _ in range(n_trees):
         idx = rng.choice(n, size=psi_eff, replace=False)
         forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
@@ -391,22 +361,17 @@ def pool_clouds(contours_by_utt: dict[str, list[TongueContour]],
 
 
 def articulatory_space(clouds: list[ContourCloud], contamination: float = 0.02,
-                       n_trees: int = 100, psi: int = 256,
-                       seed: int = 0, pixel_scale: float = 1.0) -> list[HullResult]:
-    """Prune each speaker x mode cloud, then compute its hull and area.
-
-    ``pixel_scale`` converts pixel areas to physical units (area scales by
-    pixel_scale squared); default leaves areas in pixels squared.
-    """
+                       seed: int = 0) -> list[HullResult]:
+    """Prune each speaker x mode cloud, then compute its hull and its area
+    in pixels squared."""
     results = []
     for cloud in clouds:
         cloud_seed = derive_seed(seed, cloud.speaker_id, cloud.mode)
-        pruned = prune_outliers(cloud, contamination, n_trees, psi, cloud_seed)
+        pruned = prune_outliers(cloud, contamination, seed=cloud_seed)
         hull = convex_hull(pruned.points)
-        area = polygon_area(hull) * pixel_scale ** 2
         results.append(HullResult(
             speaker_id=cloud.speaker_id, mode=cloud.mode, vertices=hull,
-            area=area, n_points=cloud.points.shape[0],
+            area=polygon_area(hull), n_points=cloud.points.shape[0],
             n_pruned=cloud.points.shape[0] - pruned.points.shape[0]))
     return results
 

@@ -44,7 +44,8 @@ _CODE_FOR_KIND = {"u": 0, "i": 0, "f": 1}
 def write_frames(path: str | Path, frames: np.ndarray) -> None:
     """Write an (n, h, w) frame stack to the binary container.
 
-    Integer input is stored as u8, floating input as little-endian f32.
+    Integer input is stored as u8, so its values must lie in 0..255;
+    floating input is stored as little-endian f32.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.size == 0:
@@ -52,6 +53,9 @@ def write_frames(path: str | Path, frames: np.ndarray) -> None:
     code = _CODE_FOR_KIND.get(frames.dtype.kind)
     if code is None:
         raise DataError(f"unsupported frame dtype {frames.dtype}")
+    if code == 0 and frames.dtype != np.uint8 and (frames.min() < 0 or frames.max() > 0xFF):
+        raise DataError(f"{path}: integer frame values {frames.min()}..{frames.max()} "
+                        "exceed the u8 range 0..255")
     out = frames.astype(_DTYPE_CODES[code], copy=False)
     n, h, w = out.shape
     if h > 0xFFFF or w > 0xFFFF:
@@ -177,9 +181,8 @@ class Manifest:
     def by_split(self, split: str) -> list[UtteranceRecord]:
         return [r for r in self.records if r.split == split]
 
-    def prompts(self, split: str | None = None) -> set[str]:
-        recs = self.records if split is None else self.by_split(split)
-        return {r.prompt for r in recs}
+    def prompts(self, split: str) -> set[str]:
+        return {r.prompt for r in self.by_split(split)}
 
     def validate_prompt_disjoint(self) -> None:
         shared = self.prompts("train") & self.prompts("test")
@@ -220,11 +223,11 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
+def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest.
 
     Frame payloads stay on disk; only container headers and label sizes are
-    checked here (when ``check_files`` is set).
+    checked here.
     """
     path = Path(path)
     if not path.exists():
@@ -278,8 +281,7 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
 
     manifest = Manifest(phones=phones, records=records, root=root)
     manifest.validate_prompt_disjoint()
-    if check_files:
-        _check_record_files(manifest)
+    _check_record_files(manifest)
     return manifest
 
 
@@ -313,51 +315,6 @@ def _check_record_files(manifest: Manifest) -> None:
 
 # ---------------------------------------------------------------------------
 # Preprocessing
-
-
-def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize one frame with corner-aligned bilinear interpolation.
-
-    Output corner pixels coincide with input corners; a size-1 output axis
-    samples coordinate 0.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2 or frame.size == 0:
-        raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be at least 1x1")
-    in_h, in_w = frame.shape
-
-    def grid(n_in: int, n_out: int) -> np.ndarray:
-        if n_out == 1:
-            return np.zeros(1)
-        return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
-
-    ys = grid(in_h, out_h)
-    xs = grid(in_w, out_w)
-    y0 = np.minimum(ys.astype(np.int64), in_h - 1)
-    x0 = np.minimum(xs.astype(np.int64), in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-
-    top = frame[np.ix_(y0, x0)] * (1 - wx) + frame[np.ix_(y0, x1)] * wx
-    bot = frame[np.ix_(y1, x0)] * (1 - wx) + frame[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bot * wy
-
-
-def crop_center(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Centered crop; odd margins drop the extra row/column at bottom/right."""
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise DataError(f"expected 2-D frame, got shape {frame.shape}")
-    in_h, in_w = frame.shape
-    if out_h > in_h or out_w > in_w:
-        raise ValueError(f"crop {out_h}x{out_w} larger than input {in_h}x{in_w}")
-    top = (in_h - out_h) // 2
-    left = (in_w - out_w) // 2
-    return frame[top:top + out_h, left:left + out_w]
 
 
 def normalize(sequences: list[np.ndarray]) -> tuple[float, float, list[np.ndarray]]:
@@ -398,19 +355,6 @@ def window_stack(frames: np.ndarray) -> np.ndarray:
     anchors = np.arange(n)[:, None]
     idx = np.clip(anchors + np.asarray(WINDOW_OFFSETS)[None, :], 0, n - 1)
     return frames[idx]
-
-
-def nearest_frame_indices(n_src: int, fps_src: float, n_dst: int, fps_dst: float) -> np.ndarray:
-    """Map each destination-timeline frame to the nearest source frame.
-
-    Used to carry per-frame annotations between modalities with different
-    frame rates; frame i is taken to occur at time i / fps.
-    """
-    if n_src < 1 or n_dst < 1:
-        raise DataError("sequences must be non-empty")
-    times = np.arange(n_dst) / fps_dst
-    idx = np.rint(times * fps_src).astype(np.int64)
-    return np.clip(idx, 0, n_src - 1)
 
 
 # ---------------------------------------------------------------------------

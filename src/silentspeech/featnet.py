@@ -55,6 +55,7 @@ _CKPT_MAGIC = b"FNET"
 _WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans past its anchor
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
 _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read (1 MiB)
+_ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 
 
 @dataclass(frozen=True)
@@ -426,12 +427,11 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
 # Training
 
 
-def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
-             chunk: int = 512) -> float:
+def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
     hits = 0
-    for i in range(0, x.shape[0], chunk):
-        logits, _ = forward(params, x[i:i + chunk])
-        hits += int((logits.argmax(axis=1) == y[i:i + chunk]).sum())
+    for i in range(0, x.shape[0], _ACCURACY_CHUNK):
+        logits, _ = forward(params, x[i:i + _ACCURACY_CHUNK])
+        hits += int((logits.argmax(axis=1) == y[i:i + _ACCURACY_CHUNK]).sum())
     return hits / x.shape[0]
 
 
@@ -494,6 +494,10 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     Frames are windowed one chunk of anchors at a time, from the frames
     that chunk's windows reach. Clamping happens only at the true ends of
     the sequence, so the windows are those of the whole sequence.
+
+    Features are bit-reproducible only for a fixed ``chunk``: a GEMM over
+    one row can round differently from the same row inside a many-row
+    GEMM, so changing ``chunk`` may change the last bits.
     """
     if chunk < 1:
         raise ValueError(f"need chunk >= 1, got {chunk}")

@@ -40,9 +40,6 @@ class Lexicon:
             seq.extend(self.entries[w])
         return seq
 
-    def syllables_for(self, words: list[str]) -> int:
-        return sum(self.syllables[w] for w in words)
-
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     lines = []
@@ -63,6 +60,8 @@ def load_lexicon(path: str | Path, phones: list[str]) -> Lexicon:
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
         word, syll, phone_str = parts
+        if word in entries:
+            raise DataError(f"{path}:{lineno}: word {word!r} is listed twice")
         try:
             syllables[word] = int(syll)
         except ValueError as exc:

@@ -104,6 +104,10 @@ class PairedSeries:
             raise DataError("paired series lengths differ")
         if self.values_a.size < 2:
             raise DataError("paired series needs at least 2 pairs")
+        finite = np.isfinite(self.values_a) & np.isfinite(self.values_b)
+        if not finite.all():
+            raise DataError(f"paired series key {self.keys[int(finite.argmin())]!r} "
+                            "has a NaN or inf value")
 
 
 @dataclass
@@ -133,20 +137,10 @@ def paired_ttest(series: PairedSeries) -> TestResult:
     return TestResult(t=t, df=n - 1, p=student_t_sf(t, n - 1))
 
 
-@dataclass
-class HolmOutcome:
-    p_values: list[float]
-    alpha: float
-    reject: list[bool]
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(self.reject)
-
-
-def holm_bonferroni(p_values: list[float], alpha: float) -> HolmOutcome:
+def holm_bonferroni(p_values: list[float], alpha: float) -> list[bool]:
     """Step-down correction: reject the k-th smallest p while
-    p_(k) <= alpha / (m - k + 1); stop at the first failure."""
+    p_(k) <= alpha / (m - k + 1); stop at the first failure. Returns the
+    rejection decision of each p-value, in input order."""
     if not p_values:
         raise ValueError("holm_bonferroni needs at least one p-value")
     if not 0.0 < alpha < 1.0:
@@ -161,7 +155,7 @@ def holm_bonferroni(p_values: list[float], alpha: float) -> HolmOutcome:
             reject[i] = True
         else:
             break
-    return HolmOutcome(p_values=list(p_values), alpha=alpha, reject=reject)
+    return reject
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
@@ -170,6 +164,8 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DataError("pearson_r needs two equal-length series of >= 2 values")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("pearson_r input contains NaN or inf")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = math.sqrt(float(dx @ dx))
@@ -251,14 +247,21 @@ def _paired_values(per_mode: dict[str, dict[str, float]],
 
 def build_mode_report(utterance_metrics: MetricTable,
                       speaker_metrics: MetricTable,
-                      alpha: float = 0.05,
-                      primary_pair: tuple[str, str] = ("modal", "silent")) -> ModeReport:
+                      alpha: float = 0.05) -> ModeReport:
     """Assemble per-mode summaries, Holm-corrected pairwise paired t-tests,
-    and the per-speaker difference table for ``primary_pair``.
+    and the per-speaker modal-minus-silent difference table.
 
     Each metric's mode pairs form one Holm family. Observations present in
     only one mode of a pair are excluded (reported in ``excluded_keys``).
+    A NaN or inf value raises DataError before anything is computed.
     """
+    for metrics in (utterance_metrics, speaker_metrics):
+        for metric, per_mode in metrics.items():
+            for mode, values in per_mode.items():
+                for key, value in values.items():
+                    if not math.isfinite(value):
+                        raise DataError(f"metric {metric!r}, mode {mode!r}, key {key!r}: "
+                                        f"value {value} is not finite")
     summaries: list[SummaryRow] = []
     tests: list[TestRow] = []
     excluded: set[str] = set()
@@ -287,19 +290,18 @@ def build_mode_report(utterance_metrics: MetricTable,
                                           len(keys), res.t, res.df, res.p,
                                           reject=False))
             if family:
-                outcome = holm_bonferroni([row.p for row in family], alpha)
-                for row, rej in zip(family, outcome.reject):
+                reject = holm_bonferroni([row.p for row in family], alpha)
+                for row, rej in zip(family, reject):
                     row.reject = rej
                 tests.extend(family)
 
-    differences = _difference_table(speaker_metrics, primary_pair)
+    differences = _difference_table(speaker_metrics)
     return ModeReport(alpha=alpha, summaries=summaries, tests=tests,
                       differences=differences, excluded_keys=sorted(excluded))
 
 
-def _difference_table(speaker_metrics: MetricTable,
-                      pair: tuple[str, str]) -> DifferenceTable | None:
-    mode_a, mode_b = pair
+def _difference_table(speaker_metrics: MetricTable) -> DifferenceTable | None:
+    mode_a, mode_b = "modal", "silent"
     columns: dict[str, dict[str, float]] = {}
     for metric, per_mode in speaker_metrics.items():
         if mode_a not in per_mode or mode_b not in per_mode:
@@ -373,12 +375,3 @@ def write_report_csv(report: ModeReport, outdir: str | Path) -> list[Path]:
                                     for c in cols])
     written.append(p)
     return written
-
-
-def read_report_csv(outdir: str | Path) -> dict[str, list[dict[str, str]]]:
-    """Read the three report tables back as lists of row dicts."""
-    out = {}
-    for name in ("summary", "tests", "differences"):
-        with open(Path(outdir) / f"{name}.csv", newline="") as fh:
-            out[name] = list(csv.DictReader(fh))
-    return out

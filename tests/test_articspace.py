@@ -461,20 +461,6 @@ class TestArticulatorySpace:
 
 
 class TestContourIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        contours = [
-            arts.TongueContour("u1", 0, rng.random((5, 2)) * 30),
-            arts.TongueContour("u1", 1, rng.random((4, 2)) * 30),
-            arts.TongueContour("u2", 0, rng.random((6, 2)) * 30),
-        ]
-        arts.write_contours(tmp_path / "c.csv", contours)
-        back = arts.read_contours(tmp_path / "c.csv")
-        assert len(back) == 3
-        for a, b in zip(contours, back):
-            assert a.utt_id == b.utt_id and a.frame_index == b.frame_index
-            assert np.allclose(a.points, b.points)
-
     def test_pool_clouds(self):
         contours = {
             "u1": [arts.TongueContour("u1", 0, [[0, 0], [1, 1]])],

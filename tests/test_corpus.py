@@ -39,6 +39,18 @@ class TestFrameContainer:
         corpus.write_frames(tmp_path / "b.artf", frames)
         assert np.array_equal(corpus.read_frames(tmp_path / "b.artf"), frames)
 
+    @pytest.mark.parametrize("value", [300, -1])
+    def test_out_of_u8_range_integers_rejected(self, tmp_path, value):
+        """Left to astype, 300 would wrap to 44 and -1 to 255."""
+        with pytest.raises(DataError, match=r"x\.artf: integer frame values .* 0\.\.255"):
+            corpus.write_frames(tmp_path / "x.artf", np.array([[[value, 0, 255]]]))
+
+    def test_u8_range_ends_round_trip(self, tmp_path):
+        corpus.write_frames(tmp_path / "e.artf", np.array([[[0, 255, 7]]]))
+        back = corpus.read_frames(tmp_path / "e.artf")
+        assert back.dtype == np.uint8
+        assert back.tolist() == [[[0, 255, 7]]]
+
     def test_header_is_16_bytes(self, tmp_path):
         corpus.write_frames(tmp_path / "c.artf", np.zeros((1, 2, 2), dtype=np.uint8))
         assert (tmp_path / "c.artf").stat().st_size == 16 + 4
@@ -164,70 +176,6 @@ class TestManifest:
             corpus.load_manifest(tmp_path / "m.json")
 
 
-class TestResizeBilinear:
-    def test_constant_frame_any_target(self):
-        frame = np.full((5, 9), 3.25)
-        out = corpus.resize_bilinear(frame, 7, 4)
-        assert out.shape == (7, 4)
-        assert np.allclose(out, 3.25)
-
-    def test_linear_midpoint(self):
-        out = corpus.resize_bilinear(np.array([[0.0, 1.0]]), 1, 3)
-        assert np.allclose(out, [[0.0, 0.5, 1.0]])
-
-    def test_matches_reference_interpolator(self):
-        rng = np.random.default_rng(3)
-        frame = rng.random((8, 8))
-        out = corpus.resize_bilinear(frame, 64, 128)
-
-        # independent reference: naive per-pixel corner-aligned lookup
-        ref = np.empty((64, 128))
-        for i in range(64):
-            for j in range(128):
-                y = i * (8 - 1) / (64 - 1)
-                x = j * (8 - 1) / (128 - 1)
-                y0, x0 = int(y), int(x)
-                y1, x1 = min(y0 + 1, 7), min(x0 + 1, 7)
-                fy, fx = y - y0, x - x0
-                ref[i, j] = (frame[y0, x0] * (1 - fy) * (1 - fx)
-                             + frame[y0, x1] * (1 - fy) * fx
-                             + frame[y1, x0] * fy * (1 - fx)
-                             + frame[y1, x1] * fy * fx)
-        assert np.max(np.abs(out - ref)) < 1e-6
-
-    def test_preserves_bounds(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            frame = rng.random((6, 11)) * 10 - 5
-            out = corpus.resize_bilinear(frame, 13, 5)
-            assert out.min() >= frame.min() - 1e-12
-            assert out.max() <= frame.max() + 1e-12
-
-    def test_zero_sized_input_rejected(self):
-        with pytest.raises(DataError):
-            corpus.resize_bilinear(np.zeros((0, 4)), 2, 2)
-
-
-class TestCropCenter:
-    def test_video_to_ultrasound_geometry(self):
-        frame = np.arange(120 * 160).reshape(120, 160)
-        out = corpus.crop_center(frame, 64, 128)
-        assert np.array_equal(out, frame[28:92, 16:144])
-
-    def test_identity_crop(self):
-        frame = np.random.default_rng(5).random((4, 4))
-        assert np.array_equal(corpus.crop_center(frame, 4, 4), frame)
-
-    def test_odd_margin_drops_bottom_right(self):
-        frame = np.arange(25).reshape(5, 5)
-        out = corpus.crop_center(frame, 4, 4)
-        assert np.array_equal(out, frame[0:4, 0:4])
-
-    def test_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            corpus.crop_center(np.zeros((3, 3)), 4, 2)
-
-
 class TestNormalize:
     def test_two_pixel_example(self):
         mean, std, normed = corpus.normalize([np.array([[1.0, 3.0]])])
@@ -280,17 +228,6 @@ class TestWindowing:
     def test_one_sample_per_frame(self, n):
         frames = np.random.default_rng(n).random((n, 2, 2))
         assert corpus.window_stack(frames).shape[0] == n
-
-
-class TestNearestFrameIndices:
-    def test_same_rate_identity(self):
-        idx = corpus.nearest_frame_indices(10, 20.0, 10, 20.0)
-        assert np.array_equal(idx, np.arange(10))
-
-    def test_downsampling_monotone_within_bounds(self):
-        idx = corpus.nearest_frame_indices(80, 80.0, 60, 60.0)
-        assert np.all(np.diff(idx) >= 0)
-        assert idx[0] == 0 and idx[-1] <= 79
 
 
 class TestSplit:

@@ -47,6 +47,7 @@ class TestLexicon:
         ("word\t1", "expected 3 tab-separated fields"),
         ("word\t1\tp0 zz", "unknown phone 'zz'"),
         ("word\tone\tp0", "bad syllable count 'one'"),
+        ("good\t2\tp1", "word 'good' is listed twice"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "lex.txt"

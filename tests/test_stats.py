@@ -1,3 +1,4 @@
+import csv
 import math
 
 import mpmath as mp
@@ -94,19 +95,24 @@ class TestPairedTtest:
         with pytest.raises(DataError):
             stats.PairedSeries(["a"], [1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DataError, match="key 'b' has a NaN or inf"):
+            stats.PairedSeries(["a", "b", "c"], [1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
 
 class TestHolm:
     def test_hand_computed_stepdown(self):
         out = stats.holm_bonferroni([0.01, 0.04, 0.03], 0.05)
-        assert out.reject == [True, False, False]
+        assert out == [True, False, False]
 
     def test_all_ones_no_rejections(self):
         out = stats.holm_bonferroni([1.0, 1.0, 1.0], 0.05)
-        assert out.n_rejected == 0
+        assert not any(out)
 
     def test_single_hypothesis_plain_threshold(self):
-        assert stats.holm_bonferroni([0.04], 0.05).reject == [True]
-        assert stats.holm_bonferroni([0.06], 0.05).reject == [False]
+        assert stats.holm_bonferroni([0.04], 0.05) == [True]
+        assert stats.holm_bonferroni([0.06], 0.05) == [False]
 
     def test_rejections_form_prefix_of_sorted_order(self):
         rng = np.random.default_rng(4)
@@ -114,7 +120,7 @@ class TestHolm:
             ps = rng.uniform(0, 1, size=int(rng.integers(1, 12))).tolist()
             out = stats.holm_bonferroni(ps, 0.1)
             order = sorted(range(len(ps)), key=lambda i: ps[i])
-            flags = [out.reject[i] for i in order]
+            flags = [out[i] for i in order]
             assert flags == sorted(flags, reverse=True)
 
     def test_monotone_in_alpha(self):
@@ -122,7 +128,7 @@ class TestHolm:
         ps = rng.uniform(0, 0.2, size=8).tolist()
         lo = stats.holm_bonferroni(ps, 0.01)
         hi = stats.holm_bonferroni(ps, 0.1)
-        for a, b in zip(lo.reject, hi.reject):
+        for a, b in zip(lo, hi):
             assert (not a) or b
 
     def test_empty_rejected(self):
@@ -161,6 +167,11 @@ class TestPearson:
     def test_constant_series_rejected(self):
         with pytest.raises(NumericalError):
             stats.pearson_r(np.ones(5), np.arange(5.0))
+
+    def test_non_finite_value_rejected(self):
+        """Left unchecked, a NaN made r -1.0."""
+        with pytest.raises(DataError, match="NaN or inf"):
+            stats.pearson_r([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestSyllableRate:
@@ -214,11 +225,21 @@ class TestModeReport:
         assert set(table.columns) == {"hull_area", "wer"}
         assert ("hull_area", "wer") in table.correlations
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_metric_rejected(self, bad):
+        utt, spk = self._metrics()
+        spk["hull_area"]["silent"]["s3"] = bad
+        with pytest.raises(DataError, match="'hull_area', mode 'silent', key 's3'"):
+            stats.build_mode_report(utt, spk)
+
     def test_csv_round_trip(self, tmp_path):
         utt, spk = self._metrics()
         report = stats.build_mode_report(utt, spk)
         stats.write_report_csv(report, tmp_path)
-        back = stats.read_report_csv(tmp_path)
+        back = {}
+        for name in ("summary", "tests", "differences"):
+            with open(tmp_path / f"{name}.csv", newline="") as fh:
+                back[name] = list(csv.DictReader(fh))
         assert len(back["summary"]) == len(report.summaries)
         assert len(back["tests"]) == len(report.tests)
         assert len(back["differences"]) == len(report.differences.speakers)
