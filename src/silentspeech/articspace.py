@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,7 +137,6 @@ class _Tree:
 
 @dataclass
 class IsolationForest:
-    n_trees: int
     psi: int            # effective subsample size
     height_limit: int
     trees: list[_Tree] = field(repr=False, default_factory=list)
@@ -162,7 +162,7 @@ class IsolationForest:
                 go_left = uniq[idx, feat[idx]] < tree.threshold[node[idx]]
                 node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
             total += tree.depth[node] + tree.leaf_adjust[node]
-        return (total / self.n_trees)[inverse.reshape(-1)]
+        return (total / len(self.trees))[inverse.reshape(-1)]
 
 
 def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
@@ -240,7 +240,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
     leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
     rng = np.random.default_rng(seed)
-    forest = IsolationForest(n_trees=n_trees, psi=psi_eff, height_limit=height_limit)
+    forest = IsolationForest(psi=psi_eff, height_limit=height_limit)
     for _ in range(n_trees):
         idx = rng.choice(n, size=psi_eff, replace=False)
         forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
@@ -395,7 +395,22 @@ def paired_areas(results: list[HullResult], mode_a: str,
 
 def write_hull_report(results: list[HullResult], clouds: list[ContourCloud],
                       outdir: str | Path) -> Path:
-    """hulls.csv plus one SVG per speaker overlaying clouds and hulls."""
+    """hulls.csv plus one SVG per speaker overlaying clouds and hulls.
+
+    Every result needs the cloud of its speaker and mode, and no speaker id
+    may hold a path separator; both are checked before any file is written.
+    """
+    cloud_map = {(c.speaker_id, c.mode): c.points for c in clouds}
+    figures: dict[str, tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = {}
+    for r in results:
+        if (r.speaker_id, r.mode) not in cloud_map:
+            raise DataError(f"{r.speaker_id}/{r.mode}: hull result has no contour cloud")
+        if "/" in r.speaker_id or os.sep in r.speaker_id:
+            raise DataError(f"speaker id {r.speaker_id!r} contains a path separator")
+        pts, hulls = figures.setdefault(r.speaker_id, ({}, {}))
+        pts[r.mode] = cloud_map[(r.speaker_id, r.mode)]
+        hulls[r.mode] = r.vertices
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "hulls.csv"
@@ -404,13 +419,7 @@ def write_hull_report(results: list[HullResult], clouds: list[ContourCloud],
         w.writerow(["speaker", "mode", "n_points", "n_pruned", "area"])
         for r in results:
             w.writerow([r.speaker_id, r.mode, r.n_points, r.n_pruned, f"{r.area:.10g}"])
-
-    cloud_map = {(c.speaker_id, c.mode): c.points for c in clouds}
-    speakers = sorted({r.speaker_id for r in results})
-    for spk in speakers:
-        pts = {r.mode: cloud_map.get((spk, r.mode), np.zeros((0, 2)))
-               for r in results if r.speaker_id == spk}
-        hulls = {r.mode: r.vertices for r in results if r.speaker_id == spk}
+    for spk, (pts, hulls) in sorted(figures.items()):
         svgfig.contour_hull_svg(outdir / f"hull_{spk}.svg", pts, hulls,
-                                title=f"articulatory space: {spk}")
+                                f"articulatory space: {spk}")
     return csv_path

@@ -157,17 +157,10 @@ class UtteranceRecord:
         if self.syllable_count < 1:
             raise ManifestError(f"{self.utt_id}: syllable_count must be >= 1")
 
-    @property
-    def words(self) -> list[str]:
-        return self.prompt.split()
-
-    def _resolve(self, rel: str) -> Path:
-        return self.root / rel
-
     def phone_labels(self) -> np.ndarray | None:
         if self.labels_path is None:
             return None
-        return read_labels(self._resolve(self.labels_path))
+        return read_labels(self.root / self.labels_path)
 
 
 @dataclass
@@ -292,14 +285,14 @@ def _check_record_files(manifest: Manifest) -> None:
             rel = getattr(r, attr)
             if rel is None:
                 continue
-            p = r._resolve(rel)
+            p = r.root / rel
             if not p.exists():
                 raise ManifestError(f"{r.utt_id}: referenced frame file missing: {p}")
             n, _, _, _ = read_frame_header(p)
             if attr == "ult_path":
                 n_ult = n
         if r.labels_path is not None:
-            p = r._resolve(r.labels_path)
+            p = r.root / r.labels_path
             if not p.exists():
                 raise ManifestError(f"{r.utt_id}: referenced label file missing: {p}")
             size = p.stat().st_size

@@ -307,16 +307,11 @@ def _softmax(logits):
 
 
 def forward(params: FeatNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the classifier in inference mode; returns (logits, bottleneck).
-
-    ``x`` is one sample (c, h, w) or a batch (n, c, h, w). Batch norm uses
-    the running moments, which stay unchanged.
+    """Run the classifier in inference mode on a batch ``x`` of shape
+    (n, c, h, w); returns (logits, bottleneck). Batch norm uses the running
+    moments, which stay unchanged.
     """
-    single = x.ndim == 3
-    logits, bneck, _ = _forward_full(params, x[None] if single else x,
-                                     train_mode=False, update_running=False)
-    if single:
-        return logits[0], bneck[0]
+    logits, bneck, _ = _forward_full(params, x, train_mode=False, update_running=False)
     return logits, bneck
 
 

@@ -66,8 +66,13 @@ def load_lexicon(path: str | Path, phones: list[str]) -> Lexicon:
             syllables[word] = int(syll)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad syllable count {syll!r}") from exc
+        if syllables[word] < 1:
+            raise DataError(f"{path}:{lineno}: syllable count must be >= 1, got {syll!r}")
+        symbols = phone_str.split()
+        if not symbols:
+            raise DataError(f"{path}:{lineno}: word {word!r} has no phones")
         seq = []
-        for sym in phone_str.split():
+        for sym in symbols:
             if sym not in index:
                 raise DataError(f"{path}:{lineno}: unknown phone {sym!r}")
             seq.append(index[sym])

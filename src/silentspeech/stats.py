@@ -115,24 +115,35 @@ class TestResult:
     t: float
     df: int
     p: float
-    degenerate: bool = False
+
+
+def _mean_std(values: np.ndarray, keys: list[str], what: str) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for one value). DataError,
+    naming the key of the largest magnitude, when either overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        key = keys[int(np.abs(values).argmax())]
+        raise DataError(f"{what} overflow float64 in their moments; "
+                        f"the largest is at key {key!r}")
+    return mean, std
 
 
 def paired_ttest(series: PairedSeries) -> TestResult:
     """Two-tailed paired t-test on values_a - values_b.
 
     Zero-variance differences: all-zero -> t=0, p=1; nonzero mean ->
-    p=0 with the degenerate flag set.
+    t=+-inf, p=0.
     """
-    d = series.values_a - series.values_b
+    with np.errstate(over="ignore"):  # an infinite difference is reported below
+        d = series.values_a - series.values_b
+    mean_d, sd = _mean_std(d, series.keys, "paired differences")
     n = d.size
-    mean_d = float(d.mean())
-    sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean_d == 0.0:
             return TestResult(t=0.0, df=n - 1, p=1.0)
-        return TestResult(t=math.copysign(math.inf, mean_d), df=n - 1, p=0.0,
-                          degenerate=True)
+        return TestResult(t=math.copysign(math.inf, mean_d), df=n - 1, p=0.0)
     t = mean_d / (sd / math.sqrt(n))
     return TestResult(t=t, df=n - 1, p=student_t_sf(t, n - 1))
 
@@ -219,10 +230,8 @@ class TestRow:
 
 @dataclass
 class DifferenceTable:
-    """Per-speaker mode_a-minus-mode_b differences with pairwise structure."""
+    """Per-speaker modal-minus-silent differences with pairwise structure."""
 
-    mode_a: str
-    mode_b: str
     speakers: list[str]
     columns: dict[str, np.ndarray]
     correlations: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -230,7 +239,6 @@ class DifferenceTable:
 
 @dataclass
 class ModeReport:
-    alpha: float
     summaries: list[SummaryRow]
     tests: list[TestRow]
     differences: DifferenceTable | None
@@ -253,7 +261,9 @@ def build_mode_report(utterance_metrics: MetricTable,
 
     Each metric's mode pairs form one Holm family. Observations present in
     only one mode of a pair are excluded (reported in ``excluded_keys``).
-    A NaN or inf value raises DataError before anything is computed.
+    A NaN or inf value raises DataError before anything is computed, and
+    values or paired differences whose moments overflow float64 raise it
+    when they are reached.
     """
     for metrics in (utterance_metrics, speaker_metrics):
         for metric, per_mode in metrics.items():
@@ -274,9 +284,9 @@ def build_mode_report(utterance_metrics: MetricTable,
                 vals = np.array(list(per_mode[mode].values()), dtype=np.float64)
                 if vals.size == 0:
                     continue
-                summaries.append(SummaryRow(
-                    metric, level, mode, vals.size, float(vals.mean()),
-                    float(vals.std(ddof=1)) if vals.size > 1 else 0.0))
+                mean, std = _mean_std(vals, list(per_mode[mode]),
+                                      f"metric {metric!r}, mode {mode!r}: values")
+                summaries.append(SummaryRow(metric, level, mode, vals.size, mean, std))
             family: list[TestRow] = []
             for i, mode_a in enumerate(modes):
                 for mode_b in modes[i + 1:]:
@@ -296,7 +306,7 @@ def build_mode_report(utterance_metrics: MetricTable,
                 tests.extend(family)
 
     differences = _difference_table(speaker_metrics)
-    return ModeReport(alpha=alpha, summaries=summaries, tests=tests,
+    return ModeReport(summaries=summaries, tests=tests,
                       differences=differences, excluded_keys=sorted(excluded))
 
 
@@ -315,7 +325,7 @@ def _difference_table(speaker_metrics: MetricTable) -> DifferenceTable | None:
     if len(shared) < 2:
         return None
     table = DifferenceTable(
-        mode_a=mode_a, mode_b=mode_b, speakers=shared,
+        speakers=shared,
         columns={m: np.array([c[k] for k in shared]) for m, c in columns.items()},
     )
     names = sorted(table.columns)

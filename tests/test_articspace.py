@@ -1,4 +1,5 @@
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ class TestIsolationForest:
             total = 0.0
             for t in forest.trees:
                 total += reference_path(t, pts[i])
-            assert got[i] == total / forest.n_trees
+            assert got[i] == total / len(forest.trees)
 
     @pytest.mark.parametrize("dims", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["normal", "int_grid", "constant"])
@@ -458,6 +459,43 @@ class TestArticulatorySpace:
         assert (tmp_path / "hull_spk0.svg").exists()
         text = csv_path.read_text()
         assert text.startswith("speaker,mode,n_points,n_pruned,area")
+
+    def test_hull_svg_content(self, tmp_path):
+        """One closed outline per hull, one dot per subsampled point, and the
+        title and mode labels as text."""
+        clouds = [arts.ContourCloud("spk0", "modal", np.random.default_rng(1).random((3001, 2))),
+                  arts.ContourCloud("spk0", "silent", np.random.default_rng(2).random((40, 2)))]
+        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        arts.write_hull_report(results, clouds, tmp_path)
+        doc = minidom.parse(str(tmp_path / "hull_spk0.svg"))
+        lines = doc.getElementsByTagName("polyline")
+        assert [len(p.getAttribute("points").split()) for p in lines] == \
+            [len(r.vertices) + 1 for r in results]
+        # every 2nd of 3001 points (1501 dots), then all 40
+        assert len(doc.getElementsByTagName("circle")) == 1501 + 40
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert {"articulatory space: spk0", "modal", "silent"} <= set(texts)
+
+    def test_hull_report_missing_cloud_rejected(self, tmp_path):
+        clouds = self._clouds(n_speakers=2)
+        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        with pytest.raises(DataError, match="spk1/silent"):
+            arts.write_hull_report(results, clouds[:-1], tmp_path)
+
+    def test_hull_report_escapes_svg_text(self, tmp_path):
+        clouds = [arts.ContourCloud("a&b<c", "modal", self._clouds(1)[0].points)]
+        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        arts.write_hull_report(results, clouds, tmp_path)
+        doc = minidom.parse(str(tmp_path / "hull_a&b<c.svg"))
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert "articulatory space: a&b<c" in texts
+
+    def test_hull_report_path_separator_rejected(self, tmp_path):
+        clouds = [arts.ContourCloud("../escaped", "modal", self._clouds(1)[0].points)]
+        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        with pytest.raises(DataError, match="'../escaped'"):
+            arts.write_hull_report(results, clouds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestContourIO:

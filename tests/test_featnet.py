@@ -161,8 +161,8 @@ class TestForward:
     def test_zero_input_zero_bottleneck(self):
         params = featnet.init_params(TINY, seed=0)
         x = np.zeros(TINY.input_shape)
-        _, bneck = featnet.forward(params, x)
-        assert np.allclose(bneck, 0.0)
+        _, bneck = featnet.forward(params, x[None])
+        assert np.allclose(bneck[0], 0.0)
 
     def test_softmax_sums_to_one(self):
         params = featnet.init_params(TINY, seed=1)
@@ -181,7 +181,7 @@ class TestForward:
         params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim) * 0.1
         params.tensors["bn_var"] = rng.uniform(0.5, 2.0, TINY.flat_dim)
         x = rng.standard_normal(TINY.input_shape)
-        logits, bneck = featnet.forward(params, x)
+        logits, bneck = featnet.forward(params, x[None])
 
         def conv_ref(inp, w, b):
             f, c, k, _ = w.shape
@@ -215,8 +215,8 @@ class TestForward:
             if name == "fc3":
                 ref_bneck = h.copy()
         ref_logits = h @ t["out_w"] + t["out_b"]
-        assert np.max(np.abs(logits - ref_logits)) < 1e-6
-        assert np.max(np.abs(bneck - ref_bneck)) < 1e-6
+        assert np.max(np.abs(logits[0] - ref_logits)) < 1e-6
+        assert np.max(np.abs(bneck[0] - ref_bneck)) < 1e-6
 
     def test_bn_inference_is_affine(self):
         params = featnet.init_params(TINY, seed=8)

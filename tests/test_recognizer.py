@@ -48,6 +48,8 @@ class TestLexicon:
         ("word\t1\tp0 zz", "unknown phone 'zz'"),
         ("word\tone\tp0", "bad syllable count 'one'"),
         ("good\t2\tp1", "word 'good' is listed twice"),
+        ("w\t0\tp0", "syllable count must be >= 1, got '0'"),
+        ("w\t1\t", "word 'w' has no phones"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "lex.txt"

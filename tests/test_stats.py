@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -54,13 +55,20 @@ class TestPairedTtest:
     def test_identical_series(self):
         s = stats.PairedSeries(["a", "b", "c"], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         res = stats.paired_ttest(s)
-        assert res.t == 0.0 and res.p == 1.0 and not res.degenerate
+        assert res.t == 0.0 and res.p == 1.0
 
     def test_degenerate_nonzero_differences(self):
         s = stats.PairedSeries(list("abcd"), [2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0])
         res = stats.paired_ttest(s)
-        assert res.p == 0.0 and res.degenerate
+        assert res.p == 0.0
         assert math.isinf(res.t) and res.t > 0
+
+    def test_overflowing_difference_rejected(self):
+        s = stats.PairedSeries(["a", "b", "c"], [1.0, 1e308, 2.0], [0.5, -1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="paired differences.*'b'"):
+                stats.paired_ttest(s)
 
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(1)
@@ -231,6 +239,16 @@ class TestModeReport:
         spk["hull_area"]["silent"]["s3"] = bad
         with pytest.raises(DataError, match="'hull_area', mode 'silent', key 's3'"):
             stats.build_mode_report(utt, spk)
+
+    def test_overflowing_moments_rejected(self):
+        """Finite values whose moments overflow float64 raise DataError
+        naming the key, with no numpy warning on the way."""
+        spk = {"hull_area": {"modal": {"s0": 1e308, "s1": 1.0, "s2": 2.0},
+                             "silent": {"s0": -1e308, "s1": 0.5, "s2": 1.0}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="'hull_area', mode 'modal'.*'s0'"):
+                stats.build_mode_report({}, spk)
 
     def test_csv_round_trip(self, tmp_path):
         utt, spk = self._metrics()
