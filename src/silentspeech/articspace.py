@@ -127,18 +127,17 @@ def average_path_length(n: int | np.ndarray) -> np.ndarray | float:
 
 @dataclass
 class _Tree:
+    """One isolation tree with its nodes numbered in pre-order, so the left
+    child of an internal node is always ``node + 1``."""
     feature: np.ndarray    # split dim per node; -1 for leaves
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    depth: np.ndarray
-    leaf_adjust: np.ndarray  # c(leaf size) for leaves, 0 elsewhere
+    right: np.ndarray      # right child of internal nodes
+    path: np.ndarray       # depth + c(point count); scoring reads it at leaves
 
 
 @dataclass
 class IsolationForest:
     psi: int            # effective subsample size
-    height_limit: int
     trees: list[_Tree] = field(repr=False, default_factory=list)
 
     def path_lengths(self, points: np.ndarray) -> np.ndarray:
@@ -153,15 +152,15 @@ class IsolationForest:
         total = np.zeros(uniq.shape[0])
         for tree in self.trees:
             node = np.zeros(uniq.shape[0], dtype=np.int64)
-            for _ in range(self.height_limit + 1):
+            while True:  # children follow their parent: at most depth + 1 steps
                 feat = tree.feature[node]
                 active = feat >= 0
                 if not active.any():
                     break
                 idx = np.nonzero(active)[0]
                 go_left = uniq[idx, feat[idx]] < tree.threshold[node[idx]]
-                node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
-            total += tree.depth[node] + tree.leaf_adjust[node]
+                node[idx] = np.where(go_left, node[idx] + 1, tree.right[node[idx]])
+            total += tree.path[node]
         return (total / len(self.trees))[inverse.reshape(-1)]
 
 
@@ -173,31 +172,27 @@ def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
     each internal node draws its split dimension, then its split value, in
     pre-order. ``leaf_c[n]`` is c(n) for a leaf holding n points.
     """
-    feature, threshold, left, right, depth, adjust = [], [], [], [], [], []
-    # (columns of the node's points, point count, depth, parent node, the
-    # parent's child list to link into). Points are held one row per
-    # dimension, which makes the per-node reductions contiguous.
-    stack = [(np.ascontiguousarray(data.T), data.shape[0], 0, -1, left)]
+    feature, threshold, right, path = [], [], [], []
+    # (columns of the node's points, point count, depth, the parent whose
+    # right child this is or -1). Points are held one row per dimension,
+    # which makes the per-node reductions contiguous.
+    stack = [(np.ascontiguousarray(data.T), data.shape[0], 0, -1)]
     while stack:
-        cols, n, d, parent, link = stack.pop()
+        cols, n, d, parent = stack.pop()
         node = len(feature)
         if parent >= 0:
-            link[parent] = node
+            right[parent] = node
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
-        depth.append(d)
+        path.append(d + leaf_c[n])
         if d >= height_limit or n <= 1:
-            adjust.append(leaf_c[n])
             continue
         lo = np.minimum.reduce(cols, axis=1)
         hi = np.maximum.reduce(cols, axis=1)
         splittable = (hi > lo).nonzero()[0]
         if splittable.size == 0:
-            adjust.append(leaf_c[n])
             continue
-        adjust.append(0.0)
         dim = int(splittable[rng.integers(0, splittable.size)])
         a, b = float(lo[dim]), float(hi[dim])
         val = a + (b - a) * rng.random()
@@ -208,12 +203,11 @@ def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
         # a child that will be a leaf needs only its point count
         grow = d + 1 < height_limit
         stack.append((cols.compress(~mask, axis=1) if grow and n - n_left > 1 else None,
-                      n - n_left, d + 1, node, right))
+                      n - n_left, d + 1, node))
         stack.append((cols.compress(mask, axis=1) if grow and n_left > 1 else None,
-                      n_left, d + 1, node, left))
-    return _Tree(np.array(feature), np.array(threshold), np.array(left),
-                 np.array(right), np.array(depth, dtype=np.float64),
-                 np.array(adjust))
+                      n_left, d + 1, -1))
+    return _Tree(np.array(feature), np.array(threshold), np.array(right),
+                 np.array(path))
 
 
 def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
@@ -240,7 +234,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
     leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
     rng = np.random.default_rng(seed)
-    forest = IsolationForest(psi=psi_eff, height_limit=height_limit)
+    forest = IsolationForest(psi=psi_eff)
     for _ in range(n_trees):
         idx = rng.choice(n, size=psi_eff, replace=False)
         forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
@@ -336,14 +330,6 @@ def polygon_area(vertices: np.ndarray) -> float:
 # Per-speaker x mode analysis
 
 
-def derive_seed(base_seed: int, *parts: str) -> int:
-    """Stable per-cloud seed from the global seed and string tags."""
-    h = base_seed & 0xFFFFFFFF
-    for part in parts:
-        h = zlib.crc32(part.encode(), h)
-    return int(h)
-
-
 def pool_clouds(contours_by_utt: dict[str, list[TongueContour]],
                 utt_meta: dict[str, tuple[str, str]]) -> list[ContourCloud]:
     """Pool contour points per (speaker, mode).
@@ -360,13 +346,14 @@ def pool_clouds(contours_by_utt: dict[str, list[TongueContour]],
             for (spk, mode), pts in sorted(pooled.items())]
 
 
-def articulatory_space(clouds: list[ContourCloud], contamination: float = 0.02,
-                       seed: int = 0) -> list[HullResult]:
+def articulatory_space(clouds: list[ContourCloud],
+                       contamination: float = 0.02) -> list[HullResult]:
     """Prune each speaker x mode cloud, then compute its hull and its area
-    in pixels squared."""
+    in pixels squared. A cloud's forest seed is the CRC-32 of its speaker id
+    followed by its mode, so no cloud's result depends on the others."""
     results = []
     for cloud in clouds:
-        cloud_seed = derive_seed(seed, cloud.speaker_id, cloud.mode)
+        cloud_seed = zlib.crc32(f"{cloud.speaker_id}{cloud.mode}".encode())
         pruned = prune_outliers(cloud, contamination, seed=cloud_seed)
         hull = convex_hull(pruned.points)
         results.append(HullResult(
@@ -398,15 +385,17 @@ def write_hull_report(results: list[HullResult], clouds: list[ContourCloud],
     """hulls.csv plus one SVG per speaker overlaying clouds and hulls.
 
     Every result needs the cloud of its speaker and mode, and no speaker id
-    may hold a path separator; both are checked before any file is written.
+    may hold a path separator or a NUL byte; both are checked before any
+    file is written.
     """
     cloud_map = {(c.speaker_id, c.mode): c.points for c in clouds}
     figures: dict[str, tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = {}
     for r in results:
         if (r.speaker_id, r.mode) not in cloud_map:
             raise DataError(f"{r.speaker_id}/{r.mode}: hull result has no contour cloud")
-        if "/" in r.speaker_id or os.sep in r.speaker_id:
-            raise DataError(f"speaker id {r.speaker_id!r} contains a path separator")
+        if any(c in r.speaker_id for c in ("/", os.sep, "\0")):
+            raise DataError(f"speaker id {r.speaker_id!r} contains a path separator "
+                            "or a NUL byte")
         pts, hulls = figures.setdefault(r.speaker_id, ({}, {}))
         pts[r.mode] = cloud_map[(r.speaker_id, r.mode)]
         hulls[r.mode] = r.vertices

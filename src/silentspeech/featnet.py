@@ -1,11 +1,12 @@
 """Supervised bottleneck feature extractor.
 
 A windowed-frame phone classifier trained by minibatch SGD: two valid
-(unpadded) convolution + ReLU + 2x2 max-pool stages, one-dimensional batch
-normalization over the flattened map, four fully-connected ReLU layers
-whose third (narrow) layer is exported as the per-frame feature, and a
-softmax output layer. Forward, backward, and the optimizer are plain
-numpy in double precision so gradients can be finite-difference checked.
+(unpadded) convolution + ReLU + 2x2 max-pool (``_POOL``) stages, batch
+normalization (``_BN_EPS``, ``_BN_MOMENTUM``) over the flattened map, four
+fully-connected ReLU layers whose third (narrow) layer is exported as the
+per-frame feature, and a softmax output layer. Forward, backward, and the
+optimizer are plain numpy in double precision so gradients can be
+finite-difference checked.
 
 Each conv stage runs one sample at a time: the sample's k x k patches
 are copied, in one copy from a sliding-window view, into a column buffer
@@ -56,6 +57,9 @@ _WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans pas
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
 _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read (1 MiB)
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
+_POOL = 2  # max-pool window side and stride of both conv stages
+_BN_EPS = 1e-5  # added to the batch-norm variance
+_BN_MOMENTUM = 0.1  # weight of a train batch's moments in the running moments
 
 
 @dataclass(frozen=True)
@@ -63,15 +67,11 @@ class FeatNetConfig:
     input_shape: tuple[int, int, int] = (7, 64, 128)  # channels, H, W
     conv_kernel: int = 10
     conv_filters: tuple[int, int] = (64, 128)
-    pool: int = 2
     fc_dims: tuple[int, int, int, int] = (1024, 512, 128, 512)
     n_classes: int = 49
     lr: float = 0.001
-    epochs: int = 30
     batch_size: int = 256
     l2_weight: float = 0.1
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -94,7 +94,7 @@ class FeatNetConfig:
 
     def stage_shapes(self) -> dict[str, tuple[int, int]]:
         _, h, w = self.input_shape
-        k, p = self.conv_kernel, self.pool
+        k, p = self.conv_kernel, _POOL
         c1 = (h - k + 1, w - k + 1)
         p1 = (c1[0] // p, c1[1] // p)
         c2 = (p1[0] - k + 1, p1[1] - k + 1)
@@ -325,9 +325,9 @@ def _forward_full(params, x, train_mode, update_running):
 
     # pool each sample's conv map, then ReLU in place on the pooled batch
     # (see the module docstring)
-    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], cfg.pool, train_mode)
+    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], _POOL, train_mode)
     np.maximum(p1, 0.0, out=p1)
-    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], cfg.pool, train_mode)
+    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], _POOL, train_mode)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
@@ -335,12 +335,12 @@ def _forward_full(params, x, train_mode, update_running):
         mu = flat.mean(axis=0)
         var = flat.var(axis=0)
         if update_running:
-            m = cfg.bn_momentum
+            m = _BN_MOMENTUM
             t["bn_mean"] = t["bn_mean"] * (1.0 - m) + m * mu
             t["bn_var"] = t["bn_var"] * (1.0 - m) + m * var
     else:
         mu, var = t["bn_mean"], t["bn_var"]
-    bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var, cfg.bn_eps)
+    bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var, _BN_EPS)
 
     cache.update(idx1=idx1, p1=p1, idx2=idx2, p2=p2, flat=flat, xhat=xhat,
                  bn_var=var, bn=bn)
@@ -392,7 +392,7 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     xhat = cache["xhat"]
     grads["bn_gamma"] = (dh * xhat).sum(axis=0)
     grads["bn_beta"] = dh.sum(axis=0)
-    inv_std = 1.0 / np.sqrt(cache["bn_var"] + cfg.bn_eps)
+    inv_std = 1.0 / np.sqrt(cache["bn_var"] + _BN_EPS)
     dxhat = dh * t["bn_gamma"]
     dflat = inv_std * (dxhat - dxhat.mean(axis=0)
                        - xhat * (dxhat * xhat).mean(axis=0))
@@ -402,12 +402,12 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     # is the unit the ReLU let through.
     p1, p2 = cache["p1"], cache["p2"]
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
-    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], cfg.pool,
+    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], _POOL,
                                         need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
     dp1 *= p1 > 0
     _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],
-                                      cfg.pool, need_dx=False)
+                                      _POOL, need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
 
     # weight decay in row blocks: no fc1-sized temporary for l2 * w
@@ -432,7 +432,7 @@ def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
 
 def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
               val_x: np.ndarray, val_y: np.ndarray,
-              epochs: int | None = None) -> tuple[FeatNetParams, list[dict]]:
+              epochs: int = 30) -> tuple[FeatNetParams, list[dict]]:
     """Minibatch SGD; returns the params of the epoch with the highest
     validation accuracy (earliest epoch on ties) and per-epoch metrics.
 
@@ -443,7 +443,6 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
-    epochs = cfg.epochs if epochs is None else epochs
     if epochs < 1:
         raise ValueError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng(cfg.seed)

@@ -138,6 +138,10 @@ def paired_ttest(series: PairedSeries) -> TestResult:
     """
     with np.errstate(over="ignore"):  # an infinite difference is reported below
         d = series.values_a - series.values_b
+    if np.isfinite(d).all():
+        # t is scale-free, and scaling by a power of two is exact: with
+        # max |d| in [0.5, 1) the moments neither underflow nor overflow
+        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
     mean_d, sd = _mean_std(d, series.keys, "paired differences")
     n = d.size
     if sd == 0.0:
@@ -199,6 +203,8 @@ def syllable_rate(syllable_count: int, duration_s: float) -> float:
 # ---------------------------------------------------------------------------
 # Mode comparison report
 
+_ALPHA = 0.05  # family-wise error rate of each metric's mode-pair tests
+
 #: metric name -> mode -> key -> value. Keys pair observations across modes:
 #: utterance pairing keys at the utterance level, speaker ids at the speaker
 #: level.
@@ -225,7 +231,7 @@ class TestRow:
     t: float
     df: int
     p: float
-    reject: bool  # Holm-corrected decision at the report's alpha
+    reject: bool  # Holm-corrected decision at level _ALPHA
 
 
 @dataclass
@@ -254,10 +260,10 @@ def _paired_values(per_mode: dict[str, dict[str, float]],
 
 
 def build_mode_report(utterance_metrics: MetricTable,
-                      speaker_metrics: MetricTable,
-                      alpha: float = 0.05) -> ModeReport:
-    """Assemble per-mode summaries, Holm-corrected pairwise paired t-tests,
-    and the per-speaker modal-minus-silent difference table.
+                      speaker_metrics: MetricTable) -> ModeReport:
+    """Assemble per-mode summaries, pairwise paired t-tests Holm-corrected
+    at level ``_ALPHA``, and the per-speaker modal-minus-silent difference
+    table.
 
     Each metric's mode pairs form one Holm family. Observations present in
     only one mode of a pair are excluded (reported in ``excluded_keys``).
@@ -300,7 +306,7 @@ def build_mode_report(utterance_metrics: MetricTable,
                                           len(keys), res.t, res.df, res.p,
                                           reject=False))
             if family:
-                reject = holm_bonferroni([row.p for row in family], alpha)
+                reject = holm_bonferroni([row.p for row in family], _ALPHA)
                 for row, rej in zip(family, reject):
                     row.reject = rej
                 tests.extend(family)
@@ -347,41 +353,30 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def write_report_csv(report: ModeReport, outdir: str | Path) -> list[Path]:
     """Write summary.csv, tests.csv, and differences.csv under ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    p = outdir / "summary.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "level", "mode", "n", "mean", "std"])
-        for row in report.summaries:
-            w.writerow([row.metric, row.level, row.mode, row.n,
-                        _fmt(row.mean), _fmt(row.std)])
-    written.append(p)
-
-    p = outdir / "tests.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "level", "mode_a", "mode_b", "n", "t", "df", "p",
-                    "reject_holm"])
-        for row in report.tests:
-            w.writerow([row.metric, row.level, row.mode_a, row.mode_b, row.n,
-                        _fmt(row.t), row.df, _fmt(row.p), int(row.reject)])
-    written.append(p)
-
-    p = outdir / "differences.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if report.differences is None:
-            w.writerow(["speaker"])
-        else:
-            cols = sorted(report.differences.columns)
-            w.writerow(["speaker"] + [f"d_{c}" for c in cols])
-            for i, spk in enumerate(report.differences.speakers):
-                w.writerow([spk] + [_fmt(report.differences.columns[c][i])
-                                    for c in cols])
-    written.append(p)
-    return written
+    diffs = report.differences
+    cols = [] if diffs is None else sorted(diffs.columns)
+    speakers = [] if diffs is None else diffs.speakers
+    return [
+        _write_csv(outdir / "summary.csv", ["metric", "level", "mode", "n", "mean", "std"],
+                   ([r.metric, r.level, r.mode, r.n, _fmt(r.mean), _fmt(r.std)]
+                    for r in report.summaries)),
+        _write_csv(outdir / "tests.csv", ["metric", "level", "mode_a", "mode_b", "n",
+                                          "t", "df", "p", "reject_holm"],
+                   ([r.metric, r.level, r.mode_a, r.mode_b, r.n, _fmt(r.t), r.df,
+                     _fmt(r.p), int(r.reject)] for r in report.tests)),
+        _write_csv(outdir / "differences.csv", ["speaker"] + [f"d_{c}" for c in cols],
+                   ([spk] + [_fmt(diffs.columns[c][i]) for c in cols]
+                    for i, spk in enumerate(speakers))),
+    ]

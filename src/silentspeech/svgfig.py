@@ -50,9 +50,8 @@ def contour_hull_svg(path, points_by_label: dict[str, np.ndarray],
     """
     allpts = np.concatenate(list(points_by_label.values()))
     xlo, xhi = _padded(allpts[:, 0].min(), allpts[:, 0].max())
-    # flipped for image rows; _padded reads (max, min) as an empty range, so
-    # the y axis spans only max +- 0.55
-    ylo, yhi = _padded(allpts[:, 1].max(), allpts[:, 1].min())
+    # image rows grow downward, so the top of the plot is the smallest y
+    yhi, ylo = _padded(allpts[:, 1].min(), allpts[:, 1].max())
 
     def px(x):
         return _X0 + (x - xlo) / (xhi - xlo) * (_X1 - _X0)

@@ -1,10 +1,12 @@
 import math
+import zlib
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 from silentspeech import articspace as arts
+from silentspeech import svgfig
 from silentspeech.errors import DataError
 
 
@@ -93,10 +95,10 @@ def reference_path(tree, x):
     node = 0
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] < tree.threshold[node]:
-            node = tree.left[node]
+            node = node + 1
         else:
             node = tree.right[node]
-    return tree.depth[node] + tree.leaf_adjust[node]
+    return tree.path[node]
 
 
 def hull_vertex_set(hull):
@@ -278,7 +280,8 @@ class TestIsolationForest:
     @pytest.mark.parametrize("kind", ["normal", "int_grid", "constant"])
     def test_trees_identical_to_recursive_builder(self, dims, kind):
         """The iterative builder draws the same numbers in the same order as
-        the recursive reference, so every tree array is identical."""
+        the recursive reference, so every tree array is identical; the left
+        child is the next node, and a leaf's path is its depth plus c(n)."""
         rng = np.random.default_rng(100 * dims + len(kind))
         if kind == "normal":
             pts = rng.standard_normal((300, dims))
@@ -292,11 +295,15 @@ class TestIsolationForest:
             ref = reference_fit_trees(pts, n_trees=20, psi=psi, seed=seed)
             assert len(forest.trees) == len(ref)
             for tree, want in zip(forest.trees, ref):
-                got = (tree.feature, tree.threshold, tree.left, tree.right,
-                       tree.depth, tree.leaf_adjust)
-                for g, w in zip(got, want):
+                feature, threshold, left, right, depth, adjust = want
+                for g, w in zip((tree.feature, tree.threshold, tree.right),
+                                (feature, threshold, right)):
                     assert g.dtype == w.dtype
                     assert np.array_equal(g, w)
+                internal = feature >= 0
+                assert np.array_equal(left[internal], np.nonzero(internal)[0] + 1)
+                assert tree.path.dtype == depth.dtype
+                assert np.array_equal(tree.path[~internal], (depth + adjust)[~internal])
 
     def test_non_finite_rejected(self):
         pts = np.random.default_rng(16).standard_normal((20, 2))
@@ -425,7 +432,7 @@ class TestArticulatorySpace:
         return clouds
 
     def test_contraction_shrinks_hulls(self):
-        results = arts.articulatory_space(self._clouds(), contamination=0.02, seed=0)
+        results = arts.articulatory_space(self._clouds(), contamination=0.02)
         paired = arts.paired_areas(results, "modal", "silent")
         assert len(paired) == 4
         shrunk = sum(1 for a, b in paired.values() if b < a)
@@ -433,19 +440,19 @@ class TestArticulatorySpace:
 
     def test_similarity_scaling_exact_ratio(self):
         results = arts.articulatory_space(self._clouds(contraction=0.9),
-                                          contamination=0.0, seed=0)
+                                          contamination=0.0)
         for a, b in arts.paired_areas(results, "modal", "silent").values():
             assert abs(b / a - 0.81) < 1e-6
 
     def test_identical_clouds_equal_areas(self):
         results = arts.articulatory_space(self._clouds(contraction=1.0),
-                                          contamination=0.0, seed=0)
+                                          contamination=0.0)
         for a, b in arts.paired_areas(results, "modal", "silent").values():
             assert a == b
 
     def test_missing_mode_excluded_with_warning(self, caplog):
         clouds = self._clouds(n_speakers=2)[:-1]  # drop spk1/silent
-        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.0)
         with caplog.at_level("WARNING"):
             paired = arts.paired_areas(results, "modal", "silent")
         assert set(paired) == {"spk0"}
@@ -453,7 +460,7 @@ class TestArticulatorySpace:
 
     def test_hull_report_files(self, tmp_path):
         clouds = self._clouds(n_speakers=2)
-        results = arts.articulatory_space(clouds, contamination=0.02, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.02)
         csv_path = arts.write_hull_report(results, clouds, tmp_path)
         assert csv_path.exists()
         assert (tmp_path / "hull_spk0.svg").exists()
@@ -465,7 +472,7 @@ class TestArticulatorySpace:
         title and mode labels as text."""
         clouds = [arts.ContourCloud("spk0", "modal", np.random.default_rng(1).random((3001, 2))),
                   arts.ContourCloud("spk0", "silent", np.random.default_rng(2).random((40, 2)))]
-        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.0)
         arts.write_hull_report(results, clouds, tmp_path)
         doc = minidom.parse(str(tmp_path / "hull_spk0.svg"))
         lines = doc.getElementsByTagName("polyline")
@@ -475,24 +482,54 @@ class TestArticulatorySpace:
         assert len(doc.getElementsByTagName("circle")) == 1501 + 40
         texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
         assert {"articulatory space: spk0", "modal", "silent"} <= set(texts)
+        xy = [(float(c.getAttribute("cx")), float(c.getAttribute("cy")))
+              for c in doc.getElementsByTagName("circle")]
+        xy += [tuple(map(float, pt.split(","))) for p in lines
+               for pt in p.getAttribute("points").split()]
+        for x, y in xy:
+            assert svgfig._X0 <= x <= svgfig._X1 and svgfig._Y1 <= y <= svgfig._Y0
 
     def test_hull_report_missing_cloud_rejected(self, tmp_path):
         clouds = self._clouds(n_speakers=2)
-        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.0)
         with pytest.raises(DataError, match="spk1/silent"):
             arts.write_hull_report(results, clouds[:-1], tmp_path)
 
     def test_hull_report_escapes_svg_text(self, tmp_path):
         clouds = [arts.ContourCloud("a&b<c", "modal", self._clouds(1)[0].points)]
-        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.0)
         arts.write_hull_report(results, clouds, tmp_path)
         doc = minidom.parse(str(tmp_path / "hull_a&b<c.svg"))
         texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
         assert "articulatory space: a&b<c" in texts
 
+    def test_hull_report_nul_byte_rejected(self, tmp_path):
+        clouds = [arts.ContourCloud("x\0y", "modal", self._clouds(1)[0].points)]
+        results = arts.articulatory_space(clouds, contamination=0.0)
+        with pytest.raises(DataError, match="NUL byte"):
+            arts.write_hull_report(results, clouds, tmp_path)
+        assert not (tmp_path / "hulls.csv").exists()
+
+    def test_cloud_result_independent_of_other_clouds(self):
+        """A cloud's forest is seeded from its own speaker id and mode, so
+        its result is the same alone, among other clouds and in any order."""
+        clouds = self._clouds(n_speakers=2)
+        alone = arts.articulatory_space(clouds[:1])[0]
+        pruned = arts.prune_outliers(clouds[0], 0.02, seed=zlib.crc32(b"spk0modal"))
+        hull = arts.convex_hull(pruned.points)
+        assert alone.n_pruned == 8
+        assert np.array_equal(alone.vertices, hull)
+        assert alone.area == arts.polygon_area(hull)
+        for other in (arts.articulatory_space(clouds)[0],
+                      arts.articulatory_space(clouds[::-1])[-1]):
+            assert (other.speaker_id, other.mode) == ("spk0", "modal")
+            assert np.array_equal(other.vertices, alone.vertices)
+            assert (other.area, other.n_points, other.n_pruned) == \
+                (alone.area, alone.n_points, alone.n_pruned)
+
     def test_hull_report_path_separator_rejected(self, tmp_path):
         clouds = [arts.ContourCloud("../escaped", "modal", self._clouds(1)[0].points)]
-        results = arts.articulatory_space(clouds, contamination=0.0, seed=0)
+        results = arts.articulatory_space(clouds, contamination=0.0)
         with pytest.raises(DataError, match="'../escaped'"):
             arts.write_hull_report(results, clouds, tmp_path / "out")
         assert not (tmp_path / "out").exists()

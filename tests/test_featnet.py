@@ -16,12 +16,12 @@ from silentspeech.errors import DataError
 TINY = featnet.FeatNetConfig(
     input_shape=(1, 8, 8), conv_kernel=2, conv_filters=(2, 3),
     fc_dims=(8, 6, 4, 6), n_classes=2, batch_size=8, l2_weight=0.01,
-    lr=0.05, epochs=30, seed=0)
+    lr=0.05, seed=0)
 
 SMALL = featnet.FeatNetConfig(
     input_shape=(7, 16, 32), conv_kernel=5, conv_filters=(4, 6),
     fc_dims=(32, 16, 8, 16), n_classes=8, batch_size=32, l2_weight=0.001,
-    lr=0.02, epochs=10, seed=1)
+    lr=0.02, seed=1)
 
 
 def reference_init_params(config, seed):
@@ -207,7 +207,7 @@ class TestForward:
         h1 = pool_ref(np.maximum(conv_ref(x, t["conv1_w"], t["conv1_b"]), 0), 2)
         h2 = pool_ref(np.maximum(conv_ref(h1, t["conv2_w"], t["conv2_b"]), 0), 2)
         flat = h2.reshape(-1)
-        bn = t["bn_gamma"] * (flat - t["bn_mean"]) / np.sqrt(t["bn_var"] + TINY.bn_eps) \
+        bn = t["bn_gamma"] * (flat - t["bn_mean"]) / np.sqrt(t["bn_var"] + featnet._BN_EPS) \
             + t["bn_beta"]
         h = bn
         for name in ("fc1", "fc2", "fc3", "fc4"):
@@ -229,7 +229,7 @@ class TestForward:
         def bn(z):
             out, _ = featnet._bn_forward(z, params["bn_gamma"], params["bn_beta"],
                                          params["bn_mean"], params["bn_var"],
-                                         TINY.bn_eps)
+                                         featnet._BN_EPS)
             return out
 
         lhs = bn(0.3 * u + 0.7 * v)
@@ -418,7 +418,7 @@ class TestRunningMoments:
         featnet.loss_and_grads(params, x, y, update_running=True)
         assert np.array_equal(old_mean, kept_mean)
         assert np.array_equal(old_var, kept_var)
-        m = TINY.bn_momentum
+        m = featnet._BN_MOMENTUM
         assert np.array_equal(params["bn_mean"], kept_mean * (1.0 - m) + m * mu)
         assert np.array_equal(params["bn_var"], kept_var * (1.0 - m) + m * var)
         assert not np.array_equal(params["bn_mean"], kept_mean)
@@ -481,12 +481,12 @@ class TestTraining:
 
     def test_lr_zero_no_change(self):
         import dataclasses
-        cfg = dataclasses.replace(TINY, lr=0.0, epochs=3)
+        cfg = dataclasses.replace(TINY, lr=0.0)
         rng = np.random.default_rng(11)
         x, y = toy_dataset(cfg, 10, rng)
         params = featnet.init_params(cfg, seed=1)
         before = {n: params[n].copy() for n in featnet.FeatNetParams.TENSOR_NAMES}
-        best, _ = featnet.train_sgd(params, x, y, x, y)
+        best, _ = featnet.train_sgd(params, x, y, x, y, epochs=3)
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.array_equal(best[name], before[name])
 
@@ -712,6 +712,16 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(DataError, match="cut.ckpt"):
             featnet.load_params(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        raw = (tmp_path / "net.ckpt").read_bytes()
+        header = 8 + int.from_bytes(raw[4:8], "little")
+        cfg_json = json.dumps({**json.loads(raw[8:header]), "dropout": 0.5}).encode()
+        (tmp_path / "odd.ckpt").write_bytes(
+            b"FNET" + len(cfg_json).to_bytes(4, "little") + cfg_json + raw[header:])
+        with pytest.raises(DataError, match="odd.ckpt.*'dropout'"):
+            featnet.load_params(tmp_path / "odd.ckpt")
 
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         """A file that ends before the size it reported raises DataError

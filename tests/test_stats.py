@@ -99,6 +99,18 @@ class TestPairedTtest:
         r2 = stats.paired_ttest(stats.PairedSeries(keys, a + 5.0, b + 5.0))
         assert abs(r1.t - r2.t) < 1e-9
 
+    def test_scale_invariant(self):
+        """t is scale-free, so differences far from 1 in magnitude neither
+        underflow to zero variance nor overflow the moments."""
+        keys = ["a", "b", "c"]
+        ref = stats.paired_ttest(stats.PairedSeries(keys, [1.0, 2.0, 4.0], [0.0, 0.0, 0.0]))
+        assert abs(ref.t - 2.6457513110645907) < 1e-12
+        for k in (1e-200, 1e-100, 1e200):
+            res = stats.paired_ttest(
+                stats.PairedSeries(keys, [k, 2 * k, 4 * k], [0.0, 0.0, 0.0]))
+            assert abs(res.t - ref.t) <= 1e-12 * abs(ref.t)
+            assert abs(res.p - ref.p) <= 1e-12 * ref.p
+
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             stats.PairedSeries(["a"], [1.0], [2.0])
@@ -208,7 +220,7 @@ class TestModeReport:
 
     def test_three_modes_three_tests_per_metric(self):
         utt, spk = self._metrics()
-        report = stats.build_mode_report(utt, spk, alpha=0.05)
+        report = stats.build_mode_report(utt, spk)
         rate_tests = [t for t in report.tests if t.metric == "syllable_rate"]
         hull_tests = [t for t in report.tests if t.metric == "hull_area"]
         assert len(rate_tests) == 3
