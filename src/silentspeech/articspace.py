@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from . import svgfig
 
 logger = logging.getLogger(__name__)
@@ -221,7 +221,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     pre-order. A given seed therefore always yields the same trees.
     """
     if n_trees < 1 or psi < 2:
-        raise ValueError(f"need n_trees >= 1 and psi >= 2, got {n_trees} and {psi}")
+        raise UsageError(f"need n_trees >= 1 and psi >= 2, got {n_trees} and {psi}")
     points = _finite_2d(points, "isolation forest fit")
     n = points.shape[0]
     if n < 2:
@@ -257,7 +257,7 @@ def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
     """Drop the ceil(contamination * N) highest-scoring points; ties broken
     by stable input order."""
     if not 0.0 <= contamination < 0.5:
-        raise ValueError(f"contamination must be in [0, 0.5), got {contamination}")
+        raise UsageError(f"contamination must be in [0, 0.5), got {contamination}")
     n = cloud.points.shape[0]
     k = int(math.ceil(contamination * n))
     if k == 0:
@@ -403,7 +403,7 @@ def write_hull_report(results: list[HullResult], clouds: list[ContourCloud],
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "hulls.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["speaker", "mode", "n_points", "n_pruned", "area"])
         for r in results:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ManifestError, NumericalError
+from .errors import DataError, ManifestError, NumericalError, UsageError
 
 MODES = ("modal", "silent", "whispered")
 SPLITS = ("train", "validation", "test")
@@ -213,7 +213,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     records = [{key: getattr(r, name) for key, name, _ in _RECORD_FIELDS}
                for r in manifest.records]
     payload = {"phones": list(manifest.phones), "records": records}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -226,7 +226,9 @@ def load_manifest(path: str | Path) -> Manifest:
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
 
@@ -362,7 +364,7 @@ def split_prompt_disjoint(manifest: Manifest, test_prompts: set[str],
     are shuffled deterministically and split train/validation.
     """
     if not test_prompts:
-        raise ValueError("test prompt set must be nonempty")
+        raise UsageError("test prompt set must be nonempty")
     test_recs, rest = [], []
     for r in manifest.records:
         (test_recs if r.prompt in test_prompts else rest).append(r)

@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: usage errors -> 1, DataError -> 2,
-NumericalError -> 3.
+The exit codes below are the contract for the command-line interface
+still to come: usage errors -> 1, DataError -> 2, NumericalError -> 3.
 """
 
 
 class SilentSpeechError(Exception):
     """Base class for all toolkit errors."""
+
+
+class UsageError(SilentSpeechError, ValueError):
+    """An argument outside its valid range, such as ``epochs=0``."""
 
 
 class DataError(SilentSpeechError):

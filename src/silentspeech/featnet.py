@@ -21,20 +21,19 @@ gradient that k*k slice-adds scatter back to the input (col2im). The first
 layer's input gradient is never formed, since nothing consumes it.
 
 Each stage max-pools the pre-activation map and applies ReLU to the
-pooled batch, which is p*p times smaller; max-pooling commutes with the
+pooled batch, which is four times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
-p*p strided maxima without copying windows, and the argmax positions the
-backward pass needs are found only in train mode, stored in the smallest
-unsigned type that holds 0 .. p*p - 1 (one byte for any p up to 16).
+four strided maxima without copying windows, and the argmax positions the
+backward pass needs are found only in train mode, one byte each.
 
 Checkpoints are read through one reused 1 MiB float32 block, so loading
 holds no more than the float64 tensors it returns. Bottleneck extraction
 windows the frames one chunk at a time.
 
 Parameter tensors are values: no function here writes into the arrays of a
-:class:`FeatNetParams` it is given. Training rebinds tensors instead, so
-:func:`train_sgd` needs no copy of its input, and its result may share
-arrays with it. :func:`gradient_check` perturbs a private copy.
+:class:`FeatNetParams` it is given, and only :func:`train_sgd` rebinds
+them, in its own copy of the ``tensors`` dict, so its result may share
+arrays with its input. :func:`gradient_check` perturbs a private copy.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import WINDOW_OFFSETS, window_stack
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 _CKPT_MAGIC = b"FNET"
 _WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans past its anchor
@@ -112,9 +111,10 @@ class FeatNetParams:
     """All learnable tensors plus batch-norm running moments.
 
     Functions never write into the tensors of a ``FeatNetParams`` they are
-    given; updates rebind entries of ``tensors`` to new arrays. A caller
-    that writes into a tensor in place changes every ``FeatNetParams`` that
-    shares it, such as the input and result of :func:`train_sgd`.
+    given; only :func:`train_sgd` rebinds entries of ``tensors``, in its own
+    copy. A caller that writes into a tensor in place changes every
+    ``FeatNetParams`` that shares it, such as :func:`train_sgd`'s input and
+    result.
     """
 
     config: FeatNetConfig
@@ -157,13 +157,13 @@ def param_shapes(config: FeatNetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: FeatNetConfig, seed: int | None = None) -> FeatNetParams:
+def init_params(config: FeatNetConfig) -> FeatNetParams:
     """Fan-in-scaled zero-mean init, zero biases, unit batch-norm.
 
-    Weights are drawn in ``TENSOR_NAMES`` order (conv1, conv2, fc1-fc4,
-    out), so a seed always yields the same tensors.
+    Weights are drawn from ``config.seed`` in ``TENSOR_NAMES`` order
+    (conv1, conv2, fc1-fc4, out), so a seed always yields the same tensors.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     t = {}
     for name, shape in param_shapes(config).items():
         if name in FeatNetParams.WEIGHT_NAMES:
@@ -194,13 +194,13 @@ def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_pool_forward(x, w, b, p, need_idx):
+def _conv_pool_forward(x, w, b, need_idx):
     """Valid convolution (cross-correlation) of x (n, c, h, w) with
-    w (f, c, k, k) plus bias, then p x p max-pool, one sample at a time.
+    w (f, c, k, k) plus bias, then max-pool, one sample at a time.
 
     One im2col buffer and one one-sample conv map are reused across the
-    batch, so only the pooled (n, f, oh // p, ow // p) output and, with
-    ``need_idx``, its argmax indices grow with the batch.
+    batch, so only the pooled (n, f, oh // _POOL, ow // _POOL) output and,
+    with ``need_idx``, its argmax indices grow with the batch.
     """
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
@@ -208,18 +208,18 @@ def _conv_pool_forward(x, w, b, p, need_idx):
     w2 = w.reshape(f, -1)
     cols = np.empty((c * k * k, oh * ow))
     conv = np.empty((f, oh * ow))
-    out = np.empty((n, f, oh // p, ow // p))
-    idx = np.empty(out.shape, dtype=_pool_index_dtype(p)) if need_idx else None
+    out = np.empty((n, f, oh // _POOL, ow // _POOL))
+    idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
     for s in range(n):
         np.matmul(w2, _cols(x[s], k, cols), out=conv)
         conv += b[:, None]  # while this sample's map is still in cache
-        out[s], idx_s = _pool_forward(conv.reshape(f, oh, ow), p, need_idx)
+        out[s], idx_s = _pool_forward(conv.reshape(f, oh, ow), need_idx)
         if need_idx:
             idx[s] = idx_s
     return out, idx
 
 
-def _pool_conv_backward(x, w, dpool, idx, p, need_dx):
+def _pool_conv_backward(x, w, dpool, idx, need_dx):
     """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
     gradient ``dpool`` of its pooled output.
 
@@ -239,7 +239,7 @@ def _pool_conv_backward(x, w, dpool, idx, p, need_dx):
     db = np.zeros(f)
     dx = np.zeros(x.shape) if need_dx else None
     for s in range(n):
-        da = _pool_backward(dpool[s], idx[s], (f, oh, ow), p)
+        da = _pool_backward(dpool[s], idx[s], (f, oh, ow))
         db += da.sum(axis=(1, 2))
         da = da.reshape(f, oh * ow)
         dw += da @ _cols(x[s], k, cols).T
@@ -251,19 +251,15 @@ def _pool_conv_backward(x, w, dpool, idx, p, need_dx):
     return dx, dw.reshape(w.shape), db
 
 
-def _pool_index_dtype(p):
-    """Smallest unsigned type that holds a window position 0 .. p*p - 1."""
-    return np.min_scalar_type(p * p - 1)
-
-
-def _pool_forward(x, p, need_idx):
-    """p x p max-pool over the last two axes of x (..., h, w), dropping
-    trailing rows and columns.
+def _pool_forward(x, need_idx):
+    """p x p max-pool (p = ``_POOL``) over the last two axes of x (..., h, w),
+    dropping trailing rows and columns.
 
     The max is taken over the p*p strided views ``x[..., i::p, j::p]``, so
     no window copy is made. With ``need_idx``, also returns the first
-    argmax within each window (row-major, ``i*p + j``); otherwise None.
+    argmax within each window (row-major ``i*p + j``, uint8); otherwise None.
     """
+    p = _POOL
     h, w = x.shape[-2:]
     oh, ow = h // p, w // p
     views = [x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
@@ -272,16 +268,17 @@ def _pool_forward(x, p, need_idx):
         np.maximum(out, v, out=out)
     if not need_idx:
         return out, None
-    idx = np.zeros(out.shape, dtype=_pool_index_dtype(p))
+    idx = np.zeros(out.shape, dtype=np.uint8)
     # in reverse, so the first position holding the max is written last
     for q in range(p * p - 1, -1, -1):
         np.copyto(idx, q, where=views[q] == out)
     return out, idx
 
 
-def _pool_backward(dout, idx, in_shape, p):
+def _pool_backward(dout, idx, in_shape):
     """Gradient of :func:`_pool_forward`: each window's ``dout`` goes to its
     argmax position, zeros elsewhere and in the dropped rows and columns."""
+    p = _POOL
     h, w = in_shape[-2:]
     oh, ow = h // p, w // p
     dx = np.zeros(in_shape)
@@ -291,8 +288,8 @@ def _pool_backward(dout, idx, in_shape, p):
     return dx
 
 
-def _bn_forward(x, gamma, beta, mean, var, eps):
-    xhat = (x - mean) / np.sqrt(var + eps)
+def _bn_forward(x, gamma, beta, mean, var):
+    xhat = (x - mean) / np.sqrt(var + _BN_EPS)
     return gamma * xhat + beta, xhat
 
 
@@ -311,11 +308,11 @@ def forward(params: FeatNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (n, c, h, w); returns (logits, bottleneck). Batch norm uses the running
     moments, which stay unchanged.
     """
-    logits, bneck, _ = _forward_full(params, x, train_mode=False, update_running=False)
+    logits, bneck, _ = _forward_full(params, x, train_mode=False)
     return logits, bneck
 
 
-def _forward_full(params, x, train_mode, update_running):
+def _forward_full(params, x, train_mode):
     cfg = params.config
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
@@ -325,25 +322,21 @@ def _forward_full(params, x, train_mode, update_running):
 
     # pool each sample's conv map, then ReLU in place on the pooled batch
     # (see the module docstring)
-    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], _POOL, train_mode)
+    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], train_mode)
     np.maximum(p1, 0.0, out=p1)
-    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], _POOL, train_mode)
+    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], train_mode)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
     if train_mode:
         mu = flat.mean(axis=0)
         var = flat.var(axis=0)
-        if update_running:
-            m = _BN_MOMENTUM
-            t["bn_mean"] = t["bn_mean"] * (1.0 - m) + m * mu
-            t["bn_var"] = t["bn_var"] * (1.0 - m) + m * var
     else:
         mu, var = t["bn_mean"], t["bn_var"]
-    bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var, _BN_EPS)
+    bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var)
 
-    cache.update(idx1=idx1, p1=p1, idx2=idx2, p2=p2, flat=flat, xhat=xhat,
-                 bn_var=var, bn=bn)
+    cache.update(idx1=idx1, p1=p1, idx2=idx2, p2=p2, xhat=xhat,
+                 bn_mean=mu, bn_var=var, bn=bn)
     h = bn
     acts = []
     for i, name in enumerate(("fc1", "fc2", "fc3", "fc4")):
@@ -354,15 +347,16 @@ def _forward_full(params, x, train_mode, update_running):
     return logits, acts[2], cache
 
 
-def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
-                   update_running: bool = False) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grads(params: FeatNetParams, x: np.ndarray,
+                   y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy plus the L2 weight penalty, with gradients for
-    every learnable tensor (train-mode batch normalization)."""
+    every learnable tensor (train-mode batch normalization). ``grads`` also
+    holds the batch moments under ``bn_mean`` and ``bn_var``, which are not
+    gradients: :func:`train_sgd` blends them into the running moments."""
     cfg = params.config
     t = params.tensors
     y = np.asarray(y, dtype=np.int64)
-    logits, _, cache = _forward_full(params, x, train_mode=True,
-                                     update_running=update_running)
+    logits, _, cache = _forward_full(params, x, train_mode=True)
     n = logits.shape[0]
     probs = _softmax(logits)
     ce = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
@@ -372,7 +366,7 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     if not np.isfinite(loss):
         raise NumericalError("training loss diverged to a non-finite value")
 
-    grads: dict[str, np.ndarray] = {}
+    grads = {"bn_mean": cache["bn_mean"], "bn_var": cache["bn_var"]}
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
@@ -402,12 +396,11 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     # is the unit the ReLU let through.
     p1, p2 = cache["p1"], cache["p2"]
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
-    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], _POOL,
-                                        need_dx=True)
+    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
     dp1 *= p1 > 0
     _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],
-                                      _POOL, need_dx=False)
+                                      need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
 
     # weight decay in row blocks: no fc1-sized temporary for l2 * w
@@ -436,15 +429,16 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     """Minibatch SGD; returns the params of the epoch with the highest
     validation accuracy (earliest epoch on ties) and per-epoch metrics.
 
-    ``params`` is left unchanged, and the result may share arrays with it.
-    Each update is written into the step's gradient array, which then
-    becomes the tensor, so no parameter set is ever copied.
+    The one function that changes parameters, by rebinding tensors in its
+    own copy: ``params`` is left unchanged, and the result may share arrays
+    with it. Each update is written into the step's gradient array, which
+    then becomes the tensor, so no parameter set is ever copied.
     """
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
     if epochs < 1:
-        raise ValueError(f"need epochs >= 1, got {epochs}")
+        raise UsageError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng(cfg.seed)
     params = FeatNetParams(cfg, dict(params.tensors))
     best_acc = -1.0
@@ -458,16 +452,18 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
         losses = []
         for lo in range(0, order.size, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            loss, grads = loss_and_grads(params, train_x[sel], train_y[sel],
-                                         update_running=not frozen)
+            loss, grads = loss_and_grads(params, train_x[sel], train_y[sel])
             losses.append(loss)
             if not frozen:
+                t = params.tensors
                 for name in FeatNetParams.LEARNABLE_NAMES:
                     # p - lr * g into g's own buffer: no fc1-sized temporary
                     g = grads[name]
                     g *= cfg.lr
-                    np.subtract(params.tensors[name], g, out=g)
-                    params.tensors[name] = g
+                    np.subtract(t[name], g, out=g)
+                    t[name] = g
+                for name in ("bn_mean", "bn_var"):
+                    t[name] = t[name] * (1.0 - _BN_MOMENTUM) + _BN_MOMENTUM * grads[name]
             del grads  # or the lr == 0 path holds them through the next step
         val_acc = accuracy(params, val_x, val_y)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
@@ -494,7 +490,7 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     GEMM, so changing ``chunk`` may change the last bits.
     """
     if chunk < 1:
-        raise ValueError(f"need chunk >= 1, got {chunk}")
+        raise UsageError(f"need chunk >= 1, got {chunk}")
     frames = np.asarray(frames)
     n = frames.shape[0]
     out = np.empty((n, params.config.bottleneck_dim))
@@ -512,7 +508,7 @@ def gradient_check(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     """Max relative error between analytic gradients and central finite
     differences over a random coordinate subset."""
     params = params.copy()
-    _, grads = loss_and_grads(params, x, y, update_running=False)
+    _, grads = loss_and_grads(params, x, y)
     rng = np.random.default_rng(seed)
     sizes = [(n, params.tensors[n].size) for n in FeatNetParams.LEARNABLE_NAMES]
     total = sum(s for _, s in sizes)
@@ -526,9 +522,9 @@ def gradient_check(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
         tensor = params.tensors[name]
         orig = tensor.flat[offset]
         tensor.flat[offset] = orig + epsilon
-        lp, _ = loss_and_grads(params, x, y, update_running=False)
+        lp, _ = loss_and_grads(params, x, y)
         tensor.flat[offset] = orig - epsilon
-        lm, _ = loss_and_grads(params, x, y, update_running=False)
+        lm, _ = loss_and_grads(params, x, y)
         tensor.flat[offset] = orig
         fd = (lp - lm) / (2 * epsilon)
         analytic = grads[name].flat[offset]

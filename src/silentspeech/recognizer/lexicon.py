@@ -46,14 +46,18 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     for word in lexicon.words:
         phones = " ".join(lexicon.phones[i] for i in lexicon.entries[word])
         lines.append(f"{word}\t{lexicon.syllables[word]}\t{phones}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_lexicon(path: str | Path, phones: list[str]) -> Lexicon:
     index = {p: i for i, p in enumerate(phones)}
     entries: dict[str, tuple[int, ...]] = {}
     syllables: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

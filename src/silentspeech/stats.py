@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -58,7 +58,7 @@ def _betacf(a: float, b: float, x: float) -> float:
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if a <= 0 or b <= 0:
-        raise ValueError("betainc requires a > 0 and b > 0")
+        raise UsageError("betainc requires a > 0 and b > 0")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -74,9 +74,9 @@ def betainc(a: float, b: float, x: float) -> float:
 def student_t_sf(t: float, df: float) -> float:
     """Two-tailed p-value of Student's t: I_{df/(df+t^2)}(df/2, 1/2)."""
     if not math.isfinite(t):
-        raise ValueError(f"t statistic must be finite, got {t}")
+        raise UsageError(f"t statistic must be finite, got {t}")
     if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+        raise UsageError(f"degrees of freedom must be >= 1, got {df}")
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)
@@ -117,17 +117,26 @@ class TestResult:
     p: float
 
 
-def _mean_std(values: np.ndarray, keys: list[str], what: str) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 for one value). DataError,
-    naming the key of the largest magnitude, when either overflows float64."""
+def _mean_std(values: np.ndarray, keys: list[str], what: str) -> tuple[float, float, int]:
+    """Mean and sample standard deviation (0 for one value) of ``values``
+    as ``(mean, std, e)``: the moments are ``mean * 2**e`` and ``std * 2**e``.
+
+    The values are scaled by the power of two that puts their largest
+    magnitude in [0.5, 1). That is exact, and the scaled moments neither
+    underflow nor overflow, so their ratio is scale-free. DataError, naming
+    the key of the largest magnitude, when a moment overflows float64.
+    """
+    e = math.frexp(float(np.abs(values).max()))[1]  # 0 for an infinite value
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(values.mean())
-        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(std)):
+        scaled = np.ldexp(values, -e)
+        mean = float(scaled.mean())
+        std = float(scaled.std(ddof=1)) if values.size > 1 else 0.0
+        unscaled = np.ldexp([mean, std], e)
+    if not np.isfinite(unscaled).all():
         key = keys[int(np.abs(values).argmax())]
         raise DataError(f"{what} overflow float64 in their moments; "
                         f"the largest is at key {key!r}")
-    return mean, std
+    return mean, std, e
 
 
 def paired_ttest(series: PairedSeries) -> TestResult:
@@ -138,11 +147,8 @@ def paired_ttest(series: PairedSeries) -> TestResult:
     """
     with np.errstate(over="ignore"):  # an infinite difference is reported below
         d = series.values_a - series.values_b
-    if np.isfinite(d).all():
-        # t is scale-free, and scaling by a power of two is exact: with
-        # max |d| in [0.5, 1) the moments neither underflow nor overflow
-        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
-    mean_d, sd = _mean_std(d, series.keys, "paired differences")
+    # t is scale-free, so the scaled moments give it
+    mean_d, sd, _ = _mean_std(d, series.keys, "paired differences")
     n = d.size
     if sd == 0.0:
         if mean_d == 0.0:
@@ -157,11 +163,11 @@ def holm_bonferroni(p_values: list[float], alpha: float) -> list[bool]:
     p_(k) <= alpha / (m - k + 1); stop at the first failure. Returns the
     rejection decision of each p-value, in input order."""
     if not p_values:
-        raise ValueError("holm_bonferroni needs at least one p-value")
+        raise UsageError("holm_bonferroni needs at least one p-value")
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
     if any(not 0.0 <= p <= 1.0 for p in p_values):
-        raise ValueError("p-values must lie in [0, 1]")
+        raise UsageError("p-values must lie in [0, 1]")
     m = len(p_values)
     order = sorted(range(m), key=lambda i: p_values[i])
     reject = [False] * m
@@ -290,9 +296,10 @@ def build_mode_report(utterance_metrics: MetricTable,
                 vals = np.array(list(per_mode[mode].values()), dtype=np.float64)
                 if vals.size == 0:
                     continue
-                mean, std = _mean_std(vals, list(per_mode[mode]),
-                                      f"metric {metric!r}, mode {mode!r}: values")
-                summaries.append(SummaryRow(metric, level, mode, vals.size, mean, std))
+                mean, std, e = _mean_std(vals, list(per_mode[mode]),
+                                         f"metric {metric!r}, mode {mode!r}: values")
+                summaries.append(SummaryRow(metric, level, mode, vals.size,
+                                            math.ldexp(mean, e), math.ldexp(std, e)))
             family: list[TestRow] = []
             for i, mode_a in enumerate(modes):
                 for mode_b in modes[i + 1:]:
@@ -301,7 +308,11 @@ def build_mode_report(utterance_metrics: MetricTable,
                                     - set(keys))
                     if len(keys) < 2:
                         continue
-                    res = paired_ttest(PairedSeries(keys, a, b))
+                    try:
+                        res = paired_ttest(PairedSeries(keys, a, b))
+                    except DataError as exc:
+                        raise DataError(f"metric {metric!r}, mode {mode_a!r} against "
+                                        f"mode {mode_b!r}: {exc}") from exc
                     family.append(TestRow(metric, level, mode_a, mode_b,
                                           len(keys), res.t, res.df, res.p,
                                           reject=False))
@@ -354,7 +365,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)

@@ -90,4 +90,4 @@ def contour_hull_svg(path, points_by_label: dict[str, np.ndarray],
                          f'stroke="{_COLORS[k % len(_COLORS)]}" stroke-width="2.2" '
                          'stroke-opacity="1.00"/>')
         parts.append(_text(_X1 - 8, _Y1 + 14 * (k + 1), label, 10, "end"))
-    Path(path).write_text("\n".join(parts + ["</svg>"]) + "\n")
+    Path(path).write_text("\n".join(parts + ["</svg>"]) + "\n", encoding="utf-8")

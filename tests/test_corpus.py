@@ -129,6 +129,11 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line"):
             corpus.load_manifest(tmp_path / "m.json")
 
+    def test_non_utf8_rejected(self, tmp_path):
+        (tmp_path / "m.json").write_bytes(b'\xff{"phones": [], "records": []}')
+        with pytest.raises(ManifestError, match=r"m\.json: not UTF-8 text .*byte 0"):
+            corpus.load_manifest(tmp_path / "m.json")
+
     def test_odd_label_file_rejected(self, tmp_path):
         rec = make_record(tmp_path, "u1", "a b", n_frames=10)
         (tmp_path / rec.labels_path).write_bytes(bytes(21))

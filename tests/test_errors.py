@@ -1,0 +1,40 @@
+import numpy as np
+import pytest
+
+from silentspeech import articspace, corpus, featnet, stats
+from silentspeech.errors import SilentSpeechError, UsageError
+
+TINY = featnet.FeatNetConfig(input_shape=(1, 8, 8), conv_kernel=2, conv_filters=(2, 3),
+                             fc_dims=(8, 6, 4, 6), n_classes=2)
+X = np.zeros((2, *TINY.input_shape))
+Y = np.zeros(2, dtype=int)
+POINTS = np.random.default_rng(0).random((10, 2))
+
+# every argument check of the public API, each with an argument it rejects
+BAD_CALLS = {
+    "train_sgd-epochs": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
+                                                  epochs=0),
+    "extract_bottleneck-chunk": lambda: featnet.extract_bottleneck(
+        featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=0),
+    "fit_iforest-psi": lambda: articspace.fit_iforest(POINTS, psi=1),
+    "prune_outliers-contamination": lambda: articspace.prune_outliers(
+        articspace.ContourCloud("s0", "modal", POINTS), contamination=0.5),
+    "betainc-a": lambda: stats.betainc(0.0, 1.0, 0.5),
+    "student_t_sf-t": lambda: stats.student_t_sf(np.inf, 3),
+    "student_t_sf-df": lambda: stats.student_t_sf(1.0, 0),
+    "holm_bonferroni-empty": lambda: stats.holm_bonferroni([], 0.05),
+    "holm_bonferroni-alpha": lambda: stats.holm_bonferroni([0.1], 1.0),
+    "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5], 0.05),
+    "split_prompt_disjoint-prompts": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_argument_check_raises_toolkit_error(name):
+    """A rejected argument raises UsageError: a SilentSpeechError, and a
+    ValueError for callers that catch the builtin."""
+    with pytest.raises(SilentSpeechError) as info:
+        BAD_CALLS[name]()
+    assert type(info.value) is UsageError
+    assert isinstance(info.value, ValueError)

@@ -126,7 +126,7 @@ class TestConfig:
 class TestInit:
     @pytest.mark.parametrize("cfg,seed", [(TINY, 0), (TINY, 3), (SMALL, 1)])
     def test_bit_identical_to_reference_draw_order(self, cfg, seed):
-        params = featnet.init_params(cfg, seed=seed)
+        params = featnet.init_params(dataclasses.replace(cfg, seed=seed))
         ref = reference_init_params(cfg, seed)
         assert featnet.param_shapes(cfg) == {n: a.shape for n, a in ref.items()}
         assert list(params.tensors) == list(featnet.FeatNetParams.TENSOR_NAMES)
@@ -135,21 +135,21 @@ class TestInit:
             assert np.array_equal(params[name], ref[name]), name
 
     def test_same_seed_bitwise_identical(self):
-        a = featnet.init_params(TINY, seed=3)
-        b = featnet.init_params(TINY, seed=3)
+        a = featnet.init_params(dataclasses.replace(TINY, seed=3))
+        b = featnet.init_params(dataclasses.replace(TINY, seed=3))
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
-        a = featnet.init_params(TINY, seed=3)
-        b = featnet.init_params(TINY, seed=4)
+        a = featnet.init_params(dataclasses.replace(TINY, seed=3))
+        b = featnet.init_params(dataclasses.replace(TINY, seed=4))
         assert not np.array_equal(a["conv1_w"], b["conv1_w"])
 
     def test_fan_in_scaling_moments(self):
         cfg = featnet.FeatNetConfig(
             input_shape=(7, 16, 32), conv_kernel=5, conv_filters=(4, 6),
             fc_dims=(512, 64, 4, 6), n_classes=2)
-        params = featnet.init_params(cfg, seed=5)
+        params = featnet.init_params(dataclasses.replace(cfg, seed=5))
         w = params["fc1_w"]  # flat_dim x 256, > 1e4 entries
         assert w.size >= 10_000
         target = np.sqrt(2.0 / w.shape[0])
@@ -159,13 +159,13 @@ class TestInit:
 
 class TestForward:
     def test_zero_input_zero_bottleneck(self):
-        params = featnet.init_params(TINY, seed=0)
+        params = featnet.init_params(TINY)
         x = np.zeros(TINY.input_shape)
         _, bneck = featnet.forward(params, x[None])
         assert np.allclose(bneck[0], 0.0)
 
     def test_softmax_sums_to_one(self):
-        params = featnet.init_params(TINY, seed=1)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=1))
         rng = np.random.default_rng(2)
         logits, _ = featnet.forward(params, rng.standard_normal((5, *TINY.input_shape)))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -175,7 +175,7 @@ class TestForward:
 
     def test_matches_hand_rolled_reference(self):
         """Independent loop-based forward computation, inference mode."""
-        params = featnet.init_params(TINY, seed=6)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=6))
         rng = np.random.default_rng(7)
         # non-trivial running moments
         params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim) * 0.1
@@ -219,7 +219,7 @@ class TestForward:
         assert np.max(np.abs(bneck[0] - ref_bneck)) < 1e-6
 
     def test_bn_inference_is_affine(self):
-        params = featnet.init_params(TINY, seed=8)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=8))
         rng = np.random.default_rng(9)
         params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim)
         params.tensors["bn_var"] = rng.uniform(0.5, 2.0, TINY.flat_dim)
@@ -228,8 +228,7 @@ class TestForward:
 
         def bn(z):
             out, _ = featnet._bn_forward(z, params["bn_gamma"], params["bn_beta"],
-                                         params["bn_mean"], params["bn_var"],
-                                         featnet._BN_EPS)
+                                         params["bn_mean"], params["bn_var"])
             return out
 
         lhs = bn(0.3 * u + 0.7 * v)
@@ -237,7 +236,7 @@ class TestForward:
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_shape_mismatch_rejected(self):
-        params = featnet.init_params(TINY, seed=0)
+        params = featnet.init_params(TINY)
         with pytest.raises(DataError):
             featnet.forward(params, np.zeros((1, 9, 9)))
 
@@ -254,20 +253,20 @@ class TestConvolution:
         x = rng.standard_normal((n, c, k + 6, k + 11))  # non-square, odd conv rows
         w = rng.standard_normal((4, c, k, k))
         b = rng.standard_normal(4)
-        out, idx = featnet._conv_pool_forward(x, w, b, 2, need_idx=True)
+        out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
         conv = reference_conv_forward(x, w, b)
         ref_out, ref_idx = reference_pool_forward(conv, 2)
         assert out.shape == ref_out.shape
         assert rel_err(out, ref_out) < 1e-12
         assert np.array_equal(idx, ref_idx)
         dpool = rng.standard_normal(out.shape)
-        dx, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, 2, need_dx=True)
+        dx, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
         dconv = reference_pool_backward(dpool, ref_idx, conv.shape, 2)
         ref_dx, ref_dw, ref_db = reference_conv_backward(x, w, dconv)
         for got, want in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
             assert got.shape == want.shape
             assert rel_err(got, want) < 1e-12
-        out_only, no_idx = featnet._conv_pool_forward(x, w, b, 2, need_idx=False)
+        out_only, no_idx = featnet._conv_pool_forward(x, w, b, need_idx=False)
         assert no_idx is None
         assert np.array_equal(out_only, out)
 
@@ -275,18 +274,18 @@ class TestConvolution:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 7, 9, 13))
         w = rng.standard_normal((5, 7, 3, 3))
-        _, idx = featnet._conv_pool_forward(x, w, np.zeros(5), 2, need_idx=True)
+        _, idx = featnet._conv_pool_forward(x, w, np.zeros(5), need_idx=True)
         dpool = rng.standard_normal(idx.shape)
-        _, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, 2, need_dx=True)
-        dx, dw_skip, db_skip = featnet._pool_conv_backward(x, w, dpool, idx, 2,
-                                                           need_dx=False)
+        _, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
+        dx, dw_skip, db_skip = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=False)
         assert dx is None
         assert np.array_equal(dw, dw_skip)
         assert np.array_equal(db, db_skip)
 
 
 class TestPooling:
-    """Strided-maxima pooling against the window-copy argmax reference."""
+    """Strided-maxima pooling against the window-copy argmax reference, at
+    the module's pool size and, with ``_POOL`` set to 3, at an odd one."""
 
     @staticmethod
     def pool_input(kind, shape, rng):
@@ -301,19 +300,20 @@ class TestPooling:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("shape", [(2, 3, 7, 9), (1, 2, 9, 10), (3, 1, 11, 8)])
     @pytest.mark.parametrize("kind", ["normal", "negative", "ties", "constant"])
-    def test_matches_argmax_reference(self, p, shape, kind):
+    def test_matches_argmax_reference(self, p, shape, kind, monkeypatch):
+        monkeypatch.setattr(featnet, "_POOL", p)
         rng = np.random.default_rng(p * 1000 + shape[2] * 10 + shape[3])
         x = self.pool_input(kind, shape, rng)
-        out, idx = featnet._pool_forward(x, p, need_idx=True)
+        out, idx = featnet._pool_forward(x, need_idx=True)
         ref_out, ref_idx = reference_pool_forward(x, p)
         assert out.shape == ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
         assert np.array_equal(out, ref_out)
-        assert idx.dtype == np.uint8  # positions 0 .. p*p - 1 fit one byte
+        assert idx.dtype == np.uint8
         assert np.array_equal(idx, ref_idx)
         dout = rng.standard_normal(out.shape)
-        dx = featnet._pool_backward(dout, idx, x.shape, p)
+        dx = featnet._pool_backward(dout, idx, x.shape)
         assert np.array_equal(dx, reference_pool_backward(dout, ref_idx, x.shape, p))
-        out_only, no_idx = featnet._pool_forward(x, p, need_idx=False)
+        out_only, no_idx = featnet._pool_forward(x, need_idx=False)
         assert no_idx is None
         assert np.array_equal(out_only, out)
 
@@ -330,7 +330,7 @@ def traced_peak(fn, *args):
 
 @pytest.fixture(scope="class")
 def paper_params():
-    return featnet.init_params(featnet.FeatNetConfig(), seed=0)
+    return featnet.init_params(featnet.FeatNetConfig())
 
 
 @pytest.fixture(scope="class")
@@ -386,7 +386,7 @@ class TestMemory:
         copied, each update is written into its gradient buffer, and the
         best epoch is kept without a copy."""
         cfg = featnet.FeatNetConfig(batch_size=2)
-        params = featnet.init_params(cfg, seed=0)
+        params = featnet.init_params(cfg)
         param_bytes = sum(a.nbytes for a in params.tensors.values())
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, *cfg.input_shape))
@@ -401,27 +401,52 @@ class TestMemory:
 
 
 class TestRunningMoments:
-    def test_update_rebinds_without_writing(self):
-        """update_running rebinds bn_mean/bn_var to the momentum blend of
-        the batch moments and leaves the caller's arrays as they were."""
-        params = featnet.init_params(TINY, seed=4)
+    @staticmethod
+    def moments_setup():
+        """TINY params with non-trivial running moments, and one batch."""
+        params = featnet.init_params(dataclasses.replace(TINY, seed=4))
         rng = np.random.default_rng(22)
         params.tensors["bn_mean"] = rng.standard_normal(TINY.flat_dim)
         params.tensors["bn_var"] = rng.uniform(0.5, 2.0, TINY.flat_dim)
         x = rng.standard_normal((5, *TINY.input_shape))
         y = rng.integers(0, TINY.n_classes, 5)
-        old_mean, old_var = params["bn_mean"], params["bn_var"]
-        kept_mean, kept_var = old_mean.copy(), old_var.copy()
-        _, _, cache = featnet._forward_full(params, x, train_mode=True,
-                                            update_running=False)
-        mu, var = cache["flat"].mean(axis=0), cache["bn_var"]
-        featnet.loss_and_grads(params, x, y, update_running=True)
-        assert np.array_equal(old_mean, kept_mean)
-        assert np.array_equal(old_var, kept_var)
+        return params, x, y
+
+    def test_loss_and_grads_changes_nothing(self):
+        """loss_and_grads leaves every tensor bound to the same array, with
+        the same values, and returns the batch moments beside the
+        gradients."""
+        params, x, y = self.moments_setup()
+        arrays = dict(params.tensors)
+        before = {n: a.copy() for n, a in arrays.items()}
+        _, grads = featnet.loss_and_grads(params, x, y)
+        assert params.tensors.keys() == arrays.keys()
+        for name, a in arrays.items():
+            assert params.tensors[name] is a, name
+            assert np.array_equal(a, before[name]), name
+        _, _, cache = featnet._forward_full(params, x, train_mode=True)
+        flat = cache["p2"].reshape(x.shape[0], -1)
+        assert np.array_equal(grads["bn_mean"], flat.mean(axis=0))
+        assert np.array_equal(grads["bn_var"], flat.var(axis=0))
+
+    def test_update_rebinds_without_writing(self):
+        """One train_sgd step rebinds bn_mean/bn_var to the momentum blend
+        of the moments loss_and_grads returns and leaves the caller's
+        arrays as they were."""
+        params, x, y = self.moments_setup()
+        cfg = dataclasses.replace(params.config, batch_size=x.shape[0])
+        params = featnet.FeatNetParams(cfg, params.tensors)
+        kept_mean, kept_var = params["bn_mean"].copy(), params["bn_var"].copy()
+        # the one batch of the epoch: every sample, in train_sgd's shuffle order
+        order = np.random.default_rng(cfg.seed).permutation(x.shape[0])
+        _, grads = featnet.loss_and_grads(params, x[order], y[order])
+        best, _ = featnet.train_sgd(params, x, y, x, y, epochs=1)
+        assert np.array_equal(params["bn_mean"], kept_mean)
+        assert np.array_equal(params["bn_var"], kept_var)
         m = featnet._BN_MOMENTUM
-        assert np.array_equal(params["bn_mean"], kept_mean * (1.0 - m) + m * mu)
-        assert np.array_equal(params["bn_var"], kept_var * (1.0 - m) + m * var)
-        assert not np.array_equal(params["bn_mean"], kept_mean)
+        assert np.array_equal(best["bn_mean"], kept_mean * (1.0 - m) + m * grads["bn_mean"])
+        assert np.array_equal(best["bn_var"], kept_var * (1.0 - m) + m * grads["bn_var"])
+        assert not np.array_equal(best["bn_mean"], kept_mean)
 
 
 def toy_dataset(cfg, n_per_class, rng, gap=1.0):
@@ -453,12 +478,15 @@ def reference_train_sgd(params, train_x, train_y, val_x, val_y, epochs):
         losses = []
         for lo in range(0, order.size, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            loss, grads = featnet.loss_and_grads(params, train_x[sel], train_y[sel],
-                                                 update_running=True)
+            loss, grads = featnet.loss_and_grads(params, train_x[sel], train_y[sel])
             losses.append(loss)
             for name in featnet.FeatNetParams.LEARNABLE_NAMES:
                 grads[name] *= cfg.lr
                 params.tensors[name] -= grads[name]
+            m = featnet._BN_MOMENTUM
+            for name in ("bn_mean", "bn_var"):
+                params.tensors[name] *= 1.0 - m
+                params.tensors[name] += m * grads[name]
         val_acc = featnet.accuracy(params, val_x, val_y)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_acc": val_acc, "selected": False})
@@ -474,7 +502,7 @@ class TestTraining:
     def test_separable_data_high_accuracy(self):
         rng = np.random.default_rng(10)
         x, y = toy_dataset(TINY, 40, rng)
-        params = featnet.init_params(TINY, seed=0)
+        params = featnet.init_params(TINY)
         best, metrics = featnet.train_sgd(params, x[:60], y[:60], x[60:], y[60:])
         assert max(m["val_acc"] for m in metrics) >= 0.95
         assert featnet.accuracy(best, x[60:], y[60:]) >= 0.95
@@ -484,7 +512,7 @@ class TestTraining:
         cfg = dataclasses.replace(TINY, lr=0.0)
         rng = np.random.default_rng(11)
         x, y = toy_dataset(cfg, 10, rng)
-        params = featnet.init_params(cfg, seed=1)
+        params = featnet.init_params(dataclasses.replace(cfg, seed=1))
         before = {n: params[n].copy() for n in featnet.FeatNetParams.TENSOR_NAMES}
         best, _ = featnet.train_sgd(params, x, y, x, y, epochs=3)
         for name in featnet.FeatNetParams.TENSOR_NAMES:
@@ -493,7 +521,7 @@ class TestTraining:
     def test_caller_tensors_unchanged(self):
         rng = np.random.default_rng(11)
         x, y = toy_dataset(TINY, 10, rng)
-        params = featnet.init_params(TINY, seed=1)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=1))
         arrays = dict(params.tensors)
         before = {n: a.copy() for n, a in arrays.items()}
         best, _ = featnet.train_sgd(params, x, y, x, y, epochs=3)
@@ -510,7 +538,7 @@ class TestTraining:
         cfg = dataclasses.replace(TINY, batch_size=4)
         rng = np.random.default_rng(12)
         x, y = toy_dataset(cfg, 10, rng)
-        params = featnet.init_params(cfg, seed=2)
+        params = featnet.init_params(dataclasses.replace(cfg, seed=2))
         best, metrics = featnet.train_sgd(params, x[:12], y[:12], x[12:], y[12:],
                                           epochs=6)
         ref_best, ref_metrics = reference_train_sgd(
@@ -523,7 +551,7 @@ class TestTraining:
     def test_selected_epoch_is_argmax(self):
         rng = np.random.default_rng(12)
         x, y = toy_dataset(TINY, 20, rng)
-        params = featnet.init_params(TINY, seed=2)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=2))
         _, metrics = featnet.train_sgd(params, x[:30], y[:30], x[30:], y[30:],
                                        epochs=8)
         accs = [m["val_acc"] for m in metrics]
@@ -533,7 +561,7 @@ class TestTraining:
     def test_no_epochs_rejected(self, epochs):
         rng = np.random.default_rng(14)
         x, y = toy_dataset(TINY, 4, rng)
-        params = featnet.init_params(TINY, seed=0)
+        params = featnet.init_params(TINY)
         with pytest.raises(ValueError, match="epochs"):
             featnet.train_sgd(params, x, y, x, y, epochs=epochs)
 
@@ -543,7 +571,7 @@ class TestTraining:
         rng = np.random.default_rng(13)
         x, y = toy_dataset(cfg, 25, rng)
         x, y = x[:50], y[:50]
-        params = featnet.init_params(cfg, seed=3)
+        params = featnet.init_params(dataclasses.replace(cfg, seed=3))
         losses = []
         for _ in range(50):
             loss, grads = featnet.loss_and_grads(params, x, y)
@@ -556,21 +584,21 @@ class TestTraining:
 
 class TestBottleneck:
     def test_shape_contract(self):
-        params = featnet.init_params(SMALL, seed=4)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=4))
         frames = np.random.default_rng(14).random((11, 16, 32))
         feats = featnet.extract_bottleneck(params, frames)
         assert feats.shape == (11, SMALL.bottleneck_dim)
         assert np.all(np.isfinite(feats))
 
     def test_deterministic_extraction(self):
-        params = featnet.init_params(SMALL, seed=5)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=5))
         frames = np.random.default_rng(15).random((9, 16, 32))
         a = featnet.extract_bottleneck(params, frames)
         b = featnet.extract_bottleneck(params, frames)
         assert np.array_equal(a, b)
 
     def test_constant_sequence_single_vector(self):
-        params = featnet.init_params(SMALL, seed=6)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=6))
         frames = np.full((5, 16, 32), 0.7)
         feats = featnet.extract_bottleneck(params, frames)
         for i in range(1, 5):
@@ -583,7 +611,7 @@ class TestBottleneck:
         and so the same features, as windowing the whole sequence. The
         reference runs the same chunks, since a one-row matmul may round
         differently from a many-row one."""
-        params = featnet.init_params(SMALL, seed=8)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=8))
         frames = np.random.default_rng(17).random((n_frames, 16, 32))
         x = window_stack(frames)
         whole = np.concatenate([featnet.forward(params, x[i:i + chunk])[1]
@@ -594,17 +622,17 @@ class TestBottleneck:
     def test_no_chunk_rejected(self, chunk):
         """A chunk below 1 is rejected by name; left to range(), 0 raises a
         bare error and -1 returns the output array uninitialised."""
-        params = featnet.init_params(SMALL, seed=8)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=8))
         with pytest.raises(ValueError, match="chunk"):
             featnet.extract_bottleneck(params, np.zeros((5, 16, 32)), chunk=chunk)
 
     def test_empty_sequence_rejected(self):
-        params = featnet.init_params(SMALL, seed=8)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=8))
         with pytest.raises(DataError, match="empty"):
             featnet.extract_bottleneck(params, np.zeros((0, 16, 32)))
 
     def test_batch_composition_invariance(self):
-        params = featnet.init_params(SMALL, seed=7)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=7))
         rng = np.random.default_rng(16)
         frames = rng.random((20, 16, 32))
         full = featnet.extract_bottleneck(params, frames, chunk=20)
@@ -616,7 +644,7 @@ class TestGradientCheck:
     def test_correct_backprop_passes(self):
         # batch of 16 keeps batch-norm curvature mild so the central
         # difference at eps=1e-3 stays in its quadratic regime
-        params = featnet.init_params(TINY, seed=8)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=8))
         rng = np.random.default_rng(21)
         x = rng.standard_normal((16, *TINY.input_shape))
         y = rng.integers(0, TINY.n_classes, 16)
@@ -624,15 +652,15 @@ class TestGradientCheck:
         assert err < 1e-4
 
     def test_perturbed_gradient_fails(self):
-        params = featnet.init_params(TINY, seed=9)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=9))
         rng = np.random.default_rng(18)
         x = 0.5 * rng.standard_normal((4, *TINY.input_shape))
         y = rng.integers(0, TINY.n_classes, 4)
 
         orig = featnet.loss_and_grads
 
-        def tampered(p, xx, yy, update_running=False):
-            loss, grads = orig(p, xx, yy, update_running=update_running)
+        def tampered(p, xx, yy):
+            loss, grads = orig(p, xx, yy)
             grads["fc2_w"] = grads["fc2_w"] * 1.01
             return loss, grads
 
@@ -645,7 +673,7 @@ class TestGradientCheck:
         assert err > 1e-4
 
     def test_loss_deterministic_at_same_point(self):
-        params = featnet.init_params(TINY, seed=10)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=10))
         rng = np.random.default_rng(19)
         x = rng.standard_normal((3, *TINY.input_shape))
         y = rng.integers(0, 2, 3)
@@ -656,10 +684,10 @@ class TestGradientCheck:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params = featnet.init_params(SMALL, seed=11)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=11))
         featnet.save_params(params, tmp_path / "net.ckpt")
         back = featnet.load_params(tmp_path / "net.ckpt")
-        assert back.config == SMALL
+        assert back.config == params.config
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.allclose(back[name], params[name], atol=1e-6)
 
@@ -667,7 +695,7 @@ class TestCheckpoint:
     def test_load_exact_across_read_blocks(self, tmp_path, monkeypatch, block):
         """Each tensor is its saved float32 values, exactly, whether a read
         block splits tensors at odd offsets or holds several whole."""
-        params = featnet.init_params(SMALL, seed=11)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=11))
         featnet.save_params(params, tmp_path / "net.ckpt")
         monkeypatch.setattr(featnet, "_LOAD_BLOCK", block)
         back = featnet.load_params(tmp_path / "net.ckpt")
@@ -676,7 +704,7 @@ class TestCheckpoint:
             assert np.array_equal(back[name], params[name].astype(np.float32)), name
 
     def test_checkpoint_drives_identical_inference(self, tmp_path):
-        params = featnet.init_params(SMALL, seed=12)
+        params = featnet.init_params(dataclasses.replace(SMALL, seed=12))
         featnet.save_params(params, tmp_path / "net.ckpt")
         back = featnet.load_params(tmp_path / "net.ckpt")
         frames = np.random.default_rng(20).random((6, 16, 32)).astype(np.float32)
@@ -687,10 +715,10 @@ class TestCheckpoint:
     def test_file_layout(self, tmp_path):
         """Magic, config length and JSON, then each tensor as C-order
         little-endian float32, whatever the tensor's memory layout."""
-        params = featnet.init_params(TINY, seed=2)
+        params = featnet.init_params(dataclasses.replace(TINY, seed=2))
         params.tensors["fc1_w"] = np.asfortranarray(params["fc1_w"])
         featnet.save_params(params, tmp_path / "net.ckpt")
-        cfg_json = json.dumps(dataclasses.asdict(TINY)).encode()
+        cfg_json = json.dumps(dataclasses.asdict(params.config)).encode()
         expected = (b"FNET" + len(cfg_json).to_bytes(4, "little") + cfg_json
                     + b"".join(params[name].astype("<f4").tobytes()
                                for name in featnet.FeatNetParams.TENSOR_NAMES))
@@ -699,7 +727,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("cut", ["magic_only", "mid_config", "bad_config",
                                      "no_tensors", "mid_tensors", "trailing"])
     def test_damaged_checkpoint_rejected(self, tmp_path, cut):
-        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        featnet.save_params(featnet.init_params(TINY), tmp_path / "net.ckpt")
         raw = (tmp_path / "net.ckpt").read_bytes()
         header = 8 + int.from_bytes(raw[4:8], "little")
         payload = 4 * sum(math.prod(s) for s in featnet.param_shapes(TINY).values())
@@ -714,7 +742,7 @@ class TestCheckpoint:
             featnet.load_params(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        featnet.save_params(featnet.init_params(TINY), tmp_path / "net.ckpt")
         raw = (tmp_path / "net.ckpt").read_bytes()
         header = 8 + int.from_bytes(raw[4:8], "little")
         cfg_json = json.dumps({**json.loads(raw[8:header]), "dropout": 0.5}).encode()
@@ -726,7 +754,7 @@ class TestCheckpoint:
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         """A file that ends before the size it reported raises DataError
         naming the file and the tensor it was reading."""
-        featnet.save_params(featnet.init_params(TINY, seed=0), tmp_path / "net.ckpt")
+        featnet.save_params(featnet.init_params(TINY), tmp_path / "net.ckpt")
         raw = (tmp_path / "net.ckpt").read_bytes()
         (tmp_path / "cut.ckpt").write_bytes(raw[:-4])
         monkeypatch.setattr(featnet.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(raw)))

@@ -43,6 +43,19 @@ class TestLexicon:
         save_lexicon(lex, tmp_path / "lex.txt")
         assert load_lexicon(tmp_path / "lex.txt", self.PHONES) == lex
 
+    def test_round_trip_is_utf8(self, tmp_path):
+        """Written and read as UTF-8 whatever the locale's encoding."""
+        lex = Lexicon(phones=self.PHONES, entries={"café": (0, 1)}, syllables={"café": 2})
+        save_lexicon(lex, tmp_path / "lex.txt")
+        assert (tmp_path / "lex.txt").read_bytes() == "café\t2\tp0 p1\n".encode("utf-8")
+        assert load_lexicon(tmp_path / "lex.txt", self.PHONES) == lex
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"\xffword\t1\tp0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_lexicon(path, self.PHONES)
+
     @pytest.mark.parametrize("line, reason", [
         ("word\t1", "expected 3 tab-separated fields"),
         ("word\t1\tp0 zz", "unknown phone 'zz'"),

@@ -262,6 +262,18 @@ class TestModeReport:
             with pytest.raises(DataError, match="'hull_area', mode 'modal'.*'s0'"):
                 stats.build_mode_report({}, spk)
 
+    @pytest.mark.parametrize("k", [1e-200, 1.0, 1e200])
+    def test_summary_scale_free(self, k):
+        """Summary moments scale with the values: far from 1 in magnitude,
+        the squared deviations neither underflow to a zero std nor raise a
+        false overflow."""
+        spk = {"hull_area": {"modal": {"s0": k, "s1": 2 * k, "s2": 4 * k},
+                             "silent": {"s0": 0.0, "s1": 0.0, "s2": 0.0}}}
+        report = stats.build_mode_report({}, spk)
+        modal = [r for r in report.summaries if r.mode == "modal"][0]
+        assert modal.mean / k == pytest.approx(7 / 3, rel=1e-12)
+        assert modal.std / k == pytest.approx(math.sqrt(7 / 3), rel=1e-12)
+
     def test_csv_round_trip(self, tmp_path):
         utt, spk = self._metrics()
         report = stats.build_mode_report(utt, spk)
