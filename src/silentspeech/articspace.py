@@ -1,8 +1,15 @@
 """Articulatory-space measurement: tongue contours, isolation-forest
-pruning, convex hulls, and per-speaker/mode hull areas."""
+pruning, convex hulls, and per-speaker/mode hull areas.
+
+Isolation trees are stored in heap order (node ``i`` has children ``2i + 1``
+and ``2i + 2``), and a leaf above the bottom level passes every point down
+its left spine, so scoring walks every point through a tree in the same
+fixed number of steps.
+"""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 import math
@@ -127,12 +134,20 @@ def average_path_length(n: int | np.ndarray) -> np.ndarray | float:
 
 @dataclass
 class _Tree:
-    """One isolation tree with its nodes numbered in pre-order, so the left
-    child of an internal node is always ``node + 1``."""
-    feature: np.ndarray    # split dim per node; -1 for leaves
-    threshold: np.ndarray
-    right: np.ndarray      # right child of internal nodes
-    path: np.ndarray       # depth + c(point count); scoring reads it at leaves
+    """One isolation tree of height h in heap order: node ``i`` has children
+    ``2i + 1`` (points below the threshold) and ``2i + 2``.
+
+    ``feature`` and ``threshold`` hold the 2^h - 1 internal slots and
+    ``path`` the 2^h bottom slots, so every walk from the root takes exactly
+    h steps. A leaf above the bottom level has feature -1 and threshold
+    +inf, as have the slots down its left spine, so a walk always goes left
+    through it; its depth + c(point count) sits in the bottom slot that
+    spine ends in. Slots under a leaf that no walk reaches hold -1, +inf and
+    0.0.
+    """
+    feature: np.ndarray    # split dim per internal slot; -1 for leaves
+    threshold: np.ndarray  # +inf for leaves
+    path: np.ndarray       # depth + c(point count) per bottom slot
 
 
 @dataclass
@@ -146,68 +161,80 @@ class IsolationForest:
         Equal rows take the same path through every tree, so the trees are
         walked once per distinct row and the result is mapped back to every
         row; the output is bit-identical to scoring each row on its own.
+        Each tree is walked in h steps of ``node = 2 node + 1 + right``,
+        where ``right`` ORs ``x_k >= t_k[node]`` over the dimensions k and
+        ``t_k`` holds a node's threshold where it splits on k and +inf
+        elsewhere; leaves thus send every point left.
         """
         points = _finite_2d(points, "isolation forest scoring")
         uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+        cols = np.ascontiguousarray(uniq.T)
+        dims = np.arange(cols.shape[0])[:, None]
         total = np.zeros(uniq.shape[0])
         for tree in self.trees:
+            tables = np.where(tree.feature == dims, tree.threshold, np.inf)
+            height = tree.feature.size.bit_length()
             node = np.zeros(uniq.shape[0], dtype=np.int64)
-            while True:  # children follow their parent: at most depth + 1 steps
-                feat = tree.feature[node]
-                active = feat >= 0
-                if not active.any():
-                    break
-                idx = np.nonzero(active)[0]
-                go_left = uniq[idx, feat[idx]] < tree.threshold[node[idx]]
-                node[idx] = np.where(go_left, node[idx] + 1, tree.right[node[idx]])
+            for _ in range(height):
+                right = cols[0] >= tables[0][node]
+                for col, table in zip(cols[1:], tables[1:]):
+                    right |= col >= table[node]
+                node *= 2
+                node += 1
+                node += right
+            node -= tree.feature.size
             total += tree.path[node]
         return (total / len(self.trees))[inverse.reshape(-1)]
 
 
 def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
                 leaf_c: list[float]) -> _Tree:
-    """Grow one isolation tree, numbering nodes in pre-order.
+    """Grow one isolation tree of height ``height_limit`` in heap order.
 
     Nodes come off an explicit stack with the left child pushed last, so
     each internal node draws its split dimension, then its split value, in
-    pre-order. ``leaf_c[n]`` is c(n) for a leaf holding n points.
+    pre-order. A node holds, per dimension, its point indices sorted by
+    that coordinate, so a dimension's range is its first and last point and
+    the split dimension divides at one bisection. ``leaf_c[n]`` is c(n) for
+    a leaf holding n points.
     """
-    feature, threshold, right, path = [], [], [], []
-    # (columns of the node's points, point count, depth, the parent whose
-    # right child this is or -1). Points are held one row per dimension,
-    # which makes the per-node reductions contiguous.
-    stack = [(np.ascontiguousarray(data.T), data.shape[0], 0, -1)]
+    n_internal = (1 << height_limit) - 1
+    feature = [-1] * n_internal
+    threshold = [math.inf] * n_internal
+    path = [0.0] * (n_internal + 1)
+    coords = data.T.tolist()
+    # (per-dimension sorted point indices, point count, depth, heap slot)
+    stack = [(np.argsort(data, axis=0, kind="stable").T.tolist(), data.shape[0], 0, 0)]
     while stack:
-        cols, n, d, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        right.append(-1)
-        path.append(d + leaf_c[n])
-        if d >= height_limit or n <= 1:
-            continue
-        lo = np.minimum.reduce(cols, axis=1)
-        hi = np.maximum.reduce(cols, axis=1)
-        splittable = (hi > lo).nonzero()[0]
-        if splittable.size == 0:
-            continue
-        dim = int(splittable[rng.integers(0, splittable.size)])
-        a, b = float(lo[dim]), float(hi[dim])
-        val = a + (b - a) * rng.random()
-        feature[node] = dim
-        threshold[node] = val
-        mask = cols[dim] < val
-        n_left = int(np.count_nonzero(mask))
-        # a child that will be a leaf needs only its point count
-        grow = d + 1 < height_limit
-        stack.append((cols.compress(~mask, axis=1) if grow and n - n_left > 1 else None,
-                      n - n_left, d + 1, node))
-        stack.append((cols.compress(mask, axis=1) if grow and n_left > 1 else None,
-                      n_left, d + 1, -1))
-    return _Tree(np.array(feature), np.array(threshold), np.array(right),
-                 np.array(path))
+        orders, n, d, node = stack.pop()
+        if d < height_limit and n > 1:
+            splittable = [k for k, (o, c) in enumerate(zip(orders, coords))
+                          if c[o[-1]] > c[o[0]]]
+            if splittable:
+                dim = splittable[rng.integers(0, len(splittable))]
+                order, coord = orders[dim], coords[dim]
+                a, b = coord[order[0]], coord[order[-1]]
+                val = a + (b - a) * rng.random()
+                feature[node] = dim
+                threshold[node] = val
+                n_left = bisect.bisect_left(order, val, key=coord.__getitem__)
+                # a child that will be a leaf needs only its point count
+                left = right = None
+                if d + 1 < height_limit:
+                    in_left = set(order[:n_left])
+                    if n_left > 1:
+                        left = [order[:n_left] if k == dim else
+                                [i for i in o if i in in_left] for k, o in enumerate(orders)]
+                    if n - n_left > 1:
+                        right = [order[n_left:] if k == dim else
+                                 [i for i in o if i not in in_left]
+                                 for k, o in enumerate(orders)]
+                stack.append((right, n - n_left, d + 1, 2 * node + 2))
+                stack.append((left, n_left, d + 1, 2 * node + 1))
+                continue
+        # a leaf: the walk follows its left spine down to the bottom slot
+        path[((node + 1) << (height_limit - d)) - 1 - n_internal] = d + leaf_c[n]
+    return _Tree(np.array(feature), np.array(threshold), np.array(path))
 
 
 def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,

@@ -65,10 +65,16 @@ def write_frames(path: str | Path, frames: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(out).tobytes())
 
 
-def read_frame_header(path: str | Path) -> tuple[int, int, int, np.dtype]:
-    """Read (n_frames, height, width, dtype) without loading the payload."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_ARTF_HEADER.size)
+def _open_input(path: str | Path):
+    """``path`` opened for binary reading; DataError naming it when missing."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError as exc:
+        raise DataError(f"file not found: {path}") from exc
+
+
+def _read_header(fh, path: str | Path) -> tuple[int, int, int, np.dtype]:
+    raw = fh.read(_ARTF_HEADER.size)
     if len(raw) < _ARTF_HEADER.size:
         raise DataError(f"{path}: truncated frame header")
     magic, code, h, w, n = _ARTF_HEADER.unpack(raw)
@@ -79,11 +85,16 @@ def read_frame_header(path: str | Path) -> tuple[int, int, int, np.dtype]:
     return n, h, w, _DTYPE_CODES[code]
 
 
+def read_frame_header(path: str | Path) -> tuple[int, int, int, np.dtype]:
+    """Read (n_frames, height, width, dtype) without loading the payload."""
+    with _open_input(path) as fh:
+        return _read_header(fh, path)
+
+
 def read_frames(path: str | Path) -> np.ndarray:
     """Read a frame stack written by :func:`write_frames`."""
-    n, h, w, dtype = read_frame_header(path)
-    with open(path, "rb") as fh:
-        fh.seek(_ARTF_HEADER.size)
+    with _open_input(path) as fh:
+        n, h, w, dtype = _read_header(fh, path)
         data = np.frombuffer(fh.read(), dtype=dtype)
     if data.size != n * h * w:
         raise DataError(f"{path}: payload has {data.size} values, header promises {n * h * w}")
@@ -117,7 +128,8 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    with _open_input(path) as fh:
+        raw = fh.read()
     if len(raw) % 2:
         raise DataError(f"{path}: label file has an odd byte count ({len(raw)}); "
                         "expected u16 labels")

@@ -169,7 +169,9 @@ def init_params(config: FeatNetConfig) -> FeatNetParams:
         if name in FeatNetParams.WEIGHT_NAMES:
             # conv fan-in is c*k*k; fc weights are (fan_in, fan_out)
             fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
-            t[name] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+            # scaled in place: the same multiply, with no second copy of fc1_w
+            t[name] = rng.standard_normal(shape)
+            t[name] *= np.sqrt(2.0 / fan_in)
         elif name in ("bn_gamma", "bn_var"):
             t[name] = np.ones(shape)
         else:
@@ -557,7 +559,11 @@ def load_params(path: str | Path) -> FeatNetParams:
     ``_LOAD_BLOCK`` values into the float64 tensors, so the file is never
     held whole in memory.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise DataError(f"file not found: {path}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if head[:4] != _CKPT_MAGIC:

@@ -55,6 +55,8 @@ def load_lexicon(path: str | Path, phones: list[str]) -> Lexicon:
     syllables: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"file not found: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -15,7 +15,9 @@ def brute_force_hull_vertices(points):
 
     A directed edge (i, j) lies on the hull iff every other point is
     strictly left of it or collinear and strictly between its endpoints.
-    Hull vertices are the endpoints of hull edges.
+    Hull vertices are the endpoints of hull edges. For each i, the edges to
+    every j are tested at once: ``cross[j, k]`` and ``t[j, k]`` are the
+    cross and dot products of edge (i, j) with the offset of point k.
     """
     scaled = np.rint(np.asarray(points, dtype=np.float64) * (1 << 16)).astype(np.int64)
     uniq = np.unique(scaled, axis=0)
@@ -24,21 +26,16 @@ def brute_force_hull_vertices(points):
         return {tuple(p) for p in uniq}
     verts = set()
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = uniq[j] - uniq[i]
-            rel = uniq - uniq[i]
-            cross = d[0] * rel[:, 1] - d[1] * rel[:, 0]
-            if np.any(cross < 0):
-                continue
-            on_line = cross == 0
-            t = rel[on_line] @ d
-            # collinear points must be strictly between i and j
-            ok = np.all((t >= 0) & (t <= d @ d))
-            if ok:
-                verts.add(tuple(uniq[i]))
-                verts.add(tuple(uniq[j]))
+        rel = uniq - uniq[i]  # edge (i, j) is rel[j]; point k sits at rel[k]
+        cross = np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0])
+        t = rel @ rel.T
+        # collinear points must be strictly between i and j
+        between = (t >= 0) & (t <= np.diagonal(t)[:, None])
+        ok = (cross >= 0).all(axis=1) & ((cross != 0) | between).all(axis=1)
+        ok[i] = False
+        for j in np.nonzero(ok)[0]:
+            verts.add(tuple(uniq[i]))
+            verts.add(tuple(uniq[j]))
     return verts
 
 
@@ -92,13 +89,60 @@ def reference_fit_trees(points, n_trees, psi, seed):
 
 
 def reference_path(tree, x):
+    """Scalar walk of a heap-ordered tree: h steps from the root, left
+    through leaves, then the path stored in the bottom slot reached."""
+    n_internal = tree.feature.size
     node = 0
-    while tree.feature[node] >= 0:
-        if x[tree.feature[node]] < tree.threshold[node]:
-            node = node + 1
-        else:
-            node = tree.right[node]
-    return tree.path[node]
+    while node < n_internal:
+        dim = tree.feature[node]
+        node = 2 * node + (1 if dim < 0 or x[dim] < tree.threshold[node] else 2)
+    return tree.path[node - n_internal]
+
+
+def reference_tree_paths(ref, pts):
+    """depth + c(n) of the leaf each point reaches in a recursive-builder
+    tree, walked through its left and right child arrays."""
+    feature, threshold, left, right, depth, adjust = ref
+    node = np.zeros(pts.shape[0], dtype=np.int64)
+    rows = np.arange(pts.shape[0])
+    while (feature[node] >= 0).any():
+        dim = feature[node]
+        inner = dim >= 0
+        go_left = pts[rows, np.maximum(dim, 0)] < threshold[node]
+        node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+    return (depth + adjust)[node]
+
+
+def assert_heap_tree_equals(tree, ref, height):
+    """Walk the recursive builder's pre-order arrays alongside the heap
+    slots: exact split per internal node, feature -1 and threshold +inf
+    down each leaf's left spine, and the leaf's depth + c(n) in the bottom
+    slot that spine ends in."""
+    feature, threshold, left, right, depth, adjust = ref
+    n_internal = (1 << height) - 1
+    assert tree.feature.shape == tree.threshold.shape == (n_internal,)
+    assert tree.path.shape == (n_internal + 1,)
+    assert tree.feature.dtype == feature.dtype
+    assert tree.threshold.dtype == threshold.dtype
+    assert tree.path.dtype == depth.dtype
+    stack = [(0, 0)]  # (reference node, heap slot)
+    visited = 0
+    while stack:
+        r, slot = stack.pop()
+        visited += 1
+        assert (slot + 1).bit_length() - 1 == depth[r]
+        if feature[r] >= 0:
+            assert slot < n_internal
+            assert tree.feature[slot] == feature[r]
+            assert tree.threshold[slot] == threshold[r]
+            stack += [(left[r], 2 * slot + 1), (right[r], 2 * slot + 2)]
+            continue
+        while slot < n_internal:
+            assert tree.feature[slot] == -1
+            assert tree.threshold[slot] == np.inf
+            slot = 2 * slot + 1
+        assert tree.path[slot - n_internal] == depth[r] + adjust[r]
+    assert visited == feature.size
 
 
 def hull_vertex_set(hull):
@@ -141,6 +185,12 @@ class TestConvexHull:
         rng = np.random.default_rng(1)
         for _ in range(200):
             pts = rng.random((50, 2)) * rng.uniform(0.5, 100)
+            hull = arts.convex_hull(pts)
+            assert hull_vertex_set(hull) == brute_force_hull_vertices(pts)
+        # integer grids: duplicates and collinear boundary points
+        grid_rng = np.random.default_rng(19)
+        for _ in range(50):
+            pts = grid_rng.integers(0, 6, size=(30, 2)).astype(np.float64)
             hull = arts.convex_hull(pts)
             assert hull_vertex_set(hull) == brute_force_hull_vertices(pts)
 
@@ -279,9 +329,10 @@ class TestIsolationForest:
     @pytest.mark.parametrize("dims", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["normal", "int_grid", "constant"])
     def test_trees_identical_to_recursive_builder(self, dims, kind):
-        """The iterative builder draws the same numbers in the same order as
-        the recursive reference, so every tree array is identical; the left
-        child is the next node, and a leaf's path is its depth plus c(n)."""
+        """The heap-order builder draws the same numbers in the same order
+        as the recursive reference, so every tree holds the reference's
+        splits and leaf paths in the heap slots they map to, and every
+        point takes the same path through both."""
         rng = np.random.default_rng(100 * dims + len(kind))
         if kind == "normal":
             pts = rng.standard_normal((300, dims))
@@ -289,21 +340,17 @@ class TestIsolationForest:
             pts = rng.integers(0, 5, size=(300, dims)).astype(np.float64)
         else:
             pts = np.full((300, dims), 3.0)
+        queries = np.vstack([pts, rng.uniform(-6.0, 6.0, size=(100, dims))])
         for psi in (4, 16, 64, 256):
             seed = psi + dims
             forest = arts.fit_iforest(pts, n_trees=20, psi=psi, seed=seed)
             ref = reference_fit_trees(pts, n_trees=20, psi=psi, seed=seed)
             assert len(forest.trees) == len(ref)
             for tree, want in zip(forest.trees, ref):
-                feature, threshold, left, right, depth, adjust = want
-                for g, w in zip((tree.feature, tree.threshold, tree.right),
-                                (feature, threshold, right)):
-                    assert g.dtype == w.dtype
-                    assert np.array_equal(g, w)
-                internal = feature >= 0
-                assert np.array_equal(left[internal], np.nonzero(internal)[0] + 1)
-                assert tree.path.dtype == depth.dtype
-                assert np.array_equal(tree.path[~internal], (depth + adjust)[~internal])
+                assert_heap_tree_equals(tree, want, math.ceil(math.log2(psi)))
+                one_tree = arts.IsolationForest(psi=forest.psi, trees=[tree])
+                assert np.array_equal(one_tree.path_lengths(queries),
+                                      reference_tree_paths(want, queries))
 
     def test_non_finite_rejected(self):
         pts = np.random.default_rng(16).standard_normal((20, 2))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from silentspeech import articspace, corpus, featnet, stats
-from silentspeech.errors import SilentSpeechError, UsageError
+from silentspeech import articspace, corpus, featnet, recognizer, stats
+from silentspeech.errors import DataError, SilentSpeechError, UsageError
 
 TINY = featnet.FeatNetConfig(input_shape=(1, 8, 8), conv_kernel=2, conv_filters=(2, 3),
                              fc_dims=(8, 6, 4, 6), n_classes=2)
@@ -38,3 +38,23 @@ def test_argument_check_raises_toolkit_error(name):
         BAD_CALLS[name]()
     assert type(info.value) is UsageError
     assert isinstance(info.value, ValueError)
+
+
+# every reader of a data file, each given a path that does not exist
+MISSING_FILE_READERS = {
+    "load_lexicon": lambda p: recognizer.load_lexicon(p, ["p0"]),
+    "load_params": featnet.load_params,
+    "read_frames": corpus.read_frames,
+    "read_labels": corpus.read_labels,
+    "read_features": corpus.read_features,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_FILE_READERS))
+def test_missing_file_raises_data_error(name, tmp_path):
+    """A missing input file raises DataError naming the path, not a bare
+    FileNotFoundError, as a missing manifest raises ManifestError."""
+    path = tmp_path / "absent.bin"
+    with pytest.raises(DataError, match="absent.bin") as info:
+        MISSING_FILE_READERS[name](path)
+    assert isinstance(info.value.__cause__, FileNotFoundError)
