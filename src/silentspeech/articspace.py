@@ -29,6 +29,7 @@ _EULER_GAMMA = 0.5772156649015329
 _ORIENT_SCALE = 1 << 16
 _ORIENT_LIMIT = float(1 << 47)  # |x| * _ORIENT_SCALE stays below 2^63
 _RIDGE_SIGMA = 2.0  # Gaussian sigma, in rows, of the smoothing ridge_track applies
+_RIDGE_THRESHOLD = 0.5  # smoothed intensity a column's peak needs to join the contour
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +92,17 @@ def _smooth_columns(frame: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def ridge_track(frame: np.ndarray, threshold: float = 0.5, utt_id: str = "",
-                frame_index: int = 0) -> TongueContour:
+def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> TongueContour:
     """Track the brightest ridge: per column, the row of maximum smoothed
-    intensity; columns whose smoothed maximum stays below ``threshold`` are
-    omitted."""
+    intensity; columns whose smoothed maximum stays below
+    ``_RIDGE_THRESHOLD`` are omitted."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
     smoothed = _smooth_columns(frame, _RIDGE_SIGMA)
     rows = smoothed.argmax(axis=0)
     peak = smoothed.max(axis=0)
-    cols = np.nonzero(peak >= threshold)[0]
+    cols = np.nonzero(peak >= _RIDGE_THRESHOLD)[0]
     if cols.size < 2:
         raise DataError("no ridge found: fewer than 2 columns exceed the threshold")
     pts = np.stack([cols.astype(np.float64), rows[cols].astype(np.float64)], axis=1)

@@ -10,19 +10,25 @@ File formats:
     keys and the :class:`UtteranceRecord` fields they hold are listed once,
     in ``_RECORD_FIELDS``. Paths are stored relative to the manifest file;
     frames are read with ``read_frames(rec.root / rec.ult_path)``.
+
+Readers open their files through :func:`errors.open_input` and
+:func:`errors.read_text`, so bad input of any kind raises DataError naming
+the file; :func:`load_manifest` prefixes errors about a record's frame or
+label files with the utterance id.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ManifestError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, open_input, read_text
 
 MODES = ("modal", "silent", "whispered")
 SPLITS = ("train", "validation", "test")
@@ -65,14 +71,6 @@ def write_frames(path: str | Path, frames: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(out).tobytes())
 
 
-def _open_input(path: str | Path):
-    """``path`` opened for binary reading; DataError naming it when missing."""
-    try:
-        return open(path, "rb")
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
-
-
 def _read_header(fh, path: str | Path) -> tuple[int, int, int, np.dtype]:
     raw = fh.read(_ARTF_HEADER.size)
     if len(raw) < _ARTF_HEADER.size:
@@ -87,13 +85,13 @@ def _read_header(fh, path: str | Path) -> tuple[int, int, int, np.dtype]:
 
 def read_frame_header(path: str | Path) -> tuple[int, int, int, np.dtype]:
     """Read (n_frames, height, width, dtype) without loading the payload."""
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         return _read_header(fh, path)
 
 
 def read_frames(path: str | Path) -> np.ndarray:
     """Read a frame stack written by :func:`write_frames`."""
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         n, h, w, dtype = _read_header(fh, path)
         data = np.frombuffer(fh.read(), dtype=dtype)
     if data.size != n * h * w:
@@ -128,7 +126,7 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         raw = fh.read()
     if len(raw) % 2:
         raise DataError(f"{path}: label file has an odd byte count ({len(raw)}); "
@@ -160,14 +158,14 @@ class UtteranceRecord:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ManifestError(f"{self.utt_id}: unknown mode {self.mode!r}")
+            raise DataError(f"{self.utt_id}: unknown mode {self.mode!r}")
         if self.split not in SPLITS:
-            raise ManifestError(f"{self.utt_id}: unknown split {self.split!r}")
+            raise DataError(f"{self.utt_id}: unknown split {self.split!r}")
         if not 0.0 < self.duration_s < math.inf:
-            raise ManifestError(f"{self.utt_id}: duration must be positive and finite, "
-                                f"got {self.duration_s}")
+            raise DataError(f"{self.utt_id}: duration must be positive and finite, "
+                            f"got {self.duration_s}")
         if self.syllable_count < 1:
-            raise ManifestError(f"{self.utt_id}: syllable_count must be >= 1")
+            raise DataError(f"{self.utt_id}: syllable_count must be >= 1")
 
     def phone_labels(self) -> np.ndarray | None:
         if self.labels_path is None:
@@ -192,7 +190,7 @@ class Manifest:
     def validate_prompt_disjoint(self) -> None:
         shared = self.prompts("train") & self.prompts("test")
         if shared:
-            raise ManifestError(f"prompts shared between train and test: {sorted(shared)[:5]}")
+            raise DataError(f"prompts shared between train and test: {sorted(shared)[:5]}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,37 +233,33 @@ def load_manifest(path: str | Path) -> Manifest:
     checked here.
     """
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
+        raise DataError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
 
     if not isinstance(payload, dict):
-        raise ManifestError(f"{path}: top level must be a JSON object")
+        raise DataError(f"{path}: top level must be a JSON object")
     for key in ("phones", "records"):
         if key not in payload:
-            raise ManifestError(f"{path}: missing top-level field {key!r}")
+            raise DataError(f"{path}: missing top-level field {key!r}")
         if not isinstance(payload[key], list):
-            raise ManifestError(f"{path}: top-level field {key!r} must be a list")
+            raise DataError(f"{path}: top-level field {key!r} must be a list")
     phones = list(payload["phones"])
     first: dict[str, int] = {}  # index of each phone's first listing
     for i, phone in enumerate(phones):
         if not isinstance(phone, str):
-            raise ManifestError(f"{path}: phone {i} must be a string, "
-                                f"got {type(phone).__name__} {phone!r:.40}")
+            raise DataError(f"{path}: phone {i} must be a string, "
+                            f"got {type(phone).__name__} {phone!r:.40}")
         if phone in first:
-            raise ManifestError(f"{path}: phone {i} ({phone!r}) repeats phone {first[phone]}")
+            raise DataError(f"{path}: phone {i} ({phone!r}) repeats phone {first[phone]}")
         first[phone] = i
     root = path.parent
 
     records = []
     for i, raw in enumerate(payload["records"]):
         if not isinstance(raw, dict):
-            raise ManifestError(f"{path}: record {i} must be a JSON object")
+            raise DataError(f"{path}: record {i} must be a JSON object")
         values: dict[str, object] = {}
         missing = []
         for key, name, kinds in _RECORD_FIELDS:
@@ -274,17 +268,17 @@ def load_manifest(path: str | Path) -> Manifest:
                 continue
             value = raw[key]
             if not isinstance(value, kinds) or type(value) is bool:
-                raise ManifestError(
+                raise DataError(
                     f"{path}: record {i} ({raw.get('id', '?')!r}): {key!r} must be "
                     f"{_KIND_NAMES[kinds]}, got {type(value).__name__} {value!r:.40}")
             values[name] = value
         if missing:
-            raise ManifestError(f"{path}: record {i} missing fields {missing}")
+            raise DataError(f"{path}: record {i} missing fields {missing}")
         try:
             values["duration_s"] = float(values["duration_s"])
             records.append(UtteranceRecord(**values, root=root))
-        except (OverflowError, ManifestError) as exc:
-            raise ManifestError(f"{path}: record {i}: {exc}") from exc
+        except (OverflowError, DataError) as exc:
+            raise DataError(f"{path}: record {i}: {exc}") from exc
 
     manifest = Manifest(phones=phones, records=records, root=root)
     manifest.validate_prompt_disjoint()
@@ -293,31 +287,30 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def _check_record_files(manifest: Manifest) -> None:
+    """Check that each record's files can be read and that its label count
+    matches its ultrasound frame count; DataError prefixed with the
+    utterance id."""
     for r in manifest.records:
-        n_ult = None
-        for attr in ("ult_path", "vid_path"):
-            rel = getattr(r, attr)
-            if rel is None:
-                continue
-            p = r.root / rel
-            if not p.exists():
-                raise ManifestError(f"{r.utt_id}: referenced frame file missing: {p}")
-            n, _, _, _ = read_frame_header(p)
-            if attr == "ult_path":
-                n_ult = n
-        if r.labels_path is not None:
-            p = r.root / r.labels_path
-            if not p.exists():
-                raise ManifestError(f"{r.utt_id}: referenced label file missing: {p}")
-            size = p.stat().st_size
-            if size % 2:
-                raise ManifestError(f"{r.utt_id}: label file {p} has an odd byte count "
-                                    f"({size}); expected u16 labels")
-            n_lab = size // 2
-            if n_ult is not None and n_lab != n_ult:
-                raise ManifestError(
-                    f"{r.utt_id}: {n_lab} phone labels for {n_ult} ultrasound frames"
-                )
+        try:
+            n_ult = None
+            for attr in ("ult_path", "vid_path"):
+                rel = getattr(r, attr)
+                if rel is None:
+                    continue
+                n, _, _, _ = read_frame_header(r.root / rel)
+                if attr == "ult_path":
+                    n_ult = n
+            if r.labels_path is not None:
+                p = r.root / r.labels_path
+                with open_input(p) as fh:
+                    size = os.fstat(fh.fileno()).st_size
+                if size % 2:
+                    raise DataError(f"label file {p} has an odd byte count ({size}); "
+                                    "expected u16 labels")
+                if n_ult is not None and size // 2 != n_ult:
+                    raise DataError(f"{size // 2} phone labels for {n_ult} ultrasound frames")
+        except DataError as exc:
+            raise DataError(f"{r.utt_id}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

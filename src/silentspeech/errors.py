@@ -1,8 +1,19 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its input boundary.
 
-The exit codes below are the contract for the command-line interface
-still to come: usage errors -> 1, DataError -> 2, NumericalError -> 3.
+Each class below :class:`SilentSpeechError` has one exit code in the
+command-line interface still to come: UsageError -> 1, DataError -> 2,
+NumericalError -> 3.
+
+Every reader opens its input file through :func:`open_input` (bytes) or
+:func:`read_text` (UTF-8 text), so a path that is missing, a directory or
+otherwise unreadable raises DataError naming it, with the ``OSError`` as
+its cause.
 """
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import BinaryIO
 
 
 class SilentSpeechError(Exception):
@@ -17,9 +28,24 @@ class DataError(SilentSpeechError):
     """Malformed, missing, or inconsistent input data."""
 
 
-class ManifestError(DataError):
-    """Manifest file cannot be parsed or violates its invariants."""
-
-
 class NumericalError(SilentSpeechError):
     """Numerical failure: divergence, singular system, degenerate input."""
+
+
+def open_input(path: str | Path) -> BinaryIO:
+    """``path`` opened for binary reading; DataError naming it on any OSError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of ``path`` decoded as UTF-8; DataError naming it when the
+    file cannot be read or is not UTF-8."""
+    with open_input(path) as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import WINDOW_OFFSETS, window_stack
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, open_input
 
 _CKPT_MAGIC = b"FNET"
 _WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans past its anchor
@@ -349,15 +349,32 @@ def _forward_full(params, x, train_mode):
     return logits, acts[2], cache
 
 
+def _labels(y, n: int, n_classes: int, what: str) -> np.ndarray:
+    """``y`` as int64 if it holds one integer label in [0, n_classes) for
+    each of ``n`` samples; DataError naming ``what`` otherwise."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise DataError(f"{what}: need one label per sample, got shape {y.shape} "
+                        f"for {n} samples")
+    if y.dtype.kind not in "iu":
+        raise DataError(f"{what}: labels must be integers, got dtype {y.dtype}")
+    bad = np.flatnonzero((y < 0) | (y >= n_classes))
+    if bad.size:
+        raise DataError(f"{what}: label {bad[0]} is {y[bad[0]]}, "
+                        f"outside the {n_classes} classes 0..{n_classes - 1}")
+    return y.astype(np.int64, copy=False)
+
+
 def loss_and_grads(params: FeatNetParams, x: np.ndarray,
                    y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy plus the L2 weight penalty, with gradients for
     every learnable tensor (train-mode batch normalization). ``grads`` also
     holds the batch moments under ``bn_mean`` and ``bn_var``, which are not
-    gradients: :func:`train_sgd` blends them into the running moments."""
+    gradients: :func:`train_sgd` blends them into the running moments.
+    DataError unless ``y`` holds one class index per sample of ``x``."""
     cfg = params.config
     t = params.tensors
-    y = np.asarray(y, dtype=np.int64)
+    y = _labels(y, len(x), cfg.n_classes, "y")
     logits, _, cache = _forward_full(params, x, train_mode=True)
     n = logits.shape[0]
     probs = _softmax(logits)
@@ -418,6 +435,9 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
 
 
 def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of samples whose most probable class is their label;
+    DataError unless ``y`` holds one class index per sample of ``x``."""
+    y = _labels(y, x.shape[0], params.config.n_classes, "y")
     hits = 0
     for i in range(0, x.shape[0], _ACCURACY_CHUNK):
         logits, _ = forward(params, x[i:i + _ACCURACY_CHUNK])
@@ -434,13 +454,16 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     The one function that changes parameters, by rebinding tensors in its
     own copy: ``params`` is left unchanged, and the result may share arrays
     with it. Each update is written into the step's gradient array, which
-    then becomes the tensor, so no parameter set is ever copied.
+    then becomes the tensor, so no parameter set is ever copied. Both
+    label sets are checked against their samples before the first step.
     """
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
     if epochs < 1:
         raise UsageError(f"need epochs >= 1, got {epochs}")
+    train_y = _labels(train_y, train_x.shape[0], cfg.n_classes, "train_y")
+    val_y = _labels(val_y, val_x.shape[0], cfg.n_classes, "val_y")
     rng = np.random.default_rng(cfg.seed)
     params = FeatNetParams(cfg, dict(params.tensors))
     best_acc = -1.0
@@ -559,11 +582,7 @@ def load_params(path: str | Path) -> FeatNetParams:
     ``_LOAD_BLOCK`` values into the float64 tensors, so the file is never
     held whole in memory.
     """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
-    with fh:
+    with open_input(path) as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if head[:4] != _CKPT_MAGIC:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import DataError
+from ..errors import DataError, read_text
 
 
 @dataclass
@@ -53,12 +53,7 @@ def load_lexicon(path: str | Path, phones: list[str]) -> Lexicon:
     index = {p: i for i, p in enumerate(phones)}
     entries: dict[str, tuple[int, ...]] = {}
     syllables: dict[str, int] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue

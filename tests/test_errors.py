@@ -40,9 +40,10 @@ def test_argument_check_raises_toolkit_error(name):
     assert isinstance(info.value, ValueError)
 
 
-# every reader of a data file, each given a path that does not exist
+# every reader of a data file, each given a path it cannot read
 MISSING_FILE_READERS = {
     "load_lexicon": lambda p: recognizer.load_lexicon(p, ["p0"]),
+    "load_manifest": corpus.load_manifest,
     "load_params": featnet.load_params,
     "read_frames": corpus.read_frames,
     "read_labels": corpus.read_labels,
@@ -50,11 +51,15 @@ MISSING_FILE_READERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MISSING_FILE_READERS))
-def test_missing_file_raises_data_error(name, tmp_path):
-    """A missing input file raises DataError naming the path, not a bare
-    FileNotFoundError, as a missing manifest raises ManifestError."""
-    path = tmp_path / "absent.bin"
-    with pytest.raises(DataError, match="absent.bin") as info:
+@pytest.mark.parametrize("name, is_dir", [
+    pytest.param(name, is_dir, id=name + ("-directory" if is_dir else ""))
+    for name in sorted(MISSING_FILE_READERS) for is_dir in (False, True)])
+def test_missing_file_raises_data_error(name, is_dir, tmp_path):
+    """A path that does not exist, or that names a directory, raises
+    DataError naming the path, not a bare OSError."""
+    path = tmp_path / "input.bin"
+    if is_dir:
+        path.mkdir()
+    with pytest.raises(DataError, match="input.bin") as info:
         MISSING_FILE_READERS[name](path)
-    assert isinstance(info.value.__cause__, FileNotFoundError)
+    assert isinstance(info.value.__cause__, IsADirectoryError if is_dir else FileNotFoundError)

@@ -582,6 +582,48 @@ class TestTraining:
             assert b <= a + 1e-9
 
 
+class TestLabels:
+    @pytest.mark.parametrize("labels, why", [
+        pytest.param([0, 1, -1, 0], "y: label 2 is -1, outside the 2 classes 0..1",
+                     id="negative"),
+        pytest.param([0, 2, 1, 5], "y: label 1 is 2, outside the 2 classes 0..1",
+                     id="n_classes"),
+        pytest.param([0, 1, 1], r"y: need one label per sample, got shape \(3,\) for 4",
+                     id="short"),
+        pytest.param([[0, 1, 1, 0]], r"y: need one label per sample, got shape \(1, 4\)",
+                     id="2-d"),
+        pytest.param([0.0, 1.0, 1.0, 0.0], "y: labels must be integers, got dtype float64",
+                     id="float"),
+    ])
+    @pytest.mark.parametrize("fn", [featnet.loss_and_grads, featnet.accuracy],
+                             ids=["loss_and_grads", "accuracy"])
+    def test_bad_labels_rejected(self, fn, labels, why):
+        """A label outside the classes, a label count other than the sample
+        count, or a non-integer label raises DataError naming it, rather
+        than training toward the wrong class, broadcasting one label or
+        raising IndexError."""
+        x = np.random.default_rng(15).standard_normal((4, *TINY.input_shape))
+        with pytest.raises(DataError, match=why):
+            fn(featnet.init_params(TINY), x, labels)
+
+    @pytest.mark.parametrize("which", ["train_y", "val_y"])
+    def test_train_sgd_checks_label_counts_first(self, which, monkeypatch):
+        """A label set one shorter than its samples is rejected before the
+        first step, not after an epoch of training."""
+        rng = np.random.default_rng(16)
+        x, y = toy_dataset(TINY, 4, rng)
+        labels = {"train_y": y, "val_y": y}
+        labels[which] = y[:-1]
+
+        def no_step(*args):
+            raise AssertionError("train_sgd took a step")
+
+        monkeypatch.setattr(featnet, "loss_and_grads", no_step)
+        with pytest.raises(DataError, match=f"{which}: need one label per sample"):
+            featnet.train_sgd(featnet.init_params(TINY), x, labels["train_y"],
+                              x, labels["val_y"], epochs=1)
+
+
 class TestBottleneck:
     def test_shape_contract(self):
         params = featnet.init_params(dataclasses.replace(SMALL, seed=4))
