@@ -104,7 +104,8 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> To
     peak = smoothed.max(axis=0)
     cols = np.nonzero(peak >= _RIDGE_THRESHOLD)[0]
     if cols.size < 2:
-        raise DataError("no ridge found: fewer than 2 columns exceed the threshold")
+        raise DataError(f"{utt_id}[{frame_index}]: no ridge found: "
+                        "fewer than 2 columns exceed the threshold")
     pts = np.stack([cols.astype(np.float64), rows[cols].astype(np.float64)], axis=1)
     return TongueContour(utt_id=utt_id, frame_index=frame_index, points=pts)
 

@@ -90,13 +90,21 @@ def read_frame_header(path: str | Path) -> tuple[int, int, int, np.dtype]:
 
 
 def read_frames(path: str | Path) -> np.ndarray:
-    """Read a frame stack written by :func:`write_frames`."""
+    """Read a frame stack written by :func:`write_frames`.
+
+    The payload size is checked against the file size before the array is
+    allocated, and the payload is read straight into that array.
+    """
     with open_input(path) as fh:
         n, h, w, dtype = _read_header(fh, path)
-        data = np.frombuffer(fh.read(), dtype=dtype)
-    if data.size != n * h * w:
-        raise DataError(f"{path}: payload has {data.size} values, header promises {n * h * w}")
-    return data.reshape(n, h, w).copy()
+        size = os.fstat(fh.fileno()).st_size - _ARTF_HEADER.size
+        if size != n * h * w * dtype.itemsize:
+            raise DataError(f"{path}: payload has {size} bytes, header promises "
+                            f"{n * h * w} values of {dtype.itemsize} bytes")
+        frames = np.empty((n, h, w), dtype=dtype)
+        if fh.readinto(frames) != frames.nbytes:
+            raise DataError(f"{path}: file ended inside the payload")
+    return frames
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

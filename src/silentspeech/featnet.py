@@ -76,14 +76,23 @@ class FeatNetConfig:
     def __post_init__(self) -> None:
         c, h, w = self.input_shape
         if min(c, h, w) < 1:
-            raise DataError(f"bad input shape {self.input_shape}")
+            raise UsageError(f"bad input shape {self.input_shape}")
         if len(self.fc_dims) != 4:
-            raise DataError("fc_dims must list the four hidden layer widths")
+            raise UsageError("fc_dims must list the four hidden layer widths")
+        if min(self.conv_kernel, *self.conv_filters, *self.fc_dims) < 1:
+            raise UsageError(f"conv_kernel, conv_filters and fc_dims need sizes >= 1, got "
+                             f"{self.conv_kernel}, {self.conv_filters}, {self.fc_dims}")
         if self.n_classes < 2:
-            raise DataError("need at least 2 classes")
+            raise UsageError("need at least 2 classes")
+        if self.batch_size < 1:
+            raise UsageError(f"need batch_size >= 1, got {self.batch_size}")
+        if not 0.0 < self.lr < math.inf:
+            raise UsageError(f"need a finite lr > 0, got {self.lr}")
+        if not 0.0 <= self.l2_weight < math.inf:
+            raise UsageError(f"need a finite l2_weight >= 0, got {self.l2_weight}")
         for name, (oh, ow) in self.stage_shapes().items():
             if oh < 1 or ow < 1:
-                raise DataError(
+                raise UsageError(
                     f"{name} output collapses to {oh}x{ow}; "
                     f"input {h}x{w} too small for kernel {self.conv_kernel}")
 
@@ -436,7 +445,10 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
 
 def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose most probable class is their label;
-    DataError unless ``y`` holds one class index per sample of ``x``."""
+    DataError when ``x`` has no samples or ``y`` does not hold one class
+    index per sample of ``x``."""
+    if x.shape[0] == 0:
+        raise DataError("accuracy of zero samples is undefined")
     y = _labels(y, x.shape[0], params.config.n_classes, "y")
     hits = 0
     for i in range(0, x.shape[0], _ACCURACY_CHUNK):
@@ -469,9 +481,7 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     best_acc = -1.0
     best_epoch = 0
     metrics: list[dict] = []
-
-    # lr == 0 is a strict no-op: even running moments stay frozen
-    frozen = cfg.lr == 0.0
+    t = params.tensors
     for epoch in range(epochs):
         order = rng.permutation(train_x.shape[0])
         losses = []
@@ -479,17 +489,14 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
             sel = order[lo:lo + cfg.batch_size]
             loss, grads = loss_and_grads(params, train_x[sel], train_y[sel])
             losses.append(loss)
-            if not frozen:
-                t = params.tensors
-                for name in FeatNetParams.LEARNABLE_NAMES:
-                    # p - lr * g into g's own buffer: no fc1-sized temporary
-                    g = grads[name]
-                    g *= cfg.lr
-                    np.subtract(t[name], g, out=g)
-                    t[name] = g
-                for name in ("bn_mean", "bn_var"):
-                    t[name] = t[name] * (1.0 - _BN_MOMENTUM) + _BN_MOMENTUM * grads[name]
-            del grads  # or the lr == 0 path holds them through the next step
+            for name in FeatNetParams.LEARNABLE_NAMES:
+                # p - lr * g into g's own buffer: no fc1-sized temporary
+                g = grads[name]
+                g *= cfg.lr
+                np.subtract(t[name], g, out=g)
+                t[name] = g
+            for name in ("bn_mean", "bn_var"):
+                t[name] = t[name] * (1.0 - _BN_MOMENTUM) + _BN_MOMENTUM * grads[name]
         val_acc = accuracy(params, val_x, val_y)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_acc": val_acc, "selected": False})
@@ -597,7 +604,7 @@ def load_params(path: str | Path) -> FeatNetParams:
             for key in ("input_shape", "conv_filters", "fc_dims"):
                 cfg_dict[key] = tuple(cfg_dict[key])
             config = FeatNetConfig(**cfg_dict)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # UsageError is a ValueError
             raise DataError(f"{path}: unreadable checkpoint config ({exc})") from exc
         shapes = param_shapes(config)
         expected = 8 + n + 4 * sum(math.prod(shape) for shape in shapes.values())

@@ -27,6 +27,9 @@ class Lexicon:
                 raise DataError(f"lexicon entry {word!r} has phone index outside inventory")
             if self.syllables.get(word, 0) < 1:
                 raise DataError(f"lexicon entry {word!r} needs a syllable count >= 1")
+        orphans = self.syllables.keys() - self.entries.keys()
+        if orphans:
+            raise DataError(f"syllable counts for words with no lexicon entry: {sorted(orphans)}")
 
     @property
     def words(self) -> list[str]:

@@ -1,9 +1,16 @@
-"""Witten-Bell smoothed bigram language model with backoff to a smoothed
-unigram.
+"""Interpolated Witten-Bell bigram language model (Witten & Bell 1991).
 
-Histories are the sentence-begin symbol or any vocabulary word; predicted
-events are vocabulary words plus the sentence-end symbol. For every
-history the smoothed conditional distribution sums to one.
+Histories h are the sentence-begin symbol or a vocabulary word; predicted
+events w are the vocabulary words plus the sentence-end symbol. Every
+history uses the one formula
+
+    P(w | h) = (c(h, w) + T(h) * P_uni(w)) / (c(h) + T(h))
+
+where c(h, w) counts w after h, c(h) is the sum of those counts and T(h)
+is the number of distinct successors of h. The unigram is Witten-Bell
+smoothed towards the uniform distribution over the V events; every event
+occurs in training, so it is P_uni(w) = (c(w) + 1) / (N + V) for N event
+tokens. For every history the conditional distribution sums to one.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ EOS = "</s>"
 @dataclass
 class BigramLm:
     vocab: list[str]
-    unigram: dict[str, float]                      # event -> smoothed P
-    seen: dict[str, dict[str, float]] = field(repr=False, default_factory=dict)
-    backoff: dict[str, float] = field(repr=False, default_factory=dict)
-    interpolate_full: set[str] = field(repr=False, default_factory=set)
+    unigram: dict[str, float]                                 # event -> P_uni
+    successors: dict[str, dict[str, int]] = field(repr=False)  # h -> w -> c(h, w)
+    totals: dict[str, int] = field(repr=False)                 # h -> c(h)
 
     @property
     def events(self) -> list[str]:
@@ -33,16 +39,11 @@ class BigramLm:
         """P(word | history); history is BOS or a vocabulary word."""
         if word not in self.unigram:
             raise DataError(f"word {word!r} outside the language model vocabulary")
-        if history not in self.seen:
-            return self.unigram[word]
-        succ = self.seen[history]
-        if history in self.interpolate_full:
-            # every event observed after this history: no unseen mass to
-            # back off to, so the reserved mass interpolates the unigram
-            return succ[word] + self.backoff[history] * self.unigram[word]
-        if word in succ:
-            return succ[word]
-        return self.backoff[history] * self.unigram[word]
+        if history not in self.successors:
+            raise DataError(f"history {history!r} is neither {BOS!r} nor a vocabulary word")
+        succ = self.successors[history]
+        types = len(succ)
+        return (succ.get(word, 0) + types * self.unigram[word]) / (self.totals[history] + types)
 
     def logprob(self, word: str, history: str) -> float:
         return math.log(self.prob(word, history))
@@ -57,44 +58,22 @@ class BigramLm:
 
 
 def train_bigram(sentences: list[list[str]]) -> BigramLm:
-    """Maximum-likelihood bigram with Witten-Bell smoothing.
-
-    Seen successors get count / (count(h) + types(h)); the remaining
-    types/(count+types) mass backs off to the smoothed unigram over the
-    unseen events.
-    """
+    """Interpolated Witten-Bell bigram over word sequences; empty sentences
+    are skipped."""
     sentences = [s for s in sentences if s]
     if not sentences:
         raise DataError("cannot train a language model on an empty corpus")
-    vocab = sorted({w for s in sentences for w in s})
-
     uni_counts: dict[str, int] = {}
-    big_counts: dict[str, dict[str, int]] = {}
+    successors: dict[str, dict[str, int]] = {}
     for s in sentences:
-        history = BOS
-        for w in s + [EOS]:
+        if BOS in s or EOS in s:
+            raise DataError(f"sentence {s!r} holds a reserved symbol {BOS!r} or {EOS!r}")
+        for history, w in zip([BOS] + s, s + [EOS]):
             uni_counts[w] = uni_counts.get(w, 0) + 1
-            hist = big_counts.setdefault(history, {})
-            hist[w] = hist.get(w, 0) + 1
-            history = w
-
-    events = vocab + [EOS]
-    n_tokens = sum(uni_counts.values())
-    n_types = len(uni_counts)
-    v = len(events)
-    denom = n_tokens + n_types
-    unigram = {w: (uni_counts.get(w, 0) + n_types / v) / denom for w in events}
-
-    lm = BigramLm(vocab=vocab, unigram=unigram)
-    for history, succ in big_counts.items():
-        c_h = sum(succ.values())
-        t_h = len(succ)
-        lm.seen[history] = {w: c / (c_h + t_h) for w, c in succ.items()}
-        alpha = t_h / (c_h + t_h)
-        unseen_mass = sum(unigram[w] for w in events if w not in succ)
-        if unseen_mass > 0.0:
-            lm.backoff[history] = alpha / unseen_mass
-        else:
-            lm.interpolate_full.add(history)
-            lm.backoff[history] = alpha
-    return lm
+            succ = successors.setdefault(history, {})
+            succ[w] = succ.get(w, 0) + 1
+    vocab = sorted(uni_counts.keys() - {EOS})
+    denom = sum(uni_counts.values()) + len(uni_counts)
+    unigram = {w: (uni_counts[w] + 1) / denom for w in vocab + [EOS]}
+    totals = {h: sum(succ.values()) for h, succ in successors.items()}
+    return BigramLm(vocab=vocab, unigram=unigram, successors=successors, totals=totals)

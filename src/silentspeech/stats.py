@@ -31,25 +31,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd half-step; the odd one's delta tests convergence
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise NumericalError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
@@ -199,8 +192,8 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 def syllable_rate(syllable_count: int, duration_s: float) -> float:
     """Syllables per second for one utterance."""
-    if duration_s <= 0:
-        raise DataError(f"duration must be positive, got {duration_s}")
+    if not 0.0 < duration_s < math.inf:
+        raise DataError(f"duration must be positive and finite, got {duration_s}")
     if syllable_count < 1:
         raise DataError(f"syllable count must be >= 1, got {syllable_count}")
     return syllable_count / duration_s

@@ -456,6 +456,10 @@ class TestRidgeTrack:
         with pytest.raises(DataError):
             arts.ridge_track(np.zeros((20, 20)))
 
+    def test_no_ridge_names_utterance_and_frame(self):
+        with pytest.raises(DataError, match=r"^s01_modal_003\[17\]: no ridge found"):
+            arts.ridge_track(np.zeros((20, 20)), utt_id="s01_modal_003", frame_index=17)
+
     def test_single_bright_row(self):
         frame = np.zeros((20, 15))
         frame[5:10, :] = 1.0  # one bright row smooths to a peak below the threshold

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -59,6 +61,55 @@ class TestFrameContainer:
         (tmp_path / "bad.artf").write_bytes(b"NOPE" + b"\0" * 20)
         with pytest.raises(DataError, match="magic"):
             corpus.read_frames(tmp_path / "bad.artf")
+
+    @pytest.mark.parametrize("delta", [-5, -4, -1, 1, 4])
+    def test_payload_size_mismatch_rejected(self, tmp_path, delta):
+        """Short or long payloads, whole values or not, are checked against
+        the header before anything is allocated."""
+        corpus.write_frames(tmp_path / "p.artf", np.zeros((2, 3, 4), dtype=np.float32))
+        raw = (tmp_path / "p.artf").read_bytes()
+        (tmp_path / "p.artf").write_bytes(raw[:delta] if delta < 0 else raw + b"\0" * delta)
+        with pytest.raises(DataError, match=rf"p\.artf: payload has {96 + delta} bytes, "
+                                            r"header promises 24 values of 4 bytes"):
+            corpus.read_frames(tmp_path / "p.artf")
+
+    def test_huge_header_allocates_nothing(self, tmp_path):
+        """A corrupt header promising 2^32 - 1 frames of 65535 x 65535 f32
+        values is rejected by size, not by a failed allocation."""
+        header = corpus._ARTF_HEADER.pack(corpus._ARTF_MAGIC, 1, 0xFFFF, 0xFFFF, 0xFFFFFFFF)
+        (tmp_path / "huge.artf").write_bytes(header + b"\0" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="huge.artf: payload has 64 bytes"):
+                corpus.read_frames(tmp_path / "huge.artf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        """A file that ends before the size it reported raises DataError."""
+        corpus.write_frames(tmp_path / "s.artf", np.zeros((2, 3, 4), dtype=np.float32))
+        size = (tmp_path / "s.artf").stat().st_size
+        (tmp_path / "s.artf").write_bytes((tmp_path / "s.artf").read_bytes()[:-4])
+        monkeypatch.setattr(corpus.os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+        with pytest.raises(DataError, match=r"s\.artf: file ended inside the payload"):
+            corpus.read_frames(tmp_path / "s.artf")
+
+    def test_read_holds_payload_once(self, tmp_path):
+        """The payload is read into the array it is returned in: no bytes
+        copy. A 200 x 128 x 256 f32 stack is 25 MiB."""
+        path = tmp_path / "big.artf"
+        corpus.write_frames(path, np.ones((200, 128, 256), dtype=np.float32))
+        payload = 200 * 128 * 256 * 4
+        tracemalloc.start()
+        try:
+            frames = corpus.read_frames(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frames.nbytes == payload and frames.min() == frames.max() == 1.0
+        assert peak < 1.2 * payload
 
     def test_feature_round_trip(self, tmp_path):
         feats = np.random.default_rng(2).standard_normal((9, 5)).astype(np.float32)

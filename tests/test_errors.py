@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,23 @@ POINTS = np.random.default_rng(0).random((10, 2))
 
 # every argument check of the public API, each with an argument it rejects
 BAD_CALLS = {
+    "FeatNetConfig-lr-zero": lambda: dataclasses.replace(TINY, lr=0.0),
+    "FeatNetConfig-lr-negative": lambda: dataclasses.replace(TINY, lr=-0.1),
+    "FeatNetConfig-lr-nan": lambda: dataclasses.replace(TINY, lr=math.nan),
+    "FeatNetConfig-lr-inf": lambda: dataclasses.replace(TINY, lr=math.inf),
+    "FeatNetConfig-batch-zero": lambda: dataclasses.replace(TINY, batch_size=0),
+    "FeatNetConfig-batch-negative": lambda: dataclasses.replace(TINY, batch_size=-1),
+    "FeatNetConfig-l2-negative": lambda: dataclasses.replace(TINY, l2_weight=-0.1),
+    "FeatNetConfig-l2-nan": lambda: dataclasses.replace(TINY, l2_weight=math.nan),
+    "FeatNetConfig-l2-inf": lambda: dataclasses.replace(TINY, l2_weight=math.inf),
+    "FeatNetConfig-kernel": lambda: dataclasses.replace(TINY, conv_kernel=0),
+    "FeatNetConfig-filters-1": lambda: dataclasses.replace(TINY, conv_filters=(0, 3)),
+    "FeatNetConfig-filters-2": lambda: dataclasses.replace(TINY, conv_filters=(2, 0)),
+    "FeatNetConfig-fc-dims": lambda: dataclasses.replace(TINY, fc_dims=(8, 6, 0, 6)),
+    "FeatNetConfig-fc-count": lambda: dataclasses.replace(TINY, fc_dims=(8, 6, 4)),
+    "FeatNetConfig-classes": lambda: dataclasses.replace(TINY, n_classes=1),
+    "FeatNetConfig-input-shape": lambda: dataclasses.replace(TINY, input_shape=(0, 8, 8)),
+    "FeatNetConfig-collapse": lambda: dataclasses.replace(TINY, input_shape=(1, 4, 4)),
     "train_sgd-epochs": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
                                                   epochs=0),
     "extract_bottleneck-chunk": lambda: featnet.extract_bottleneck(

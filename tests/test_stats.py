@@ -203,6 +203,11 @@ class TestSyllableRate:
         with pytest.raises(DataError):
             stats.syllable_rate(3, 0.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(DataError, match="duration must be positive and finite"):
+            stats.syllable_rate(3, duration)
+
 
 class TestModeReport:
     def _metrics(self, modes=("modal", "silent", "whispered"), n=12, seed=8):
