@@ -1,10 +1,23 @@
 """Articulatory-space measurement: tongue contours, isolation-forest
 pruning, convex hulls, and per-speaker/mode hull areas.
 
-Isolation trees are stored in heap order (node ``i`` has children ``2i + 1``
-and ``2i + 2``), and a leaf above the bottom level passes every point down
-its left spine, so scoring walks every point through a tree in the same
-fixed number of steps.
+Every stage is exact: a seed fixes every tree, score, pruned set and hull
+bit for bit.
+
+- Ridge tracking smooths each column with a fixed 13-tap Gaussian, summing
+  the taps in kernel order, and takes the first row of each column's
+  maximum.
+- Isolation trees are grown from per-dimension sorted point orders; a
+  child that will be a leaf is written at once and never stacked. Trees
+  are stored in heap order (node ``i`` has children ``2i + 1`` and
+  ``2i + 2``), and a leaf above the bottom level passes every point down
+  its left spine, so scoring walks every point through a tree in the same
+  fixed number of steps.
+- Scoring walks each distinct row once; the distinct rows come from one
+  lexicographic sort and a compare of adjacent rows.
+- The hull is Andrew's monotone chain on integer-scaled coordinates, fed
+  only the lowest and highest point of each x from one stable
+  lexicographic sort, which also gives each vertex its first input row.
 """
 
 from __future__ import annotations
@@ -30,6 +43,9 @@ _ORIENT_SCALE = 1 << 16
 _ORIENT_LIMIT = float(1 << 47)  # |x| * _ORIENT_SCALE stays below 2^63
 _RIDGE_SIGMA = 2.0  # Gaussian sigma, in rows, of the smoothing ridge_track applies
 _RIDGE_THRESHOLD = 0.5  # smoothed intensity a column's peak needs to join the contour
+_RIDGE_RADIUS = max(1, int(math.ceil(3 * _RIDGE_SIGMA)))
+_RIDGE_KERNEL = np.exp(-0.5 * (np.arange(-_RIDGE_RADIUS, _RIDGE_RADIUS + 1) / _RIDGE_SIGMA) ** 2)
+_RIDGE_KERNEL /= _RIDGE_KERNEL.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +94,17 @@ class HullResult:
 # Ridge tracking (stand-in contour extractor for synthetic frames)
 
 
-def _smooth_columns(frame: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian smoothing along rows (per column), edge-replicated."""
-    radius = max(1, int(math.ceil(3 * sigma)))
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(frame, ((radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(frame, dtype=np.float64)
+def _smooth_columns(frame: np.ndarray) -> np.ndarray:
+    """Gaussian smoothing along rows (per column), edge-replicated. The
+    taps are added onto zeros in kernel order, which fixes every bit of the
+    result; each product goes into one reused buffer."""
     h = frame.shape[0]
-    for k, w in enumerate(kernel):
-        out += w * padded[k:k + h, :]
+    padded = frame[np.clip(np.arange(-_RIDGE_RADIUS, h + _RIDGE_RADIUS), 0, h - 1)]
+    out = np.zeros_like(frame, dtype=np.float64)
+    tap = np.empty_like(out)
+    for k, w in enumerate(_RIDGE_KERNEL):
+        np.multiply(padded[k:k + h], w, out=tap)
+        out += tap
     return out
 
 
@@ -99,7 +115,7 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> To
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
-    smoothed = _smooth_columns(frame, _RIDGE_SIGMA)
+    smoothed = _smooth_columns(frame)
     rows = smoothed.argmax(axis=0)
     peak = smoothed.max(axis=0)
     cols = np.nonzero(peak >= _RIDGE_THRESHOLD)[0]
@@ -154,6 +170,7 @@ class _Tree:
 @dataclass
 class IsolationForest:
     psi: int            # effective subsample size
+    n_dims: int         # width of the points the forest was fit on
     trees: list[_Tree] = field(repr=False, default_factory=list)
 
     def path_lengths(self, points: np.ndarray) -> np.ndarray:
@@ -162,20 +179,30 @@ class IsolationForest:
         Equal rows take the same path through every tree, so the trees are
         walked once per distinct row and the result is mapped back to every
         row; the output is bit-identical to scoring each row on its own.
+        Points must have the width of the fit data (DataError otherwise).
         Each tree is walked in h steps of ``node = 2 node + 1 + right``,
         where ``right`` ORs ``x_k >= t_k[node]`` over the dimensions k and
         ``t_k`` holds a node's threshold where it splits on k and +inf
         elsewhere; leaves thus send every point left.
         """
         points = _finite_2d(points, "isolation forest scoring")
-        uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-        cols = np.ascontiguousarray(uniq.T)
-        dims = np.arange(cols.shape[0])[:, None]
-        total = np.zeros(uniq.shape[0])
+        if points.shape[1] != self.n_dims:
+            raise DataError(f"isolation forest was fit on {self.n_dims}-D points, "
+                            f"cannot score {points.shape[1]}-D points")
+        # distinct rows: sort lexicographically, then compare adjacent rows
+        order = np.lexsort(points.T[::-1])
+        ranked = points[order]
+        new_row = np.ones(order.size, dtype=bool)
+        new_row[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new_row) - 1
+        cols = np.ascontiguousarray(ranked[new_row].T)
+        dims = np.arange(self.n_dims)[:, None]
+        total = np.zeros(cols.shape[1])
         for tree in self.trees:
             tables = np.where(tree.feature == dims, tree.threshold, np.inf)
             height = tree.feature.size.bit_length()
-            node = np.zeros(uniq.shape[0], dtype=np.int64)
+            node = np.zeros(cols.shape[1], dtype=np.int64)
             for _ in range(height):
                 right = cols[0] >= tables[0][node]
                 for col, table in zip(cols[1:], tables[1:]):
@@ -185,7 +212,7 @@ class IsolationForest:
                 node += right
             node -= tree.feature.size
             total += tree.path[node]
-        return (total / len(self.trees))[inverse.reshape(-1)]
+        return (total / len(self.trees))[inverse]
 
 
 def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
@@ -196,45 +223,56 @@ def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
     each internal node draws its split dimension, then its split value, in
     pre-order. A node holds, per dimension, its point indices sorted by
     that coordinate, so a dimension's range is its first and last point and
-    the split dimension divides at one bisection. ``leaf_c[n]`` is c(n) for
-    a leaf holding n points.
+    the split dimension divides at one bisection; the other dimensions keep
+    their order and split by comparing the split coordinate with the
+    threshold. A child that will be a leaf (at the height limit, or with at
+    most one point) draws nothing, so its path is written at once instead
+    of going through the stack. ``leaf_c[n]`` is c(n) for a leaf holding n
+    points.
     """
     n_internal = (1 << height_limit) - 1
     feature = [-1] * n_internal
     threshold = [math.inf] * n_internal
     path = [0.0] * (n_internal + 1)
-    coords = data.T.tolist()
-    # (per-dimension sorted point indices, point count, depth, heap slot)
-    stack = [(np.argsort(data, axis=0, kind="stable").T.tolist(), data.shape[0], 0, 0)]
-    while stack:
-        orders, n, d, node = stack.pop()
-        if d < height_limit and n > 1:
-            splittable = [k for k, (o, c) in enumerate(zip(orders, coords))
-                          if c[o[-1]] > c[o[0]]]
-            if splittable:
-                dim = splittable[rng.integers(0, len(splittable))]
-                order, coord = orders[dim], coords[dim]
-                a, b = coord[order[0]], coord[order[-1]]
-                val = a + (b - a) * rng.random()
-                feature[node] = dim
-                threshold[node] = val
-                n_left = bisect.bisect_left(order, val, key=coord.__getitem__)
-                # a child that will be a leaf needs only its point count
-                left = right = None
-                if d + 1 < height_limit:
-                    in_left = set(order[:n_left])
-                    if n_left > 1:
-                        left = [order[:n_left] if k == dim else
-                                [i for i in o if i in in_left] for k, o in enumerate(orders)]
-                    if n - n_left > 1:
-                        right = [order[n_left:] if k == dim else
-                                 [i for i in o if i not in in_left]
-                                 for k, o in enumerate(orders)]
-                stack.append((right, n - n_left, d + 1, 2 * node + 2))
-                stack.append((left, n_left, d + 1, 2 * node + 1))
-                continue
-        # a leaf: the walk follows its left spine down to the bottom slot
+
+    def leaf(n: int, d: int, node: int) -> None:
+        # the walk follows a leaf's left spine down to the bottom slot
         path[((node + 1) << (height_limit - d)) - 1 - n_internal] = d + leaf_c[n]
+
+    coords = data.T.tolist()
+    # (per-dimension sorted point indices, depth, heap slot); the root has
+    # >= 2 points and height_limit >= 1, and so has every node pushed
+    stack = [(np.argsort(data, axis=0, kind="stable").T.tolist(), 0, 0)]
+    while stack:
+        orders, d, node = stack.pop()
+        splittable = [k for k, (o, c) in enumerate(zip(orders, coords))
+                      if c[o[-1]] > c[o[0]]]
+        if not splittable:
+            leaf(len(orders[0]), d, node)
+            continue
+        dim = splittable[0]
+        if len(splittable) > 1:  # numpy draws nothing for a one-value range
+            dim = splittable[rng.integers(0, len(splittable))]
+        order, coord = orders[dim], coords[dim]
+        a, b = coord[order[0]], coord[order[-1]]
+        val = a + (b - a) * rng.random()
+        feature[node] = dim
+        threshold[node] = val
+        n_left = bisect.bisect_left(order, val, key=coord.__getitem__)
+        n_right = len(order) - n_left
+        d += 1
+        if d < height_limit and n_right > 1:
+            stack.append(([order[n_left:] if k == dim else
+                           [i for i in o if coord[i] >= val] for k, o in enumerate(orders)],
+                          d, 2 * node + 2))
+        else:
+            leaf(n_right, d, 2 * node + 2)
+        if d < height_limit and n_left > 1:
+            stack.append(([order[:n_left] if k == dim else
+                           [i for i in o if coord[i] < val] for k, o in enumerate(orders)],
+                          d, 2 * node + 1))
+        else:
+            leaf(n_left, d, 2 * node + 1)
     return _Tree(np.array(feature), np.array(threshold), np.array(path))
 
 
@@ -262,7 +300,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
     leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
     rng = np.random.default_rng(seed)
-    forest = IsolationForest(psi=psi_eff)
+    forest = IsolationForest(psi=psi_eff, n_dims=points.shape[1])
     for _ in range(n_trees):
         idx = rng.choice(n, size=psi_eff, replace=False)
         forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
@@ -305,17 +343,21 @@ def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
 
 
 def _cross(o, a, b) -> int:
+    """z of (a - o) x (b - o) for points whose first two entries are x, y."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew monotone-chain hull, counter-clockwise, collinear boundary
-    points excluded.
+    points excluded; each vertex is the first input row at its scaled
+    position.
 
     Orientation tests run on exact integers after scaling coordinates by
     2^16, so hull membership never depends on floating-point rounding.
     Coordinates must be finite and below 2^47 in magnitude, so that the
-    scaled values fit in int64.
+    scaled values fit in int64. Only the lowest and highest point of each
+    scaled x reach the chain: a point strictly between them lies on a
+    vertical segment, so it is never a strict vertex.
     """
     points = _finite_2d(points, "convex_hull")
     if points.shape[0] < 1 or points.shape[1] != 2:
@@ -323,13 +365,21 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     if np.abs(points).max() >= _ORIENT_LIMIT:
         raise DataError("convex_hull: coordinates must be below 2^47 in magnitude")
     scaled = np.rint(points * _ORIENT_SCALE).astype(np.int64)
-
-    first_of: dict[tuple[int, int], int] = {}
-    for i, (x, y) in enumerate(scaled.tolist()):
-        first_of.setdefault((x, y), i)
-    uniq = sorted(first_of)
-    if len(uniq) == 1:
-        return points[[first_of[uniq[0]]]]
+    # stable, so each distinct point's run starts at its first input row
+    order = np.lexsort((scaled[:, 1], scaled[:, 0]))
+    x, y = scaled[order, 0], scaled[order, 1]
+    new_x = np.ones(order.size, dtype=bool)
+    new_x[1:] = x[1:] != x[:-1]
+    new_point = new_x.copy()
+    new_point[1:] |= y[1:] != y[:-1]
+    starts = np.flatnonzero(new_point)  # first row of each distinct point
+    if starts.size == 1:
+        return points[[order[0]]]
+    # the lowest and the highest distinct point of each x, as (x, y, input row)
+    first_x = new_x[starts]
+    last_x = np.append(first_x[1:], True)
+    rows = starts[first_x | last_x]
+    extremes = list(zip(x[rows].tolist(), y[rows].tolist(), order[rows].tolist()))
 
     def chain(pts):
         out = []
@@ -339,10 +389,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = chain(uniq)
-    upper = chain(uniq[::-1])
-    hull_int = lower[:-1] + upper[:-1]
-    return points[[first_of[p] for p in hull_int]]
+    lower = chain(extremes)
+    upper = chain(extremes[::-1])
+    return points[[p[2] for p in lower[:-1] + upper[:-1]]]
 
 
 def polygon_area(vertices: np.ndarray) -> float:

@@ -347,6 +347,11 @@ def normalize(sequences: list[np.ndarray]) -> tuple[float, float, list[np.ndarra
 
 
 def apply_normalization(frames: np.ndarray, mean: float, std: float) -> np.ndarray:
+    """``(frames - mean) / std`` as float64; DataError unless the mean is
+    finite and the std finite and positive."""
+    if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
+        raise DataError("normalization statistics need a finite mean and a finite, "
+                        f"positive std; got mean={mean}, std={std}")
     return (np.asarray(frames, dtype=np.float64) - mean) / std
 
 

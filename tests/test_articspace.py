@@ -194,6 +194,20 @@ class TestConvexHull:
             hull = arts.convex_hull(pts)
             assert hull_vertex_set(hull) == brute_force_hull_vertices(pts)
 
+    def test_returns_first_input_row(self):
+        """Rows that coincide after the 2^16 scaling share one hull vertex,
+        and the vertex returned is the first of them in input order."""
+        a, b = [1.0, 1.0], [1.0 + 2**-20, 1.0]
+        others = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        for first, second in ((a, b), (b, a)):
+            for pts in (np.array([first, second] + others),
+                        np.array(others + [first, second]),
+                        np.array([first] + others + [second])):
+                hull = arts.convex_hull(pts)
+                assert hull.shape == (4, 2)
+                at_corner = [v for v in hull.tolist() if v[0] > 0.5 and v[1] > 0.5]
+                assert at_corner == [first]
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         pts = rng.random((40, 2))
@@ -348,7 +362,7 @@ class TestIsolationForest:
             assert len(forest.trees) == len(ref)
             for tree, want in zip(forest.trees, ref):
                 assert_heap_tree_equals(tree, want, math.ceil(math.log2(psi)))
-                one_tree = arts.IsolationForest(psi=forest.psi, trees=[tree])
+                one_tree = arts.IsolationForest(psi=forest.psi, n_dims=dims, trees=[tree])
                 assert np.array_equal(one_tree.path_lengths(queries),
                                       reference_tree_paths(want, queries))
 
@@ -362,6 +376,16 @@ class TestIsolationForest:
                 arts.fit_iforest(broken, n_trees=5, psi=8, seed=0)
             with pytest.raises(DataError, match="NaN or inf"):
                 forest.path_lengths(broken)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_width_rejected(self, width):
+        """A forest fit on 3-D points names both widths for 2-D or 4-D
+        points instead of scoring them wrongly or ignoring a column."""
+        rng = np.random.default_rng(20)
+        forest = arts.fit_iforest(rng.standard_normal((40, 3)), n_trees=5, psi=16, seed=0)
+        assert forest.n_dims == 3
+        with pytest.raises(DataError, match=f"fit on 3-D points, cannot score {width}-D"):
+            arts.anomaly_score(forest, rng.standard_normal((10, width)))
 
     def test_degenerate_parameters_rejected(self):
         pts = np.random.default_rng(18).random((10, 2))
@@ -459,6 +483,45 @@ class TestRidgeTrack:
     def test_no_ridge_names_utterance_and_frame(self):
         with pytest.raises(DataError, match=r"^s01_modal_003\[17\]: no ridge found"):
             arts.ridge_track(np.zeros((20, 20)), utt_id="s01_modal_003", frame_index=17)
+
+    @staticmethod
+    def reference_ridge(frame):
+        """The smoothing and ridge as first written: np.pad edge
+        replication, a fresh product per tap added onto zeros in kernel
+        order, and the first row of each column's maximum."""
+        sigma = 2.0
+        offsets = np.arange(-6, 7)
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel /= kernel.sum()
+        h = frame.shape[0]
+        padded = np.pad(frame, ((6, 6), (0, 0)), mode="edge")
+        smoothed = np.zeros_like(frame)
+        for k, w in enumerate(kernel):
+            smoothed += w * padded[k:k + h, :]
+        rows = smoothed.argmax(axis=0)
+        cols = np.nonzero(smoothed.max(axis=0) >= 0.5)[0]
+        points = np.stack([cols.astype(np.float64), rows[cols].astype(np.float64)], axis=1)
+        return smoothed, points
+
+    def test_bit_identical_to_reference(self):
+        """Random u8/255 frames, and frames with saturated blocks taller
+        than the 13-tap kernel (some at the top or bottom edge), whose
+        smoothed columns tie exactly at their maximum."""
+        rng = np.random.default_rng(21)
+        frames = [rng.integers(0, 256, size=(64, 128)).astype(np.float64) / 255.0
+                  for _ in range(20)]
+        for top in (0, 5, 17, 30):
+            frame = rng.integers(0, 256, size=(48, 40)).astype(np.float64) / 255.0
+            left = int(rng.integers(0, 20))
+            frame[top:top + 18, left:left + 20] = 1.0
+            frames.append(frame)
+        ties = 0
+        for frame in frames:
+            smoothed, points = self.reference_ridge(frame)
+            assert np.array_equal(arts._smooth_columns(frame), smoothed)
+            assert np.array_equal(arts.ridge_track(frame).points, points)
+            ties += int(((smoothed == smoothed.max(axis=0)).sum(axis=0) > 1).sum())
+        assert ties > 0  # the blocks do produce exact ties for argmax to break
 
     def test_single_bright_row(self):
         frame = np.zeros((20, 15))

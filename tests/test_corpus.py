@@ -262,6 +262,15 @@ class TestNormalize:
         with pytest.raises(DataError, match="NaN or inf"):
             corpus.normalize([np.ones((2, 4, 4)), frames])
 
+    @pytest.mark.parametrize("mean, std", [(0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0),
+                                           (0.0, np.inf), (0.0, 0.0), (0.0, -2.0)])
+    def test_bad_statistics_rejected(self, mean, std):
+        """A NaN or infinite statistic, a zero std and a negative std each
+        raise DataError naming both values, instead of NaN, infinite,
+        divide-warning or sign-flipped frames."""
+        with pytest.raises(DataError, match=f"mean={mean}, std={std}$"):
+            corpus.apply_normalization(np.ones((2, 3, 3)), mean, std)
+
 
 class TestWindowing:
     def test_interior_anchor_indices(self):
