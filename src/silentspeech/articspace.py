@@ -131,8 +131,11 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> To
 
 
 def _finite_2d(points: np.ndarray, what: str) -> np.ndarray:
-    """``points`` as an at-least-2-D float64 array; DataError on NaN or inf."""
+    """``points`` as a 2-D float64 array (one row for a single point);
+    DataError for more than two dimensions or on NaN or inf."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2:
+        raise DataError(f"{what}: need an (n, d) array of points, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise DataError(f"{what}: points contain NaN or inf")
     return points

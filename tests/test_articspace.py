@@ -234,6 +234,11 @@ class TestConvexHull:
         with pytest.raises(DataError, match="NaN or inf"):
             arts.convex_hull(pts)
 
+    @pytest.mark.parametrize("shape", [(5, 2, 1), (50, 2, 1)])
+    def test_three_dimensional_array_rejected(self, shape):
+        with pytest.raises(DataError, match=r"convex_hull: need an \(n, d\) array"):
+            arts.convex_hull(np.zeros(shape))
+
     def test_area_monotone_under_point_addition(self):
         rng = np.random.default_rng(3)
         pts = rng.random((25, 2))
@@ -409,6 +414,18 @@ class TestIsolationForest:
     def test_too_few_points_rejected(self):
         with pytest.raises(DataError):
             arts.fit_iforest(np.ones((1, 2)))
+
+    def test_fit_three_dimensional_array_rejected(self):
+        cloud = np.random.default_rng(21).standard_normal((50, 2, 1))
+        with pytest.raises(DataError, match=r"fit: need an \(n, d\) array.*\(50, 2, 1\)"):
+            arts.fit_iforest(cloud, n_trees=5, psi=16, seed=0)
+
+    def test_score_three_dimensional_array_rejected(self):
+        rng = np.random.default_rng(22)
+        forest = arts.fit_iforest(rng.standard_normal((50, 2)), n_trees=5, psi=16, seed=0)
+        for shape in ((5, 2, 1), (50, 2, 1)):
+            with pytest.raises(DataError, match=r"scoring: need an \(n, d\) array"):
+                arts.anomaly_score(forest, np.zeros(shape))
 
 
 class TestPruneOutliers:

@@ -240,6 +240,27 @@ class TestForward:
         with pytest.raises(DataError):
             featnet.forward(params, np.zeros((1, 9, 9)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        """NaN or inf input raises DataError naming the first bad sample,
+        instead of NaN features from forward or a "diverged" NumericalError
+        from loss_and_grads once the NaN reached the batch-norm moments."""
+        params = featnet.init_params(SMALL)
+        x = np.random.default_rng(23).standard_normal((5, *SMALL.input_shape))
+        x[3, 2, 7, 11] = bad
+        x[4, 0, 0, 0] = bad
+        with pytest.raises(DataError, match="sample 3 of the batch holds NaN or inf"):
+            featnet.forward(params, x)
+        with pytest.raises(DataError, match="sample 3 of the batch holds NaN or inf"):
+            featnet.loss_and_grads(params, x, np.zeros(5, dtype=int))
+
+    def test_non_finite_frame_rejected_in_extraction(self):
+        params = featnet.init_params(SMALL)
+        frames = np.random.default_rng(24).random((30, 16, 32))
+        frames[20, 5, 5] = np.nan
+        with pytest.raises(DataError, match="NaN or inf"):
+            featnet.extract_bottleneck(params, frames, chunk=8)
+
 
 class TestConvolution:
     """Per-sample im2col + matmul + pool layers against the strided-view
@@ -281,6 +302,91 @@ class TestConvolution:
         assert dx is None
         assert np.array_equal(dw, dw_skip)
         assert np.array_equal(db, db_skip)
+
+
+def conv_scale(x, w, b):
+    """max |conv| of the valid convolution, by per-sample im2col."""
+    f, c, k, _ = w.shape
+    cols = np.empty((c * k * k, (x.shape[2] - k + 1) * (x.shape[3] - k + 1)))
+    return max(np.abs(w.reshape(f, -1) @ featnet._cols(xs, k, cols) + b[:, None]).max()
+               for xs in x)
+
+
+class TestFFTConvolution:
+    """The FFT conv stage against the im2col code it replaces for layers
+    with at least ``_FFT_MIN_TAPS`` taps, and the rule that selects it."""
+
+    @pytest.mark.parametrize("n, c, h, wd, f, k", [
+        pytest.param(11, 64, 27, 59, 20, 10, id="paper-conv2-partial-blocks"),
+        pytest.param(3, 32, 25, 24, 5, 8, id="no-padding"),
+        pytest.param(9, 21, 23, 31, 17, 10, id="padded-height-and-width"),
+    ])
+    def test_matches_im2col(self, n, c, h, wd, f, k, monkeypatch):
+        rng = np.random.default_rng(n * c + h)
+        x = np.maximum(rng.standard_normal((n, c, h, wd)), 0.0)  # ReLU'd, as conv2's input
+        w = rng.standard_normal((f, c, k, k)) * np.sqrt(2.0 / (c * k * k))
+        b = rng.standard_normal(f)
+        out, idx = featnet._conv_pool_fft(x, w, b, need_idx=True)
+        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+        ref_out, ref_idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
+        assert out.shape == ref_out.shape
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
+        assert np.array_equal(idx, ref_idx)
+        out_only, no_idx = featnet._conv_pool_fft(x, w, b, need_idx=False)
+        assert no_idx is None
+        assert np.array_equal(out_only, out)
+
+    def test_fast_len_is_next_5_smooth(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(10) for b in range(7) for c in range(5))
+        for n in range(1, 301):
+            assert featnet._fast_len(n) == next(m for m in smooth if m >= n), n
+
+    def test_selection_at_threshold(self, monkeypatch):
+        """A layer one tap below the threshold runs im2col and one at it the
+        FFT stage, each bit for bit."""
+        rng = np.random.default_rng(25)
+        below, at = featnet._FFT_MIN_TAPS - 1, featnet._FFT_MIN_TAPS
+        xs = {c: rng.standard_normal((2, c, 5, 6)) for c in (below, at)}
+        ws = {c: rng.standard_normal((3, c, 1, 1)) for c in (below, at)}
+        b = rng.standard_normal(3)
+        got = {c: featnet._conv_pool_forward(xs[c], ws[c], b, need_idx=True) for c in xs}
+        fft_at = featnet._conv_pool_fft(xs[at], ws[at], b, need_idx=True)
+        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+        im2col_below = featnet._conv_pool_forward(xs[below], ws[below], b, need_idx=True)
+        for (o, i), (ref_o, ref_i) in ((got[below], im2col_below), (got[at], fft_at)):
+            assert np.array_equal(o, ref_o)
+            assert np.array_equal(i, ref_i)
+
+    @pytest.mark.parametrize("cfg", [TINY, SMALL], ids=["tiny", "small"])
+    def test_small_configs_bit_identical_to_im2col(self, cfg, monkeypatch):
+        params = featnet.init_params(cfg)
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((5, *cfg.input_shape))
+        y = rng.integers(0, cfg.n_classes, 5)
+        fwd = featnet.forward(params, x)
+        loss, grads = featnet.loss_and_grads(params, x, y)
+        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+        ref_fwd = featnet.forward(params, x)
+        ref_loss, ref_grads = featnet.loss_and_grads(params, x, y)
+        assert all(np.array_equal(a, r) for a, r in zip(fwd, ref_fwd))
+        assert loss == ref_loss
+        assert all(np.array_equal(grads[name], ref_grads[name]) for name in grads)
+
+    def test_paper_shape_runs_conv2_by_fft(self, monkeypatch):
+        """At paper shape conv1 (700 taps) stays on im2col and conv2 (6 400
+        taps) goes through the FFT stage."""
+        calls = []
+        inner = featnet._conv_pool_fft
+
+        def spy(x, w, b, need_idx):
+            calls.append(x.shape)
+            return inner(x, w, b, need_idx)
+
+        monkeypatch.setattr(featnet, "_conv_pool_fft", spy)
+        cfg = featnet.FeatNetConfig()
+        featnet.forward(featnet.init_params(cfg), np.zeros((1, *cfg.input_shape)))
+        assert calls == [(1, cfg.conv_filters[0], *cfg.stage_shapes()["pool1"])]
 
 
 class TestPooling:
@@ -379,6 +485,12 @@ class TestMemory:
         featnet.save_params(paper_params, tmp_path / "net.ckpt")
         param_bytes = sum(a.nbytes for a in paper_params.tensors.values())
         assert traced_peak(featnet.load_params, tmp_path / "net.ckpt") < 1.1 * param_bytes
+
+    def test_save_streams_tensors(self, paper_params, tmp_path):
+        """Saving a paper-shape checkpoint casts each tensor to float32
+        through one reused block: well below the 112.5 MiB float32 copy of
+        fc1_w that a whole-tensor cast makes."""
+        assert traced_peak(featnet.save_params, paper_params, tmp_path / "net.ckpt") < 8 * 2 ** 20
 
     def test_paper_shape_training_peak_allocation(self):
         """Paper-shape train_sgd over 2 epochs of 2 steps stays below 3.5
