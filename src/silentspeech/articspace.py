@@ -422,7 +422,8 @@ def pool_clouds(contours_by_utt: dict[str, list[TongueContour]],
             raise DataError(f"contours reference unknown utterance {utt_id!r}")
         key = utt_meta[utt_id]
         pooled.setdefault(key, []).extend(c.points for c in contours)
-    return [ContourCloud(spk, mode, np.concatenate(pts))
+    # a (speaker, mode) without points gets an empty cloud, which ContourCloud rejects
+    return [ContourCloud(spk, mode, np.concatenate(pts or [np.empty((0, 2))]))
             for (spk, mode), pts in sorted(pooled.items())]
 
 

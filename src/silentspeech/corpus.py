@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError, UsageError, open_input, read_text
 
@@ -359,15 +360,17 @@ def window_stack(frames: np.ndarray) -> np.ndarray:
     """Stack every anchor frame with its window neighbours: (n, 7, h, w).
 
     Out-of-range neighbour offsets clamp to the nearest valid frame, so
-    there is exactly one sample per frame.
+    there is exactly one sample per frame. The result is a read-only view
+    of one edge-padded copy of the frames (n + 24 frames).
     """
     frames = np.asarray(frames)
     n = frames.shape[0]
     if n < 1:
         raise DataError("cannot window an empty sequence")
-    anchors = np.arange(n)[:, None]
-    idx = np.clip(anchors + np.asarray(WINDOW_OFFSETS)[None, :], 0, n - 1)
-    return frames[idx]
+    first, last = WINDOW_OFFSETS[0], WINDOW_OFFSETS[-1]
+    padded = frames[np.clip(np.arange(first, n + last), 0, n - 1)]
+    windows = sliding_window_view(padded, last - first + 1, axis=0)
+    return np.moveaxis(windows[..., ::WINDOW_OFFSETS[1] - first], -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +386,8 @@ def split_prompt_disjoint(manifest: Manifest, test_prompts: set[str],
     """
     if not test_prompts:
         raise UsageError("test prompt set must be nonempty")
+    if not 0.0 <= val_fraction < 1.0:
+        raise UsageError(f"val_fraction must be in [0, 1), got {val_fraction}")
     test_recs, rest = [], []
     for r in manifest.records:
         (test_recs if r.prompt in test_prompts else rest).append(r)

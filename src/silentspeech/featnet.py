@@ -41,8 +41,7 @@ backward pass needs are found only in train mode, one byte each.
 
 Checkpoints are read and written through one reused 1 MiB float32
 block, so loading holds no more than the float64 tensors it returns and
-saving makes no float32 copy of a tensor. Bottleneck extraction
-windows the frames one chunk at a time.
+saving makes no float32 copy of a tensor.
 
 Parameter tensors are values: no function here writes into the arrays of a
 :class:`FeatNetParams` it is given, and only :func:`train_sgd` rebinds
@@ -62,11 +61,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import WINDOW_OFFSETS, window_stack
+from .corpus import window_stack
 from .errors import DataError, NumericalError, UsageError, open_input
 
 _CKPT_MAGIC = b"FNET"
-_WINDOW_REACH = max(abs(o) for o in WINDOW_OFFSETS)  # frames a window spans past its anchor
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
 _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read or write block (1 MiB)
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
@@ -618,9 +616,12 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     """One feature vector per frame: windowed samples through the trained
     network in inference mode.
 
-    Frames are windowed one chunk of anchors at a time, from the frames
-    that chunk's windows reach. Clamping happens only at the true ends of
-    the sequence, so the windows are those of the whole sequence.
+    The frames are windowed once, as a read-only view of one padded copy
+    of n + 24 frames; each chunk is a slice of it. That copy is smaller
+    than windowing each chunk apart (7 x (chunk + 24) frames) for n below
+    7 * chunk + 144, 1 936 frames at the default chunk; a longer sequence
+    costs at most one more copy of ``frames``. DataError names the first
+    frame that holds NaN or inf.
 
     Features are bit-reproducible only for a fixed ``chunk``: a GEMM over
     one row can round differently from the same row inside a many-row
@@ -628,14 +629,13 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     """
     if chunk < 1:
         raise UsageError(f"need chunk >= 1, got {chunk}")
-    frames = np.asarray(frames)
-    n = frames.shape[0]
-    out = np.empty((n, params.config.bottleneck_dim))
-    # an empty sequence still reaches window_stack, which rejects it
-    for lo in range(0, max(n, 1), chunk):
-        hi = min(n, lo + chunk)
-        a, b = max(0, lo - _WINDOW_REACH), min(n, hi + _WINDOW_REACH)
-        out[lo:hi] = forward(params, window_stack(frames[a:b])[lo - a:hi - a])[1]
+    x = window_stack(frames)
+    finite = np.isfinite(frames).reshape(len(x), -1).all(axis=1)
+    if not finite.all():
+        raise DataError(f"frame {np.argmin(finite)} holds NaN or inf")
+    out = np.empty((len(x), params.config.bottleneck_dim))
+    for lo in range(0, len(x), chunk):
+        out[lo:lo + chunk] = forward(params, x[lo:lo + chunk])[1]
     return out
 
 
@@ -696,9 +696,9 @@ def save_params(params: FeatNetParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> FeatNetParams:
     """Read a checkpoint written by :func:`save_params`.
 
-    The float32 payload is streamed through one reused block of
-    ``_LOAD_BLOCK`` values into the float64 tensors, so the file is never
-    held whole in memory.
+    The float32 payload is read through the buffer of an ``np.nditer`` of
+    ``_LOAD_BLOCK`` values, as :func:`save_params` writes it, and cast into
+    the float64 tensors, so the file is never held whole in memory.
     """
     with open_input(path) as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -722,15 +722,13 @@ def load_params(path: str | Path) -> FeatNetParams:
         if size != expected:
             raise DataError(f"{path}: {size} bytes, but its config needs {expected}; "
                             "truncated or trailing tensor data")
-        block = np.empty(_LOAD_BLOCK, dtype="<f4")
         tensors = {}
         for name in FeatNetParams.TENSOR_NAMES:
-            tensor = np.empty(shapes[name])
-            flat = tensor.reshape(-1)
-            for lo in range(0, flat.size, _LOAD_BLOCK):
-                part = block[:min(_LOAD_BLOCK, flat.size - lo)]
-                if fh.readinto(part) != part.nbytes:
-                    raise DataError(f"{path}: checkpoint ended inside tensor {name}")
-                flat[lo:lo + part.size] = part
-            tensors[name] = tensor
+            tensors[name] = np.empty(shapes[name])
+            with np.nditer(tensors[name], flags=["external_loop", "buffered"],
+                           op_flags=[["writeonly"]], op_dtypes=["<f4"], order="C",
+                           casting="same_kind", buffersize=_LOAD_BLOCK) as blocks:
+                for part in blocks:
+                    if fh.readinto(part) != part.nbytes:
+                        raise DataError(f"{path}: checkpoint ended inside tensor {name}")
     return FeatNetParams(config, tensors)

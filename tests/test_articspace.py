@@ -676,3 +676,9 @@ class TestContourIO:
         clouds = arts.pool_clouds(contours, meta)
         assert len(clouds) == 1
         assert clouds[0].points.shape == (4, 2)
+
+    def test_pool_clouds_without_points_rejected(self):
+        """A speaker and mode whose utterances hold no contour raise
+        DataError naming both, not numpy's bare "need at least one array"."""
+        with pytest.raises(DataError, match="s1/silent: empty contour cloud"):
+            arts.pool_clouds({"u1": []}, {"u1": ("s1", "silent")})

@@ -294,6 +294,39 @@ class TestWindowing:
         frames = np.random.default_rng(n).random((n, 2, 2))
         assert corpus.window_stack(frames).shape[0] == n
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 25, 30])
+    def test_matches_clamped_index_reference(self, n, dtype):
+        """Every window equals the frames picked by clamped anchor + offset
+        indices, for sequences shorter and longer than a window's span."""
+        frames = (np.random.default_rng(n).random((n, 3, 5)) * 255).astype(dtype)
+        ref = frames[np.clip(np.arange(n)[:, None] + corpus.WINDOW_OFFSETS, 0, n - 1)]
+        got = corpus.window_stack(frames)
+        assert got.dtype == dtype
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    def test_result_is_read_only(self):
+        """The windows share memory, so a write into one would show up in
+        up to six others; the view refuses it."""
+        samples = corpus.window_stack(np.zeros((5, 2, 2)))
+        with pytest.raises(ValueError):
+            samples[2, 3] = 1.0
+
+    def test_one_padded_copy(self):
+        """Windowing 64 float64 frames of 64 x 128 allocates one padded copy
+        of n + 24 frames, not the 7 n frames (448, 28 MiB) of a copy per
+        window channel."""
+        n = 64
+        frames = np.random.default_rng(3).random((n, 64, 128))
+        tracemalloc.start()
+        try:
+            corpus.window_stack(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + 24) * frames[0].nbytes
+
 
 class TestSplit:
     def _manifest(self, tmp_path, n=10):

@@ -47,6 +47,10 @@ BAD_CALLS = {
     "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5], 0.05),
     "split_prompt_disjoint-prompts": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), set()),
+    "split_prompt_disjoint-val-negative": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=-0.3),
+    "split_prompt_disjoint-val-one": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=1.0),
 }
 
 
@@ -58,6 +62,107 @@ def test_argument_check_raises_toolkit_error(name):
         BAD_CALLS[name]()
     assert type(info.value) is UsageError
     assert isinstance(info.value, ValueError)
+
+
+def record(**changes):
+    """An UtteranceRecord without files, with ``changes`` applied."""
+    fields = dict(utt_id="u1", speaker_id="s1", session_id="t1", mode="modal", prompt="p",
+                  syllable_count=1, duration_s=1.0, ult_path=None, vid_path=None,
+                  labels_path=None, split="train")
+    return corpus.UtteranceRecord(**{**fields, **changes})
+
+
+def write_bytes(path, raw):
+    path.write_bytes(raw)
+    return path
+
+
+def write_frames(path, frames):
+    corpus.write_frames(path, frames)
+    return path
+
+
+def write_manifest(path, manifest):
+    corpus.save_manifest(manifest, path)
+    return path
+
+
+# data checks of the public API, each with input it rejects and the message
+# expected; every row gets a fresh directory for the files it needs
+BAD_DATA = {
+    "write_frames-2d": (lambda d: corpus.write_frames(d / "f.artf", np.zeros((2, 3))),
+                        r"non-empty \(n, h, w\)"),
+    "write_frames-complex": (lambda d: corpus.write_frames(d / "f.artf",
+                                                           np.zeros((1, 2, 2), complex)),
+                             "unsupported frame dtype complex"),
+    "write_frames-width": (lambda d: corpus.write_frames(d / "f.artf",
+                                                         np.zeros((1, 1, 0x10000), np.uint8)),
+                           "exceeds u16 header range"),
+    "read_frames-truncated-header": (
+        lambda d: corpus.read_frames(write_bytes(d / "f.artf", b"ARTF\x01")),
+        "f.artf: truncated frame header"),
+    "read_frames-dtype-code": (
+        lambda d: corpus.read_frames(write_bytes(
+            d / "f.artf", corpus._ARTF_HEADER.pack(corpus._ARTF_MAGIC, 7, 1, 1, 1))),
+        "f.artf: unknown dtype code 7"),
+    "write_features-3d": (lambda d: corpus.write_features(d / "f.artf", np.zeros((2, 3, 4))),
+                          r"features must be \(n, d\)"),
+    "read_features-height": (
+        lambda d: corpus.read_features(write_frames(d / "f.artf", np.zeros((3, 2, 4)))),
+        "f.artf: expected height-1 feature frames"),
+    "write_labels-2d": (lambda d: corpus.write_labels(d / "l.lab", np.zeros((2, 2), int)),
+                        "labels must be 1-D"),
+    "write_labels-range": (lambda d: corpus.write_labels(d / "l.lab", np.array([3, 70_000])),
+                           "out of u16 range"),
+    "UtteranceRecord-split": (lambda d: record(split="dev"), "u1: unknown split 'dev'"),
+    "UtteranceRecord-syllables": (lambda d: record(syllable_count=0),
+                                  "u1: syllable_count must be >= 1"),
+    "load_manifest-field": (
+        lambda d: corpus.load_manifest(write_bytes(d / "m.json", b'{"phones": []}')),
+        "m.json: missing top-level field 'records'"),
+    "load_manifest-shared-prompt": (
+        lambda d: corpus.load_manifest(write_manifest(d / "m.json", corpus.Manifest(
+            ["p0"], [record(), record(utt_id="u2", split="test")]))),
+        r"prompts shared between train and test: \['p'\]"),
+    "normalize-empty": (lambda d: corpus.normalize([]), "empty set"),
+    "TongueContour-one-point": (lambda d: articspace.TongueContour("u1", 4, [[0.0, 0.0]]),
+                                r"u1\[4\]: contour needs >= 2"),
+    "ContourCloud-empty": (lambda d: articspace.ContourCloud("s1", "modal", np.empty((0, 2))),
+                           "s1/modal: empty contour cloud"),
+    "ridge_track-1d": (lambda d: articspace.ridge_track(np.ones(5)),
+                       "expected non-empty 2-D frame"),
+    "convex_hull-3-columns": (lambda d: articspace.convex_hull(np.zeros((4, 3))),
+                              r"convex_hull expects \(n, 2\) points"),
+    "pool_clouds-utterance": (lambda d: articspace.pool_clouds({"u9": []}, {}),
+                              "unknown utterance 'u9'"),
+    "Lexicon-no-phones": (lambda d: recognizer.Lexicon(["p0"], {"w": ()}, {"w": 1}),
+                          "'w' has no phones"),
+    "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}, {"w": 1}),
+                            "'w' has phone index outside inventory"),
+    "Lexicon-syllables": (lambda d: recognizer.Lexicon(["p0"], {"w": (0,)}, {"w": 0}),
+                          "'w' needs a syllable count >= 1"),
+    "PairedSeries-duplicate-keys": (lambda d: stats.PairedSeries(["a", "a"], [1, 2], [3, 4]),
+                                    "keys must be unique"),
+    "PairedSeries-lengths": (lambda d: stats.PairedSeries(["a", "b"], [1, 2], [3]),
+                             "lengths differ"),
+    "pearson_r-lengths": (lambda d: stats.pearson_r([1, 2, 3], [1, 2]),
+                          "two equal-length series"),
+    "syllable_rate-zero": (lambda d: stats.syllable_rate(0, 1.0),
+                           "syllable count must be >= 1, got 0"),
+    "train_sgd-empty-validation": (
+        lambda d: featnet.train_sgd(featnet.init_params(TINY), X, Y, X[:0], Y[:0]),
+        "train and validation sets must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DATA))
+def test_data_check_raises_data_error(name, tmp_path):
+    """Rejected data raises DataError with a message that says what is
+    wrong, and which file or record, where there is one."""
+    call, message = BAD_DATA[name]
+    with pytest.raises(DataError, match=message) as info:
+        call(tmp_path)
+    assert type(info.value) is DataError
 
 
 # every reader of a data file, each given a path it cannot read

@@ -258,7 +258,7 @@ class TestForward:
         params = featnet.init_params(SMALL)
         frames = np.random.default_rng(24).random((30, 16, 32))
         frames[20, 5, 5] = np.nan
-        with pytest.raises(DataError, match="NaN or inf"):
+        with pytest.raises(DataError, match="frame 20 holds NaN or inf"):
             featnet.extract_bottleneck(params, frames, chunk=8)
 
 
@@ -491,6 +491,15 @@ class TestMemory:
         through one reused block: well below the 112.5 MiB float32 copy of
         fc1_w that a whole-tensor cast makes."""
         assert traced_peak(featnet.save_params, paper_params, tmp_path / "net.ckpt") < 8 * 2 ** 20
+
+    def test_paper_shape_extraction_peak_allocation(self, paper_params):
+        """Paper-shape extraction of 64 frames in chunks of 32 stays below
+        76 MiB of allocations (84 MiB when each chunk was windowed on its
+        own, 7 copies of each frame it reached): the frames are windowed
+        once, as a view of one padded copy."""
+        frames = np.random.default_rng(1).standard_normal((64, 64, 128))
+        peak = traced_peak(lambda: featnet.extract_bottleneck(paper_params, frames, chunk=32))
+        assert peak < 76 * 2 ** 20
 
     def test_paper_shape_training_peak_allocation(self):
         """Paper-shape train_sgd over 2 epochs of 2 steps stays below 3.5
@@ -755,10 +764,11 @@ class TestBottleneck:
     @pytest.mark.parametrize("n_frames", [30, 7])  # 7 is shorter than a window's reach
     @pytest.mark.parametrize("chunk", [1, 5, 13, 40])
     def test_chunked_windows_match_whole_sequence(self, n_frames, chunk):
-        """Windowing one chunk of anchors at a time gives the same windows,
-        and so the same features, as windowing the whole sequence. The
-        reference runs the same chunks, since a one-row matmul may round
-        differently from a many-row one."""
+        """Forwarding the windows chunk by chunk gives the features of the
+        whole sequence's windows, including chunks whose windows reach past
+        a chunk boundary or a sequence end. The reference runs the same
+        chunks, since a one-row matmul may round differently from a
+        many-row one."""
         params = featnet.init_params(dataclasses.replace(SMALL, seed=8))
         frames = np.random.default_rng(17).random((n_frames, 16, 32))
         x = window_stack(frames)
