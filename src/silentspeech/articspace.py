@@ -310,21 +310,15 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     return forest
 
 
-def score_from_mean_path(mean_path: np.ndarray | float, psi: int) -> np.ndarray | float:
-    """Anomaly score s = 2^(-E[h(x)] / c(psi))."""
-    return 2.0 ** (-np.asarray(mean_path, dtype=np.float64) / average_path_length(psi))
-
-
 def anomaly_score(forest: IsolationForest, points: np.ndarray) -> np.ndarray:
-    """Score in (0, 1); higher is more anomalous."""
-    scores = score_from_mean_path(forest.path_lengths(points), forest.psi)
-    return np.atleast_1d(scores)
+    """Score s = 2^(-E[h(x)] / c(psi)) in (0, 1); higher is more anomalous."""
+    return 2.0 ** (-forest.path_lengths(points) / average_path_length(forest.psi))
 
 
 def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
-                   n_trees: int = 100, psi: int = 256, seed: int = 0) -> ContourCloud:
-    """Drop the ceil(contamination * N) highest-scoring points; ties broken
-    by stable input order."""
+                   seed: int = 0) -> ContourCloud:
+    """Drop the ceil(contamination * N) highest-scoring points of a default
+    :func:`fit_iforest` forest; ties broken by stable input order."""
     if not 0.0 <= contamination < 0.5:
         raise UsageError(f"contamination must be in [0, 0.5), got {contamination}")
     n = cloud.points.shape[0]
@@ -333,7 +327,7 @@ def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
         return ContourCloud(cloud.speaker_id, cloud.mode, cloud.points.copy())
     if k >= n:
         raise DataError("pruning would remove every point")
-    forest = fit_iforest(cloud.points, n_trees=n_trees, psi=psi, seed=seed)
+    forest = fit_iforest(cloud.points, seed=seed)
     scores = anomaly_score(forest, cloud.points)
     drop = np.argsort(-scores, kind="stable")[:k]
     keep = np.ones(n, dtype=bool)
@@ -398,8 +392,11 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def polygon_area(vertices: np.ndarray) -> float:
-    """Shoelace area of a simple polygon; fewer than 3 vertices -> 0."""
-    vertices = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
+    """Shoelace area of a simple polygon of finite (n, 2) vertices; fewer
+    than 3 vertices -> 0."""
+    vertices = _finite_2d(vertices, "polygon_area")
+    if vertices.shape[1] != 2:
+        raise DataError(f"polygon_area expects (n, 2) vertices, got {vertices.shape}")
     if vertices.shape[0] < 3:
         return 0.0
     x, y = vertices[:, 0], vertices[:, 1]

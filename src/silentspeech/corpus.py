@@ -128,6 +128,8 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DataError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() > 0xFFFF):
         raise DataError("label indices out of u16 range")
     with open(path, "wb") as fh:
@@ -364,9 +366,9 @@ def window_stack(frames: np.ndarray) -> np.ndarray:
     of one edge-padded copy of the frames (n + 24 frames).
     """
     frames = np.asarray(frames)
-    n = frames.shape[0]
-    if n < 1:
+    if frames.ndim < 1 or frames.shape[0] < 1:
         raise DataError("cannot window an empty sequence")
+    n = frames.shape[0]
     first, last = WINDOW_OFFSETS[0], WINDOW_OFFSETS[-1]
     padded = frames[np.clip(np.arange(first, n + last), 0, n - 1)]
     windows = sliding_window_view(padded, last - first + 1, axis=0)

@@ -36,8 +36,10 @@ value, not bit for bit. The backward pass is im2col for both stages.
 Each stage max-pools the pre-activation map and applies ReLU to the
 pooled batch, which is four times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
-four strided maxima without copying windows, and the argmax positions the
-backward pass needs are found only in train mode, one byte each.
+four strided maxima without copying windows, straight into the batch's
+pooled output (a sample, or the FFT stage's block of samples x filters),
+and the argmax positions the backward pass needs are written beside it,
+only in train mode, one byte each.
 
 Checkpoints are read and written through one reused 1 MiB float32
 block, so loading holds no more than the float64 tensors it returns and
@@ -243,9 +245,7 @@ def _conv_pool_forward(x, w, b, need_idx):
     for s in range(n):
         np.matmul(w2, _cols(x[s], k, cols), out=conv)
         conv += b[:, None]  # while this sample's map is still in cache
-        out[s], idx_s = _pool_forward(conv.reshape(f, oh, ow), need_idx)
-        if need_idx:
-            idx[s] = idx_s
+        _pool_forward(conv.reshape(f, oh, ow), out[s], idx[s] if need_idx else None)
     return out, idx
 
 
@@ -323,9 +323,8 @@ def _conv_pool_fft(x, w, b, need_idx):
             np.fft.irfft(zf, n=gw, axis=-1, out=conv)
             conv = conv[:, :, :oh, :ow]
             conv += b[f0:f0 + fb, None, None]
-            out[s0:s0 + m, f0:f0 + fb], idx_b = _pool_forward(conv, need_idx)
-            if need_idx:
-                idx[s0:s0 + m, f0:f0 + fb] = idx_b
+            block = np.s_[s0:s0 + m, f0:f0 + fb]
+            _pool_forward(conv, out[block], idx[block] if need_idx else None)
     return out, idx
 
 
@@ -361,28 +360,27 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     return dx, dw.reshape(w.shape), db
 
 
-def _pool_forward(x, need_idx):
-    """p x p max-pool (p = ``_POOL``) over the last two axes of x (..., h, w),
-    dropping trailing rows and columns.
+def _pool_forward(x, out, idx=None):
+    """p x p max-pool (p = ``_POOL``) over the last two axes of x (..., h, w)
+    into ``out`` (..., h // p, w // p), dropping trailing rows and columns.
 
     The max is taken over the p*p strided views ``x[..., i::p, j::p]``, so
-    no window copy is made. With ``need_idx``, also returns the first
-    argmax within each window (row-major ``i*p + j``, uint8); otherwise None.
+    no window copy is made. Given ``idx`` (uint8, the shape of ``out``),
+    every byte of it is set to the first argmax within its window
+    (row-major ``i*p + j``). ``out`` and ``idx`` may be strided views.
     """
     p = _POOL
     h, w = x.shape[-2:]
     oh, ow = h // p, w // p
     views = [x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
-    out = views[0].copy()
-    for v in views[1:]:
+    np.maximum(views[0], views[1], out=out)
+    for v in views[2:]:
         np.maximum(out, v, out=out)
-    if not need_idx:
-        return out, None
-    idx = np.zeros(out.shape, dtype=np.uint8)
-    # in reverse, so the first position holding the max is written last
-    for q in range(p * p - 1, -1, -1):
-        np.copyto(idx, q, where=views[q] == out)
-    return out, idx
+    if idx is not None:
+        # in reverse, so the first position holding the max is written last;
+        # a window's max is one of its values, so every byte is written
+        for q in range(p * p - 1, -1, -1):
+            np.copyto(idx, q, where=views[q] == out)
 
 
 def _pool_backward(dout, idx, in_shape):
@@ -640,13 +638,14 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
 
 
 def gradient_check(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
-                   epsilon: float = 1e-3, n_coords: int = 200,
-                   seed: int = 0) -> float:
+                   n_coords: int = 200) -> float:
     """Max relative error between analytic gradients and central finite
-    differences over a random coordinate subset."""
+    differences, at step 1e-3, over a fixed random subset of ``n_coords``
+    coordinates."""
+    epsilon = 1e-3
     params = params.copy()
     _, grads = loss_and_grads(params, x, y)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sizes = [(n, params.tensors[n].size) for n in FeatNetParams.LEARNABLE_NAMES]
     total = sum(s for _, s in sizes)
     worst = 0.0

@@ -151,21 +151,22 @@ def paired_ttest(series: PairedSeries) -> TestResult:
     return TestResult(t=t, df=n - 1, p=student_t_sf(t, n - 1))
 
 
-def holm_bonferroni(p_values: list[float], alpha: float) -> list[bool]:
-    """Step-down correction: reject the k-th smallest p while
-    p_(k) <= alpha / (m - k + 1); stop at the first failure. Returns the
+_ALPHA = 0.05  # family-wise error rate of each metric's mode-pair tests
+
+
+def holm_bonferroni(p_values: list[float]) -> list[bool]:
+    """Step-down correction (Holm 1979): reject the k-th smallest p while
+    p_(k) <= _ALPHA / (m - k + 1); stop at the first failure. Returns the
     rejection decision of each p-value, in input order."""
     if not p_values:
         raise UsageError("holm_bonferroni needs at least one p-value")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
     if any(not 0.0 <= p <= 1.0 for p in p_values):
         raise UsageError("p-values must lie in [0, 1]")
     m = len(p_values)
     order = sorted(range(m), key=lambda i: p_values[i])
     reject = [False] * m
     for k, i in enumerate(order):
-        if p_values[i] <= alpha / (m - k):
+        if p_values[i] <= _ALPHA / (m - k):
             reject[i] = True
         else:
             break
@@ -173,9 +174,11 @@ def holm_bonferroni(p_values: list[float], alpha: float) -> list[bool]:
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient of two 1-D series."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise DataError(f"pearson_r needs 1-D series, got shapes {x.shape} and {y.shape}")
     if x.size != y.size or x.size < 2:
         raise DataError("pearson_r needs two equal-length series of >= 2 values")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -201,8 +204,6 @@ def syllable_rate(syllable_count: int, duration_s: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Mode comparison report
-
-_ALPHA = 0.05  # family-wise error rate of each metric's mode-pair tests
 
 #: metric name -> mode -> key -> value. Keys pair observations across modes:
 #: utterance pairing keys at the utterance level, speaker ids at the speaker
@@ -310,7 +311,7 @@ def build_mode_report(utterance_metrics: MetricTable,
                                           len(keys), res.t, res.df, res.p,
                                           reject=False))
             if family:
-                reject = holm_bonferroni([row.p for row in family], _ALPHA)
+                reject = holm_bonferroni([row.p for row in family])
                 for row, rej in zip(family, reject):
                     row.reject = rej
                 tests.extend(family)

@@ -284,9 +284,17 @@ class TestAveragePathLength:
     def test_score_identities(self):
         psi = 256
         c = arts.average_path_length(psi)
-        assert arts.score_from_mean_path(c, psi) == pytest.approx(0.5)
-        assert arts.score_from_mean_path(0.0, psi) == 1.0
-        assert arts.score_from_mean_path(50 * c, psi) < 1e-3
+
+        def score(path):
+            """Score of a point in a forest whose one tree is a single leaf
+            with mean path ``path``."""
+            leaf = arts._Tree(np.array([-1]), np.array([math.inf]), np.array([path, 0.0]))
+            forest = arts.IsolationForest(psi=psi, n_dims=2, trees=[leaf])
+            return arts.anomaly_score(forest, np.zeros((1, 2)))[0]
+
+        assert score(c) == pytest.approx(0.5)
+        assert score(0.0) == 1.0
+        assert score(50 * c) < 1e-3
 
 
 class TestIsolationForest:
@@ -440,7 +448,7 @@ class TestPruneOutliers:
         for n in (10, 37, 100):
             cloud = arts.ContourCloud("s", "modal", rng.random((n, 2)))
             for c in (0.02, 0.1, 0.33):
-                out = arts.prune_outliers(cloud, c, n_trees=10, psi=16, seed=0)
+                out = arts.prune_outliers(cloud, c, seed=0)
                 assert out.points.shape[0] == n - math.ceil(c * n)
 
     def test_planted_outliers_removed(self):
@@ -450,7 +458,7 @@ class TestPruneOutliers:
             inliers = rng.standard_normal((95, 2))
             outliers = rng.standard_normal((5, 2)) + rng.choice([-10, 10], size=(5, 2))
             cloud = arts.ContourCloud("s", "modal", np.vstack([inliers, outliers]))
-            out = arts.prune_outliers(cloud, 0.05, n_trees=100, psi=64, seed=seed)
+            out = arts.prune_outliers(cloud, 0.05, seed=seed)
             # all five planted points gone?
             if out.points.shape[0] == 95 and np.all(np.abs(out.points) < 8):
                 hits += 1
@@ -461,7 +469,7 @@ class TestPruneOutliers:
         pts = rng.standard_normal((80, 2))
         cloud = arts.ContourCloud("s", "modal", pts)
         full = arts.polygon_area(arts.convex_hull(pts))
-        out = arts.prune_outliers(cloud, 0.1, n_trees=20, psi=32, seed=0)
+        out = arts.prune_outliers(cloud, 0.1, seed=0)
         assert arts.polygon_area(arts.convex_hull(out.points)) <= full + 1e-12
 
     def test_non_finite_cloud_rejected(self):
@@ -473,7 +481,7 @@ class TestPruneOutliers:
     def test_pruning_everything_rejected(self):
         cloud = arts.ContourCloud("s", "modal", np.ones((1, 2)))
         with pytest.raises(DataError):
-            arts.prune_outliers(cloud, 0.4, n_trees=5, psi=4, seed=0)
+            arts.prune_outliers(cloud, 0.4, seed=0)
 
 
 def render_ridge(contour_y, h, w, sigma=2.0):

@@ -42,9 +42,8 @@ BAD_CALLS = {
     "betainc-a": lambda: stats.betainc(0.0, 1.0, 0.5),
     "student_t_sf-t": lambda: stats.student_t_sf(np.inf, 3),
     "student_t_sf-df": lambda: stats.student_t_sf(1.0, 0),
-    "holm_bonferroni-empty": lambda: stats.holm_bonferroni([], 0.05),
-    "holm_bonferroni-alpha": lambda: stats.holm_bonferroni([0.1], 1.0),
-    "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5], 0.05),
+    "holm_bonferroni-empty": lambda: stats.holm_bonferroni([]),
+    "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5]),
     "split_prompt_disjoint-prompts": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), set()),
     "split_prompt_disjoint-val-negative": lambda: corpus.split_prompt_disjoint(
@@ -114,6 +113,12 @@ BAD_DATA = {
                         "labels must be 1-D"),
     "write_labels-range": (lambda d: corpus.write_labels(d / "l.lab", np.array([3, 70_000])),
                            "out of u16 range"),
+    "write_labels-float": (lambda d: corpus.write_labels(d / "l.lab", np.array([1.5])),
+                           "labels must be integers, got dtype float64"),
+    "write_labels-bool": (lambda d: corpus.write_labels(d / "l.lab", np.array([True])),
+                          "labels must be integers, got dtype bool"),
+    "window_stack-0d": (lambda d: corpus.window_stack(np.float64(1.0)),
+                        "cannot window an empty sequence"),
     "UtteranceRecord-split": (lambda d: record(split="dev"), "u1: unknown split 'dev'"),
     "UtteranceRecord-syllables": (lambda d: record(syllable_count=0),
                                   "u1: syllable_count must be >= 1"),
@@ -133,20 +138,24 @@ BAD_DATA = {
                        "expected non-empty 2-D frame"),
     "convex_hull-3-columns": (lambda d: articspace.convex_hull(np.zeros((4, 3))),
                               r"convex_hull expects \(n, 2\) points"),
+    "polygon_area-nan": (lambda d: articspace.polygon_area([[0, 0], [1, np.nan], [1, 1]]),
+                         "polygon_area: points contain NaN or inf"),
+    "polygon_area-3-columns": (lambda d: articspace.polygon_area(np.ones((4, 3))),
+                               r"polygon_area expects \(n, 2\) vertices"),
     "pool_clouds-utterance": (lambda d: articspace.pool_clouds({"u9": []}, {}),
                               "unknown utterance 'u9'"),
-    "Lexicon-no-phones": (lambda d: recognizer.Lexicon(["p0"], {"w": ()}, {"w": 1}),
+    "Lexicon-no-phones": (lambda d: recognizer.Lexicon(["p0"], {"w": ()}),
                           "'w' has no phones"),
-    "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}, {"w": 1}),
+    "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}),
                             "'w' has phone index outside inventory"),
-    "Lexicon-syllables": (lambda d: recognizer.Lexicon(["p0"], {"w": (0,)}, {"w": 0}),
-                          "'w' needs a syllable count >= 1"),
     "PairedSeries-duplicate-keys": (lambda d: stats.PairedSeries(["a", "a"], [1, 2], [3, 4]),
                                     "keys must be unique"),
     "PairedSeries-lengths": (lambda d: stats.PairedSeries(["a", "b"], [1, 2], [3]),
                              "lengths differ"),
     "pearson_r-lengths": (lambda d: stats.pearson_r([1, 2, 3], [1, 2]),
                           "two equal-length series"),
+    "pearson_r-2d": (lambda d: stats.pearson_r(np.zeros((2, 2)), np.ones((2, 2))),
+                     r"1-D series, got shapes \(2, 2\) and \(2, 2\)"),
     "syllable_rate-zero": (lambda d: stats.syllable_rate(0, 1.0),
                            "syllable count must be >= 1, got 0"),
     "train_sgd-empty-validation": (

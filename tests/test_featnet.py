@@ -279,6 +279,7 @@ class TestConvolution:
         ref_out, ref_idx = reference_pool_forward(conv, 2)
         assert out.shape == ref_out.shape
         assert rel_err(out, ref_out) < 1e-12
+        assert idx.dtype == np.uint8
         assert np.array_equal(idx, ref_idx)
         dpool = rng.standard_normal(out.shape)
         dx, dw, db = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
@@ -391,7 +392,9 @@ class TestFFTConvolution:
 
 class TestPooling:
     """Strided-maxima pooling against the window-copy argmax reference, at
-    the module's pool size and, with ``_POOL`` set to 3, at an odd one."""
+    the module's pool size and, with ``_POOL`` set to 3, at an odd one.
+    Outputs are pre-filled with values pooling never writes (NaN, 255), so
+    an element or argmax byte left unwritten shows."""
 
     @staticmethod
     def pool_input(kind, shape, rng):
@@ -410,18 +413,37 @@ class TestPooling:
         monkeypatch.setattr(featnet, "_POOL", p)
         rng = np.random.default_rng(p * 1000 + shape[2] * 10 + shape[3])
         x = self.pool_input(kind, shape, rng)
-        out, idx = featnet._pool_forward(x, need_idx=True)
         ref_out, ref_idx = reference_pool_forward(x, p)
-        assert out.shape == ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
+        assert ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
+        out = np.full(ref_out.shape, np.nan)
+        idx = np.full(ref_out.shape, 255, dtype=np.uint8)
+        featnet._pool_forward(x, out, idx)
         assert np.array_equal(out, ref_out)
-        assert idx.dtype == np.uint8
         assert np.array_equal(idx, ref_idx)
         dout = rng.standard_normal(out.shape)
         dx = featnet._pool_backward(dout, idx, x.shape)
         assert np.array_equal(dx, reference_pool_backward(dout, ref_idx, x.shape, p))
-        out_only, no_idx = featnet._pool_forward(x, need_idx=False)
-        assert no_idx is None
+        out_only = np.full(ref_out.shape, np.nan)
+        featnet._pool_forward(x, out_only)
         assert np.array_equal(out_only, out)
+
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_writes_only_into_a_block_view(self, kind):
+        """Pooled into the non-contiguous channel block ``[:, 1:3]`` of a
+        larger output, as the FFT stage does, every element and argmax byte
+        of the block is written and the channels outside it are untouched."""
+        rng = np.random.default_rng(31)
+        x = self.pool_input(kind, (3, 2, 7, 9), rng)
+        ref_out, ref_idx = reference_pool_forward(x, featnet._POOL)
+        out = np.full((3, 5, *ref_out.shape[2:]), np.nan)
+        idx = np.full(out.shape, 255, dtype=np.uint8)
+        featnet._pool_forward(x, out[:, 1:3], idx[:, 1:3])
+        assert np.array_equal(out[:, 1:3], ref_out)
+        assert np.array_equal(idx[:, 1:3], ref_idx)
+        outside = np.ones(5, dtype=bool)
+        outside[1:3] = False
+        assert np.isnan(out[:, outside]).all()
+        assert (idx[:, outside] == 255).all()
 
 
 def traced_peak(fn, *args):
@@ -806,7 +828,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((16, *TINY.input_shape))
         y = rng.integers(0, TINY.n_classes, 16)
-        err = featnet.gradient_check(params, x, y, epsilon=1e-3, n_coords=300, seed=0)
+        err = featnet.gradient_check(params, x, y, n_coords=300)
         assert err < 1e-4
 
     def test_perturbed_gradient_fails(self):
@@ -824,8 +846,7 @@ class TestGradientCheck:
 
         featnet.loss_and_grads = tampered
         try:
-            err = featnet.gradient_check(params, x, y, epsilon=1e-3,
-                                         n_coords=2000, seed=0)
+            err = featnet.gradient_check(params, x, y, n_coords=2000)
         finally:
             featnet.loss_and_grads = orig
         assert err > 1e-4

@@ -84,48 +84,38 @@ class TestLexicon:
     PHONES = ["p0", "p1", "p2"]
 
     def test_round_trip(self, tmp_path):
-        lex = Lexicon(phones=self.PHONES,
-                      entries={"hello": (0, 1, 2), "world": (2, 0)},
-                      syllables={"hello": 2, "world": 1})
+        lex = Lexicon(phones=self.PHONES, entries={"hello": (0, 1, 2), "world": (2, 0)})
         save_lexicon(lex, tmp_path / "lex.txt")
         assert load_lexicon(tmp_path / "lex.txt", self.PHONES) == lex
 
     def test_phones_for_concatenates_entries(self):
-        lex = Lexicon(phones=self.PHONES,
-                      entries={"hello": (0, 1, 2), "world": (2, 0)},
-                      syllables={"hello": 2, "world": 1})
+        lex = Lexicon(phones=self.PHONES, entries={"hello": (0, 1, 2), "world": (2, 0)})
         assert lex.phones_for(["world", "hello", "world"]) == [2, 0, 0, 1, 2, 2, 0]
         assert lex.phones_for([]) == []
         with pytest.raises(DataError, match="word 'ghost' not in lexicon"):
             lex.phones_for(["hello", "ghost"])
 
-    def test_syllable_count_without_entry_rejected(self):
-        with pytest.raises(DataError, match=re.escape("no lexicon entry: ['ghost']")):
-            Lexicon(["p0"], {"a": (0,)}, {"a": 1, "ghost": 3})
-
     def test_round_trip_is_utf8(self, tmp_path):
         """Written and read as UTF-8 whatever the locale's encoding."""
-        lex = Lexicon(phones=self.PHONES, entries={"café": (0, 1)}, syllables={"café": 2})
+        lex = Lexicon(phones=self.PHONES, entries={"café": (0, 1)})
         save_lexicon(lex, tmp_path / "lex.txt")
-        assert (tmp_path / "lex.txt").read_bytes() == "café\t2\tp0 p1\n".encode("utf-8")
+        assert (tmp_path / "lex.txt").read_bytes() == "café\tp0 p1\n".encode("utf-8")
         assert load_lexicon(tmp_path / "lex.txt", self.PHONES) == lex
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
-        path.write_bytes(b"\xffword\t1\tp0\n")
+        path.write_bytes(b"\xffword\tp0\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
             load_lexicon(path, self.PHONES)
 
     @pytest.mark.parametrize("line, reason", [
-        ("word\t1", "expected 3 tab-separated fields"),
-        ("word\t1\tp0 zz", "unknown phone 'zz'"),
-        ("word\tone\tp0", "bad syllable count 'one'"),
-        ("good\t2\tp1", "word 'good' is listed twice"),
-        ("w\t0\tp0", "syllable count must be >= 1, got '0'"),
-        ("w\t1\t", "word 'w' has no phones"),
+        ("word", "expected 2 tab-separated fields"),
+        ("word\tp0 zz", "unknown phone 'zz'"),
+        ("good\tp1", "word 'good' is listed twice"),
+        ("w\t", "word 'w' has no phones"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "lex.txt"
-        path.write_text(f"good\t1\tp0 p1\n{line}\n")
+        path.write_text(f"good\tp0 p1\n{line}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: {reason}")):
             load_lexicon(path, self.PHONES)
