@@ -386,6 +386,9 @@ def split_prompt_disjoint(manifest: Manifest, test_prompts: set[str],
     Every record whose prompt is in ``test_prompts`` goes to test; the rest
     are shuffled deterministically and split train/validation.
     """
+    if isinstance(test_prompts, str):
+        # ``in`` on a string tests for substrings: "p1" would take prompts "p" and "1"
+        raise UsageError(f"test_prompts must be a set of prompts, not the string {test_prompts!r}")
     if not test_prompts:
         raise UsageError("test prompt set must be nonempty")
     if not 0.0 <= val_fraction < 1.0:

@@ -20,18 +20,22 @@ feeds the bias and weight gradients and, for the second stage, the column
 gradient that k*k slice-adds scatter back to the input (col2im). The first
 layer's input gradient is never formed, since nothing consumes it.
 
-A forward stage whose im2col column holds at least ``_FFT_MIN_TAPS`` taps
-(c*k*k) runs through real FFTs instead (Mathieu, Henaff & LeCun 2014):
-per frequency bin, one stacked matmul of input spectra with conjugate
-kernel spectra, which are built in blocks of filters and never held whole.
-The rule looks only at the layer's shape. At paper shape it sends conv2
-(6 400 taps) through FFTs, which more than halved its time at 32 samples
-on a 2-core machine, and keeps conv1 (700 taps) on im2col: so few taps
-per output save too little to pay for the transforms, and conv1 by FFT
-was no faster. Small configs (k = 2-5, at most a few hundred taps) keep
-im2col everywhere; a k = 3 config took twice as long by FFT. Outputs of
-an FFT stage match im2col to about 1e-15 of the conv map's largest
-value, not bit for bit. The backward pass is im2col for both stages.
+A conv stage whose im2col column holds at least ``_FFT_MIN_TAPS`` taps
+(c*k*k), called on at least ``_FFT_MIN_SAMPLES`` samples, runs through
+real FFTs instead, in both directions (Mathieu, Henaff & LeCun 2014): per
+frequency bin, stacked matmuls of input, kernel and gradient spectra.
+Kernel spectra are built from the taps, and weight gradients read back
+to the taps, by DFT-matrix products in blocks of filters, so a layer's
+spectra are never held whole. The rule looks only at the call's shape.
+At paper shape it sends conv2 (6 400 taps) through FFTs, which more than
+halved its forward time at 32 samples and cut its backward time by about
+a third at 4 samples on a 2-core machine, and keeps conv1 (700 taps) on
+im2col: so few taps per output save too little to pay for the
+transforms, and conv1 by FFT was no faster. A single sample is faster by
+im2col in both directions. Small configs (k = 2-5, at most a few hundred
+taps) keep im2col everywhere; a k = 3 config took twice as long by FFT.
+Outputs and gradients of an FFT stage match im2col to about 1e-15 of
+their largest value, not bit for bit; its bias gradient is bit for bit.
 
 Each stage max-pools the pre-activation map and applies ReLU to the
 pooled batch, which is four times smaller; max-pooling commutes with the
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -72,8 +77,10 @@ _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read or write block (1 Mi
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 _POOL = 2  # max-pool window side and stride of both conv stages
 _FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which a conv stage runs by FFT
+_FFT_MIN_SAMPLES = 2  # samples from which such a stage runs by FFT
 _FFT_FILTERS = 16  # filters per block of kernel spectra in the FFT conv stage
-_FFT_SAMPLES = 8  # samples per block of input spectra in the FFT conv stage
+_FFT_SAMPLES = 8  # samples per block of input spectra in the forward FFT conv stage
+_FFT_GRAD_SAMPLES = 4  # samples per block in the backward FFT conv stage (~4 MB each)
 _BN_EPS = 1e-5  # added to the batch-norm variance
 _BN_MOMENTUM = 0.1  # weight of a train batch's moments in the running moments
 
@@ -222,20 +229,29 @@ def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _by_fft(x, w) -> bool:
+    """Whether a conv stage of input x (n, c, h, w) and weights w (f, c, k, k)
+    runs through FFTs, in both directions: with at least ``_FFT_MIN_TAPS``
+    taps (c*k*k) per output and at least ``_FFT_MIN_SAMPLES`` samples."""
+    n, c = x.shape[:2]
+    k = w.shape[-1]
+    return c * k * k >= _FFT_MIN_TAPS and n >= _FFT_MIN_SAMPLES
+
+
 def _conv_pool_forward(x, w, b, need_idx):
     """Valid convolution (cross-correlation) of x (n, c, h, w) with
     w (f, c, k, k) plus bias, then max-pool.
 
-    A layer with at least ``_FFT_MIN_TAPS`` taps (c*k*k) per output goes
-    through :func:`_conv_pool_fft`. Any other runs one sample at a time:
-    one im2col buffer and one one-sample conv map are reused across the
-    batch, so only the pooled (n, f, oh // _POOL, ow // _POOL) output and,
-    with ``need_idx``, its argmax indices grow with the batch.
+    A stage that :func:`_by_fft` selects goes through
+    :func:`_conv_pool_fft`. Any other runs one sample at a time: one
+    im2col buffer and one one-sample conv map are reused across the batch,
+    so only the pooled (n, f, oh // _POOL, ow // _POOL) output and, with
+    ``need_idx``, its argmax indices grow with the batch.
     """
+    if _by_fft(x, w):
+        return _conv_pool_fft(x, w, b, need_idx)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
-    if c * k * k >= _FFT_MIN_TAPS:
-        return _conv_pool_fft(x, w, b, need_idx)
     oh, ow = h - k + 1, wd - k + 1
     w2 = w.reshape(f, -1)
     cols = np.empty((c * k * k, oh * ow))
@@ -263,37 +279,101 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
+class _Spectra:
+    """Spectra on the zero-padded gh x gw grid of an FFT conv stage (h and
+    w rounded up by :func:`_fast_len`), where circular correlation leaves
+    every valid output intact, for both directions of the stage.
+
+    Input spectra are taken ``ns`` samples at a time. Kernel spectra are
+    built from the k x k taps, and a weight gradient's taps read back from
+    its spectra, by two DFT-matrix products, ``_FFT_FILTERS`` filters at a
+    time, so the whole layer's spectra (f, c, gh, gw) never exist at once.
+    Each buffer is allocated once and viewed at each block's size, so that
+    partial blocks stay contiguous; :meth:`kernels` and
+    :meth:`correlation_taps` share theirs, so an array either returns is
+    valid until the next call of either.
+    """
+
+    def __init__(self, x_shape, w_shape, ns):
+        _, c, h, wd = x_shape
+        f, _, k, _ = w_shape
+        gh, gw = _fast_len(h), _fast_len(wd)
+        gr = gw // 2 + 1  # rfft bins along the width
+        self.gh, self.gw, self.gr, self.bins = gh, gw, gr, gh * gr
+        nf = min(f, _FFT_FILTERS)
+        # conjugate DFT matrices over the taps: (gr, k) along the width, (gh, k) along the height
+        self._dft_w = np.exp(2j * np.pi * (np.outer(np.arange(gr), np.arange(k)) % gw / gw))
+        self._dft_h = np.exp(2j * np.pi * (np.outer(np.arange(gh), np.arange(k)) % gh / gh))
+        # their adjoints for reading taps: every rfft bin but 0 and Nyquist
+        # stands for two bins of the full grid, and the inverse DFT divides by gh * gw
+        fold = np.where((np.arange(gr) == 0) | (2 * np.arange(gr) == gw), 1.0, 2.0)
+        self._tap_w = (self._dft_w * (fold / (gh * gw))[:, None]).T
+        self._tap_h = self._dft_h.T
+        self._grid = np.zeros((c, gh, gw))  # one zero-padded sample
+        self._spec = np.empty((c, gh, gr), dtype=complex)
+        self._xf = np.empty(self.bins * ns * c, dtype=complex)
+        self._taps = np.empty(k * k * c * nf, dtype=complex)
+        self._rows = np.empty(k * gr * c * nf, dtype=complex)
+        self._kf = np.empty(self.bins * c * nf, dtype=complex)
+
+    def inputs(self, x):
+        """Spectra of the samples x (m, c, h, w), as (bins, m, c)."""
+        m, c, h, wd = x.shape
+        xf = self._xf[:self.bins * m * c].reshape(self.gh, self.gr, m, c)
+        for j in range(m):
+            self._grid[:, :h, :wd] = x[j]
+            np.fft.rfft2(self._grid, out=self._spec)
+            xf[:, :, j] = self._spec.transpose(1, 2, 0)
+        return xf.reshape(self.bins, m, c)
+
+    def kernels(self, w):
+        """Conjugate spectra of the kernels w (fb, c, k, k), as (bins, c, fb)."""
+        fb, c, k, _ = w.shape
+        wt = self._taps[:k * k * c * fb].reshape(k, k, c * fb)
+        wt.reshape(k, k, c, fb)[...] = w.transpose(2, 3, 1, 0)
+        rows = self._rows[:k * self.gr * c * fb].reshape(k, self.gr, c * fb)
+        np.matmul(self._dft_w, wt, out=rows)  # along the width, per kernel row
+        kf = self._kf[:self.bins * c * fb].reshape(self.gh, self.gr * c * fb)
+        np.matmul(self._dft_h, rows.reshape(k, self.gr * c * fb), out=kf)  # along the height
+        return kf.reshape(self.bins, c, fb)
+
+    def correlation_taps(self, daf, xf):
+        """The real k x k taps (fb, c, k, k) of the correlation of the
+        inputs with the conv-map gradients, summed over samples, given the
+        gradients' conjugate spectra ``daf`` (bins, fb, m) and the input
+        spectra ``xf`` (bins, m, c): per bin, their product is that
+        correlation's spectrum, whose taps are read out by the adjoint of
+        :meth:`kernels`, with no inverse FFT over the grid. The product
+        takes the kernel spectra's buffer."""
+        fb, c, k = daf.shape[1], xf.shape[2], self._tap_h.shape[0]
+        g = self._kf[:self.bins * fb * c].reshape(self.bins, fb, c)
+        np.matmul(daf, xf, out=g)
+        rows = self._rows[:k * self.gr * fb * c].reshape(k, self.gr, fb * c)
+        np.matmul(self._tap_h, g.reshape(self.gh, self.gr * fb * c),
+                  out=rows.reshape(k, self.gr * fb * c))  # along the height
+        t = self._taps[:k * k * fb * c].reshape(k, k, fb * c)
+        np.matmul(self._tap_w, rows, out=t)  # along the width, per tap row
+        return t.real.reshape(k, k, fb, c).transpose(2, 3, 0, 1)
+
+
 def _conv_pool_fft(x, w, b, need_idx):
     """:func:`_conv_pool_forward` through real FFTs (Mathieu et al. 2014).
 
-    On a gh x gw grid (h and w rounded up by :func:`_fast_len`), circular
-    correlation leaves every valid output intact. Per frequency bin it is
-    the input spectra times the conjugate kernel spectra, summed over
-    channels: one stacked matmul over the bins. Kernel spectra are built
-    from the k x k taps by two conjugate-DFT matrix products, straight
-    into the (bins, c, filters) layout that product needs, for
-    ``_FFT_FILTERS`` filters at a time, so the whole layer's spectra never
-    exist at once. Input spectra are taken ``_FFT_SAMPLES`` samples at a
-    time. Every working buffer is allocated once per call and reused, so
-    only the pooled output grows with the batch.
+    Per frequency bin, the conv map's spectrum is the input spectra times
+    the conjugate kernel spectra (:class:`_Spectra`), summed over
+    channels: one stacked matmul over the bins, straight into the layout
+    the inverse transform reads. Samples go ``_FFT_SAMPLES`` at a time and
+    filters ``_FFT_FILTERS`` at a time. Every working buffer is allocated
+    once per call and reused, so only the pooled output grows with the
+    batch.
     """
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
-    gh, gw = _fast_len(h), _fast_len(wd)
-    gr = gw // 2 + 1  # rfft bins along the width
-    bins = gh * gr
-    nf, ns = min(f, _FFT_FILTERS), min(n, _FFT_SAMPLES)
-    # conjugate DFT matrices over the taps: (gr, k) along the width, (gh, k) along the height
-    dft_w = np.exp(2j * np.pi * (np.outer(np.arange(gr), np.arange(k)) % gw / gw))
-    dft_h = np.exp(2j * np.pi * (np.outer(np.arange(gh), np.arange(k)) % gh / gh))
-    grid = np.zeros((c, gh, gw))  # one zero-padded sample
-    spec = np.empty((c, gh, gr), dtype=complex)
+    ns, nf = min(n, _FFT_SAMPLES), min(f, _FFT_FILTERS)
+    spectra = _Spectra(x.shape, w.shape, ns)
+    gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
     # flat buffers, viewed at each block's size so that partial blocks stay contiguous
-    xf_buf = np.empty(bins * ns * c, dtype=complex)
-    wt_buf = np.empty(k * k * c * nf, dtype=complex)
-    rows_buf = np.empty(k * gr * c * nf, dtype=complex)
-    kf_buf = np.empty(bins * c * nf, dtype=complex)
     yf_buf = np.empty(bins * ns * nf, dtype=complex)
     zf_buf = np.empty(bins * ns * nf, dtype=complex)
     conv_buf = np.empty(ns * nf * gh * gw)
@@ -301,22 +381,11 @@ def _conv_pool_fft(x, w, b, need_idx):
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
     for s0 in range(0, n, ns):
         m = min(ns, n - s0)
-        xf = xf_buf[:bins * m * c].reshape(gh, gr, m, c)
-        for j in range(m):
-            grid[:, :h, :wd] = x[s0 + j]
-            np.fft.rfft2(grid, out=spec)
-            xf[:, :, j] = spec.transpose(1, 2, 0)
+        xf = spectra.inputs(x[s0:s0 + m])
         for f0 in range(0, f, nf):
             fb = min(nf, f - f0)
-            wt = wt_buf[:k * k * c * fb].reshape(k, k, c * fb)
-            wt.reshape(k, k, c, fb)[...] = w[f0:f0 + fb].transpose(2, 3, 1, 0)
-            rows = rows_buf[:k * gr * c * fb].reshape(k, gr, c * fb)
-            np.matmul(dft_w, wt, out=rows)  # along the width, per kernel row
-            kf = kf_buf[:bins * c * fb].reshape(gh, gr * c * fb)
-            np.matmul(dft_h, rows.reshape(k, gr * c * fb), out=kf)  # along the height
             yf = yf_buf[:bins * m * fb].reshape(gh, gr, m, fb)
-            np.matmul(xf.reshape(bins, m, c), kf.reshape(bins, c, fb),
-                      out=yf.reshape(bins, m, fb))
+            np.matmul(xf, spectra.kernels(w[f0:f0 + fb]), out=yf.reshape(bins, m, fb))
             zf = zf_buf[:bins * m * fb].reshape(m, fb, gh, gr)
             np.fft.ifft(yf, axis=0, out=zf.transpose(2, 3, 0, 1))
             conv = conv_buf[:m * fb * gh * gw].reshape(m, fb, gh, gw)
@@ -332,12 +401,16 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
     gradient ``dpool`` of its pooled output.
 
-    Per sample, the pool gradient forms that sample's conv-map gradient
-    ``da``; db accumulates its sums and dw ``da @ cols.T``. For dx the
-    column gradient ``w2.T @ da`` is written into the column buffer and
-    scattered back with k*k slice-adds (col2im). With ``need_dx`` False,
-    dx is skipped and returned as None.
+    A stage that :func:`_by_fft` selects goes through
+    :func:`_pool_conv_backward_fft`. Any other runs per sample: the pool
+    gradient forms that sample's conv-map gradient ``da``; db accumulates
+    its sums and dw ``da @ cols.T``. For dx the column gradient
+    ``w2.T @ da`` is written into the column buffer and scattered back
+    with k*k slice-adds (col2im). With ``need_dx`` False, dx is skipped
+    and returned as None.
     """
+    if _by_fft(x, w):
+        return _pool_conv_backward_fft(x, w, dpool, idx, need_dx)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
@@ -358,6 +431,76 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
                 for j in range(k):
                     dx[s, :, i:i + oh, j:j + ow] += view[:, i, j]
     return dx, dw.reshape(w.shape), db
+
+
+def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
+    """:func:`_pool_conv_backward` through real FFTs on the grid of
+    :func:`_conv_pool_fft` (Mathieu et al. 2014).
+
+    Per block of samples and filters, the conv-map gradients are scattered
+    onto the zero grid and transformed to DA. Per bin, the weight
+    gradient's spectrum is the sum over samples of conj(DA) X, with X the
+    input spectra; :meth:`_Spectra.correlation_taps` forms it and reads
+    out its k x k taps, which are added up across sample blocks. The
+    input gradient's spectrum is the sum over filters of DA K, with K the
+    kernel spectra; it is accumulated as its conjugate, conj(DA) times the
+    conjugate spectra that :meth:`_Spectra.kernels` builds, and taken back
+    by one inverse transform per sample block. db sums each map as the
+    im2col code does, so it is bit-identical. Samples go
+    ``_FFT_GRAD_SAMPLES`` at a time, since the input spectra, the dx
+    accumulator, its product and its inverse transform grow with the
+    block: about 4 MB per sample at paper shape.
+    """
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    ns, nf = min(n, _FFT_GRAD_SAMPLES), min(f, _FFT_FILTERS)
+    # the results first, so that the working buffers lie above them in the
+    # heap and go back to the system when they are freed (a paper-shape
+    # training step's peak RSS was 30 MiB higher the other way round)
+    dw = np.zeros(w.shape)
+    db = np.zeros(f)
+    dx = np.empty(x.shape) if need_dx else None
+    spectra = _Spectra(x.shape, w.shape, ns)
+    gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
+    # flat buffers, viewed at each block's size so that partial blocks stay contiguous
+    grid_buf = np.zeros(ns * nf * gh * gw)  # written only inside each map's oh x ow corner
+    spec_buf = np.empty(ns * nf * gh * gr, dtype=complex)
+    daf_buf = np.empty(bins * ns * nf, dtype=complex)
+    dxf_buf = np.empty(bins * ns * c, dtype=complex) if need_dx else None
+    prod_buf = np.empty(bins * ns * c, dtype=complex) if need_dx else None
+    for s0 in range(0, n, ns):
+        m = min(ns, n - s0)
+        xf = spectra.inputs(x[s0:s0 + m])
+        if need_dx:
+            dxf = dxf_buf[:bins * c * m].reshape(bins, c, m)
+            dxf[...] = 0.0
+            prod = prod_buf[:bins * c * m].reshape(bins, c, m)
+        for f0 in range(0, f, nf):
+            fb = min(nf, f - f0)
+            block = np.s_[s0:s0 + m, f0:f0 + fb]
+            da = _pool_backward(dpool[block], idx[block], (m, fb, oh, ow))
+            for sums in da.sum(axis=(2, 3)):  # sample by sample, as the im2col code adds
+                db[f0:f0 + fb] += sums
+            grid = grid_buf[:m * fb * gh * gw].reshape(m, fb, gh, gw)
+            grid[:, :, :oh, :ow] = da
+            spec = spec_buf[:m * fb * gh * gr].reshape(m, fb, gh, gr)
+            np.fft.rfft2(grid, out=spec)
+            # conj(DA) per bin as (fb, m), so that both products below read
+            # their operands in the layout they are stored in
+            daf = daf_buf[:bins * fb * m].reshape(gh, gr, fb, m)
+            np.conjugate(spec.transpose(2, 3, 1, 0), out=daf)
+            daf = daf.reshape(bins, fb, m)
+            dw[f0:f0 + fb] += spectra.correlation_taps(daf, xf)
+            if need_dx:
+                np.matmul(spectra.kernels(w[f0:f0 + fb]), daf, out=prod)
+                dxf += prod
+        if need_dx:
+            np.conjugate(dxf, out=dxf)
+            zf = prod_buf[:bins * c * m].reshape(m, c, gh, gr)
+            np.fft.ifft(dxf.reshape(gh, gr, c, m), axis=0, out=zf.transpose(2, 3, 1, 0))
+            dx[s0:s0 + m] = np.fft.irfft(zf, n=gw, axis=-1)[:, :, :h, :wd]
+    return dx, dw, db
 
 
 def _pool_forward(x, out, idx=None):
@@ -544,6 +687,20 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
 # Training
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int if it is an integer >= 1 and not a bool;
+    UsageError naming ``name`` otherwise."""
+    if not isinstance(value, bool):  # numpy's bool has no __index__
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise UsageError(f"need an integer {name} >= 1, got {value!r}")
+
+
 def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose most probable class is their label;
     DataError when ``x`` has no samples or ``y`` does not hold one class
@@ -573,8 +730,7 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
-    if epochs < 1:
-        raise UsageError(f"need epochs >= 1, got {epochs}")
+    epochs = _count(epochs, "epochs")
     train_y = _labels(train_y, train_x.shape[0], cfg.n_classes, "train_y")
     val_y = _labels(val_y, val_x.shape[0], cfg.n_classes, "val_y")
     rng = np.random.default_rng(cfg.seed)
@@ -625,8 +781,7 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     one row can round differently from the same row inside a many-row
     GEMM, so changing ``chunk`` may change the last bits.
     """
-    if chunk < 1:
-        raise UsageError(f"need chunk >= 1, got {chunk}")
+    chunk = _count(chunk, "chunk")
     x = window_stack(frames)
     finite = np.isfinite(frames).reshape(len(x), -1).all(axis=1)
     if not finite.all():

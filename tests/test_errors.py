@@ -34,8 +34,16 @@ BAD_CALLS = {
     "FeatNetConfig-collapse": lambda: dataclasses.replace(TINY, input_shape=(1, 4, 4)),
     "train_sgd-epochs": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
                                                   epochs=0),
+    "train_sgd-epochs-float": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
+                                                        epochs=1.5),
+    "train_sgd-epochs-bool": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
+                                                       epochs=True),
     "extract_bottleneck-chunk": lambda: featnet.extract_bottleneck(
         featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=0),
+    "extract_bottleneck-chunk-float": lambda: featnet.extract_bottleneck(
+        featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=2.5),
+    "extract_bottleneck-chunk-bool": lambda: featnet.extract_bottleneck(
+        featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=True),
     "fit_iforest-psi": lambda: articspace.fit_iforest(POINTS, psi=1),
     "prune_outliers-contamination": lambda: articspace.prune_outliers(
         articspace.ContourCloud("s0", "modal", POINTS), contamination=0.5),
@@ -46,6 +54,8 @@ BAD_CALLS = {
     "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5]),
     "split_prompt_disjoint-prompts": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), set()),
+    "split_prompt_disjoint-prompts-string": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), "p1"),
     "split_prompt_disjoint-val-negative": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=-0.3),
     "split_prompt_disjoint-val-one": lambda: corpus.split_prompt_disjoint(

@@ -313,15 +313,36 @@ def conv_scale(x, w, b):
                for xs in x)
 
 
-class TestFFTConvolution:
-    """The FFT conv stage against the im2col code it replaces for layers
-    with at least ``_FFT_MIN_TAPS`` taps, and the rule that selects it."""
+def spy_calls(monkeypatch, *names):
+    """Replace each named featnet function with a wrapper that records
+    (name, shape of the first argument) before calling it; returns the
+    record."""
+    calls = []
+    for name in names:
+        def spy(x, *args, inner=getattr(featnet, name), name=name):
+            calls.append((name, x.shape))
+            return inner(x, *args)
+        monkeypatch.setattr(featnet, name, spy)
+    return calls
 
-    @pytest.mark.parametrize("n, c, h, wd, f, k", [
-        pytest.param(11, 64, 27, 59, 20, 10, id="paper-conv2-partial-blocks"),
-        pytest.param(3, 32, 25, 24, 5, 8, id="no-padding"),
-        pytest.param(9, 21, 23, 31, 17, 10, id="padded-height-and-width"),
-    ])
+
+# (n, c, h, w, f, k) layers for the FFT conv stage: paper conv2's channels
+# and grid with 11 samples and 20 filters, which leave a partial block of
+# samples and of filters in both directions; a 5-smooth input that needs no
+# padding; and one padded along both axes
+FFT_LAYERS = pytest.mark.parametrize("n, c, h, wd, f, k", [
+    pytest.param(11, 64, 27, 59, 20, 10, id="paper-conv2-partial-blocks"),
+    pytest.param(3, 32, 25, 24, 5, 8, id="no-padding"),
+    pytest.param(9, 21, 23, 31, 17, 10, id="padded-height-and-width"),
+])
+
+
+class TestFFTConvolution:
+    """The FFT conv stage, forward and backward, against the im2col code it
+    replaces for layers with at least ``_FFT_MIN_TAPS`` taps, and the rule
+    that selects it."""
+
+    @FFT_LAYERS
     def test_matches_im2col(self, n, c, h, wd, f, k, monkeypatch):
         rng = np.random.default_rng(n * c + h)
         x = np.maximum(rng.standard_normal((n, c, h, wd)), 0.0)  # ReLU'd, as conv2's input
@@ -337,6 +358,27 @@ class TestFFTConvolution:
         assert no_idx is None
         assert np.array_equal(out_only, out)
 
+    @FFT_LAYERS
+    def test_backward_matches_im2col(self, n, c, h, wd, f, k, monkeypatch):
+        """dx and dw within 1e-12 of each gradient's largest value, db bit
+        for bit; without dx, the same dw and db bit for bit."""
+        rng = np.random.default_rng(n * c + h + 1)
+        x = np.maximum(rng.standard_normal((n, c, h, wd)), 0.0)
+        w = rng.standard_normal((f, c, k, k)) * np.sqrt(2.0 / (c * k * k))
+        _, idx = featnet._conv_pool_fft(x, w, rng.standard_normal(f), need_idx=True)
+        dpool = rng.standard_normal(idx.shape)
+        dx, dw, db = featnet._pool_conv_backward_fft(x, w, dpool, idx, need_dx=True)
+        no_dx, dw_only, db_only = featnet._pool_conv_backward_fft(x, w, dpool, idx, need_dx=False)
+        assert no_dx is None
+        assert np.array_equal(dw_only, dw)
+        assert np.array_equal(db_only, db)
+        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+        ref_dx, ref_dw, ref_db = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
+        for got, want in ((dx, ref_dx), (dw, ref_dw)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(db, ref_db)
+
     def test_fast_len_is_next_5_smooth(self):
         smooth = sorted(2 ** a * 3 ** b * 5 ** c
                         for a in range(10) for b in range(7) for c in range(5))
@@ -344,20 +386,29 @@ class TestFFTConvolution:
             assert featnet._fast_len(n) == next(m for m in smooth if m >= n), n
 
     def test_selection_at_threshold(self, monkeypatch):
-        """A layer one tap below the threshold runs im2col and one at it the
-        FFT stage, each bit for bit."""
+        """A layer one tap or one sample below the thresholds runs im2col,
+        and one at both the FFT stage, each bit for bit in both directions."""
         rng = np.random.default_rng(25)
-        below, at = featnet._FFT_MIN_TAPS - 1, featnet._FFT_MIN_TAPS
-        xs = {c: rng.standard_normal((2, c, 5, 6)) for c in (below, at)}
-        ws = {c: rng.standard_normal((3, c, 1, 1)) for c in (below, at)}
+        taps, n = featnet._FFT_MIN_TAPS, featnet._FFT_MIN_SAMPLES
+        layers = {name: (rng.standard_normal((m, c, 5, 6)), rng.standard_normal((3, c, 1, 1)))
+                  for name, m, c in (("taps-below", n, taps - 1), ("samples-below", n - 1, taps),
+                                     ("at", n, taps))}
         b = rng.standard_normal(3)
-        got = {c: featnet._conv_pool_forward(xs[c], ws[c], b, need_idx=True) for c in xs}
-        fft_at = featnet._conv_pool_fft(xs[at], ws[at], b, need_idx=True)
+
+        def both_directions(forward, backward, x, w):
+            out, idx = forward(x, w, b, need_idx=True)
+            return (out, idx, *backward(x, w, np.cos(out), idx, need_dx=True))
+
+        got = {name: both_directions(featnet._conv_pool_forward, featnet._pool_conv_backward, *xw)
+               for name, xw in layers.items()}
+        want = {"at": both_directions(featnet._conv_pool_fft, featnet._pool_conv_backward_fft,
+                                      *layers["at"])}
         monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
-        im2col_below = featnet._conv_pool_forward(xs[below], ws[below], b, need_idx=True)
-        for (o, i), (ref_o, ref_i) in ((got[below], im2col_below), (got[at], fft_at)):
-            assert np.array_equal(o, ref_o)
-            assert np.array_equal(i, ref_i)
+        for name in ("taps-below", "samples-below"):
+            want[name] = both_directions(featnet._conv_pool_forward, featnet._pool_conv_backward,
+                                         *layers[name])
+        for name in layers:
+            assert all(np.array_equal(g, r) for g, r in zip(got[name], want[name])), name
 
     @pytest.mark.parametrize("cfg", [TINY, SMALL], ids=["tiny", "small"])
     def test_small_configs_bit_identical_to_im2col(self, cfg, monkeypatch):
@@ -376,18 +427,17 @@ class TestFFTConvolution:
 
     def test_paper_shape_runs_conv2_by_fft(self, monkeypatch):
         """At paper shape conv1 (700 taps) stays on im2col and conv2 (6 400
-        taps) goes through the FFT stage."""
-        calls = []
-        inner = featnet._conv_pool_fft
-
-        def spy(x, w, b, need_idx):
-            calls.append(x.shape)
-            return inner(x, w, b, need_idx)
-
-        monkeypatch.setattr(featnet, "_conv_pool_fft", spy)
+        taps) goes through the FFT stage in both directions, from 2
+        samples; a single sample runs im2col, which is faster for it."""
+        calls = spy_calls(monkeypatch, "_conv_pool_fft", "_pool_conv_backward_fft")
         cfg = featnet.FeatNetConfig()
-        featnet.forward(featnet.init_params(cfg), np.zeros((1, *cfg.input_shape)))
-        assert calls == [(1, cfg.conv_filters[0], *cfg.stage_shapes()["pool1"])]
+        params = featnet.init_params(cfg)
+        x = np.zeros((2, *cfg.input_shape))
+        featnet.forward(params, x[:1])
+        assert calls == []
+        featnet.loss_and_grads(params, x, np.zeros(2, dtype=int))
+        p1 = (2, cfg.conv_filters[0], *cfg.stage_shapes()["pool1"])
+        assert calls == [("_conv_pool_fft", p1), ("_pool_conv_backward_fft", p1)]
 
 
 class TestPooling:
@@ -830,6 +880,27 @@ class TestGradientCheck:
         y = rng.integers(0, TINY.n_classes, 16)
         err = featnet.gradient_check(params, x, y, n_coords=300)
         assert err < 1e-4
+
+    def test_fft_conv_stage_passes(self, monkeypatch):
+        """Backprop through a conv2 of 32 channels x 8 x 8 = 2 048 taps,
+        which runs by FFT in both directions, passes the check. At He scale
+        a stage this wide holds units within a step of 1e-3 of a ReLU or
+        max-pool kink, which no central difference can follow (im2col fails
+        the same way), so both conv weights are scaled by 100: batch norm
+        leaves the network's function unchanged but for its epsilon, and the
+        step shrinks 100-fold against the weights. Without weight decay,
+        whose gradient would then swamp theirs."""
+        cfg = featnet.FeatNetConfig(input_shape=(1, 40, 40), conv_kernel=8, conv_filters=(32, 4),
+                                    fc_dims=(16, 8, 4, 8), n_classes=3, l2_weight=0.0)
+        params = featnet.init_params(cfg)
+        for name in ("conv1_w", "conv2_w"):
+            params.tensors[name] = 100.0 * params.tensors[name]
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((4, *cfg.input_shape))
+        y = rng.integers(0, cfg.n_classes, 4)
+        calls = spy_calls(monkeypatch, "_pool_conv_backward_fft")
+        assert featnet.gradient_check(params, x, y, n_coords=60) < 1e-4
+        assert calls and all(shape == (4, 32, 16, 16) for _, shape in calls)
 
     def test_perturbed_gradient_fails(self):
         params = featnet.init_params(dataclasses.replace(TINY, seed=9))
