@@ -8,42 +8,62 @@ per-frame feature, and a softmax output layer. Forward, backward, and the
 optimizer are plain numpy in double precision so gradients can be
 finite-difference checked.
 
-Each conv stage runs one sample at a time: the sample's k x k patches
-are copied, in one copy from a sliding-window view, into a column buffer
-of shape (c*k*k, oh*ow); one BLAS matmul (Chellapilla et al. 2006) and
-the bias add fill a one-sample conv map, which is max-pooled straight
-into the batch's pooled output. The column buffer and the conv map are
-allocated once per layer call and reused for every sample, so only pooled
-maps grow with the batch. The backward pass mirrors this: per sample, the
-pooled gradient is scattered to that sample's conv-map gradient, which
-feeds the bias and weight gradients and, for the second stage, the column
-gradient that k*k slice-adds scatter back to the input (col2im). The first
-layer's input gradient is never formed, since nothing consumes it.
+A conv stage runs by im2col (Chellapilla et al. 2006), one sample at a
+time, in row strips: only the corner of the conv map that pooling reads
+is computed, a strip of conv rows at a time whose column buffer holds at
+most ``_STRIP_BYTES``. A strip is one copy from a sliding-window view
+into the column buffer, one BLAS matmul and the bias add, and is
+max-pooled straight into its rows of the output, so no whole conv map is
+held. At paper shape conv1's 54 x 118 corner takes two strips (28 and 26
+rows); a small config's map fits one. The buffers are allocated once per
+layer call, so only pooled maps grow with the batch. The backward pass
+runs per sample over the whole map: the pooled gradient is scattered to
+that sample's conv-map gradient, which feeds the bias and weight
+gradients and, for the second stage, the column gradient that k*k
+slice-adds scatter back to the input (col2im). The first layer's input
+gradient is never formed, since nothing consumes it.
 
 A conv stage whose im2col column holds at least ``_FFT_MIN_TAPS`` taps
 (c*k*k), called on at least ``_FFT_MIN_SAMPLES`` samples, runs through
 real FFTs instead, in both directions (Mathieu, Henaff & LeCun 2014): per
 frequency bin, stacked matmuls of input, kernel and gradient spectra.
 Kernel spectra are built from the taps, and weight gradients read back
-to the taps, by DFT-matrix products in blocks of filters, so a layer's
-spectra are never held whole. The rule looks only at the call's shape.
-At paper shape it sends conv2 (6 400 taps) through FFTs, which more than
-halved its forward time at 32 samples and cut its backward time by about
-a third at 4 samples on a 2-core machine, and keeps conv1 (700 taps) on
-im2col: so few taps per output save too little to pay for the
-transforms, and conv1 by FFT was no faster. A single sample is faster by
-im2col in both directions. Small configs (k = 2-5, at most a few hundred
-taps) keep im2col everywhere; a k = 3 config took twice as long by FFT.
+to the taps, by DFT-matrix products in blocks of ``_FFT_FILTERS``
+filters, so a layer's spectra are never held whole. The forward pass
+takes the input spectra of ``_FFT_SAMPLES`` samples at a time and runs
+filter blocks outer and sample blocks inner, so each kernel spectrum is
+built once per block of ``_FFT_SAMPLES`` samples. The rule looks only at
+the call's shape. At paper shape it sends conv2 (6 400 taps) through
+FFTs, which more than halved its forward time at 32 samples and cut its
+backward time by about a third at 4 samples on a 2-core machine, and
+keeps conv1 (700 taps) on im2col: so few taps per output save too little
+to pay for the transforms, and conv1 by FFT was no faster. A single
+sample is faster by im2col in both directions. Small configs (k = 2-5,
+at most a few hundred taps) keep im2col everywhere; a k = 3 config took
+twice as long by FFT.
+
+Inference (:func:`forward`) holds no batch-sized conv1 output: each
+sample's conv1 map is pooled strip by strip and ReLU'd, then handed to
+conv2 at once. When conv2 runs by FFT, the pooled map is written straight
+into the zero-padded grid whose spectrum joins its block's input
+spectra. Training keeps the pooled conv1 output and its argmax bytes for
+the backward pass and takes conv2's input spectra from them, through the
+same strips and the same FFT loop.
+
 Outputs and gradients of an FFT stage match im2col to about 1e-15 of
 their largest value, not bit for bit; its bias gradient is bit for bit.
+Strips can round differently from one whole-map matmul too, as a BLAS
+kernel may treat the columns at a matrix's edge differently: paper
+conv1's pooled output moved by about 1e-15 of its largest value. A map
+with even sides that fits one strip is the whole-map matmul itself.
 
 Each stage max-pools the pre-activation map and applies ReLU to the
-pooled batch, which is four times smaller; max-pooling commutes with the
+pooled map, which is four times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
-four strided maxima without copying windows, straight into the batch's
-pooled output (a sample, or the FFT stage's block of samples x filters),
-and the argmax positions the backward pass needs are written beside it,
-only in train mode, one byte each.
+four strided maxima without copying windows, straight into the pooled
+output (a strip's rows of a sample, or the FFT stage's block of samples x
+filters), and the argmax positions the backward pass needs are written
+beside it, only in train mode, one byte each.
 
 Checkpoints are read and written through one reused 1 MiB float32
 block, so loading holds no more than the float64 tensors it returns and
@@ -57,6 +77,7 @@ arrays with its input. :func:`gradient_check` perturbs a private copy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -78,8 +99,10 @@ _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 _POOL = 2  # max-pool window side and stride of both conv stages
 _FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which a conv stage runs by FFT
 _FFT_MIN_SAMPLES = 2  # samples from which such a stage runs by FFT
+_STRIP_BYTES = 18 << 20  # largest column buffer of a row strip in an im2col conv stage
 _FFT_FILTERS = 16  # filters per block of kernel spectra in the FFT conv stage
-_FFT_SAMPLES = 8  # samples per block of input spectra in the forward FFT conv stage
+_FFT_SAMPLES = 32  # samples per block of input spectra in the forward FFT conv stage
+_FFT_MAP_SAMPLES = 16  # samples per block of its products and inverse transforms
 _FFT_GRAD_SAMPLES = 4  # samples per block in the backward FFT conv stage (~4 MB each)
 _BN_EPS = 1e-5  # added to the batch-norm variance
 _BN_MOMENTUM = 0.1  # weight of a train batch's moments in the running moments
@@ -229,13 +252,63 @@ def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_fft(x, w) -> bool:
+def _pooled_shape(x_shape, w_shape):
+    """Shape (n, f, oh // _POOL, ow // _POOL) of a conv stage's pooled output,
+    for input x (n, c, h, w) and weights w (f, c, k, k)."""
+    n, _, h, wd = x_shape
+    f, _, k, _ = w_shape
+    return n, f, (h - k + 1) // _POOL, (wd - k + 1) // _POOL
+
+
+def _by_fft(x_shape, w_shape) -> bool:
     """Whether a conv stage of input x (n, c, h, w) and weights w (f, c, k, k)
     runs through FFTs, in both directions: with at least ``_FFT_MIN_TAPS``
     taps (c*k*k) per output and at least ``_FFT_MIN_SAMPLES`` samples."""
-    n, c = x.shape[:2]
-    k = w.shape[-1]
+    n, c = x_shape[:2]
+    k = w_shape[-1]
     return c * k * k >= _FFT_MIN_TAPS and n >= _FFT_MIN_SAMPLES
+
+
+class _Strips:
+    """An im2col conv stage (Chellapilla et al. 2006) that max-pools each
+    sample's conv map strip by strip.
+
+    Only the (_POOL * ph) x (_POOL * pw) corner of the map, the part that
+    pooling reads, is computed: ``rows`` conv rows at a time, a multiple of
+    ``_POOL`` whose column buffer holds at most ``_STRIP_BYTES`` (at least
+    ``_POOL`` rows). A strip is one copy into the column buffer, one BLAS
+    matmul and the bias add, and is pooled into its rows of the output
+    at once. The column buffer and the strip's map are allocated once per
+    stage and reused for every strip and sample.
+    """
+
+    def __init__(self, x_shape, w, b):
+        c = x_shape[1]
+        f, _, k, _ = w.shape
+        _, _, self.ph, self.pw = _pooled_shape(x_shape, w.shape)
+        self.k, self.width = k, _POOL * self.pw
+        row_bytes = c * k * k * self.width * 8  # column buffer per conv row
+        self.rows = min(_POOL * max(1, _STRIP_BYTES // (_POOL * row_bytes)), _POOL * self.ph)
+        self.w2, self.b = w.reshape(f, -1), b[:, None]
+        self._cols = np.empty(c * k * k * self.rows * self.width)
+        self._conv = np.empty(f * self.rows * self.width)
+
+    def __call__(self, x_s, out, idx=None):
+        """Pool the conv map of one sample x_s (c, h, w) into ``out``
+        (f, ph, pw) and, given ``idx``, its argmax bytes (see
+        :func:`_pool_forward`); returns ``out``."""
+        k, width = self.k, self.width
+        f, taps = self.w2.shape
+        for r0 in range(0, _POOL * self.ph, self.rows):
+            r = min(self.rows, _POOL * self.ph - r0)
+            cols = self._cols[:taps * r * width].reshape(taps, r * width)
+            _cols(x_s[:, r0:r0 + r + k - 1, :width + k - 1], k, cols)
+            conv = self._conv[:f * r * width].reshape(f, r * width)
+            np.matmul(self.w2, cols, out=conv)
+            conv += self.b
+            band = np.s_[:, r0 // _POOL:(r0 + r) // _POOL]
+            _pool_forward(conv.reshape(f, r, width), out[band], None if idx is None else idx[band])
+        return out
 
 
 def _conv_pool_forward(x, w, b, need_idx):
@@ -243,25 +316,17 @@ def _conv_pool_forward(x, w, b, need_idx):
     w (f, c, k, k) plus bias, then max-pool.
 
     A stage that :func:`_by_fft` selects goes through
-    :func:`_conv_pool_fft`. Any other runs one sample at a time: one
-    im2col buffer and one one-sample conv map are reused across the batch,
-    so only the pooled (n, f, oh // _POOL, ow // _POOL) output and, with
-    ``need_idx``, its argmax indices grow with the batch.
+    :func:`_conv_pool_fft`. Any other runs one sample at a time through
+    :class:`_Strips`, so only the pooled (n, f, oh // _POOL, ow // _POOL)
+    output and, with ``need_idx``, its argmax indices grow with the batch.
     """
-    if _by_fft(x, w):
+    if _by_fft(x.shape, w.shape):
         return _conv_pool_fft(x, w, b, need_idx)
-    n, c, h, wd = x.shape
-    f, _, k, _ = w.shape
-    oh, ow = h - k + 1, wd - k + 1
-    w2 = w.reshape(f, -1)
-    cols = np.empty((c * k * k, oh * ow))
-    conv = np.empty((f, oh * ow))
-    out = np.empty((n, f, oh // _POOL, ow // _POOL))
+    stage = _Strips(x.shape, w, b)
+    out = np.empty(_pooled_shape(x.shape, w.shape))
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
-    for s in range(n):
-        np.matmul(w2, _cols(x[s], k, cols), out=conv)
-        conv += b[:, None]  # while this sample's map is still in cache
-        _pool_forward(conv.reshape(f, oh, ow), out[s], idx[s] if need_idx else None)
+    for s in range(len(x)):
+        stage(x[s], out[s], idx[s] if need_idx else None)
     return out, idx
 
 
@@ -284,12 +349,12 @@ class _Spectra:
     w rounded up by :func:`_fast_len`), where circular correlation leaves
     every valid output intact, for both directions of the stage.
 
-    Input spectra are taken ``ns`` samples at a time. Kernel spectra are
-    built from the k x k taps, and a weight gradient's taps read back from
-    its spectra, by two DFT-matrix products, ``_FFT_FILTERS`` filters at a
-    time, so the whole layer's spectra (f, c, gh, gw) never exist at once.
-    Each buffer is allocated once and viewed at each block's size, so that
-    partial blocks stay contiguous; :meth:`kernels` and
+    Input spectra are taken up to ``ns`` samples at a time. Kernel spectra
+    are built from the k x k taps, and a weight gradient's taps read back
+    from its spectra, by two DFT-matrix products, ``_FFT_FILTERS`` filters
+    at a time, so the whole layer's spectra (f, c, gh, gw) never exist at
+    once. Each buffer is allocated once and viewed at each block's size, so
+    that partial blocks stay contiguous; :meth:`kernels` and
     :meth:`correlation_taps` share theirs, so an array either returns is
     valid until the next call of either.
     """
@@ -310,18 +375,26 @@ class _Spectra:
         self._tap_w = (self._dft_w * (fold / (gh * gw))[:, None]).T
         self._tap_h = self._dft_h.T
         self._grid = np.zeros((c, gh, gw))  # one zero-padded sample
+        self._corner = self._grid[:, :h, :wd]  # the part a sample's map fills
         self._spec = np.empty((c, gh, gr), dtype=complex)
         self._xf = np.empty(self.bins * ns * c, dtype=complex)
-        self._taps = np.empty(k * k * c * nf, dtype=complex)
-        self._rows = np.empty(k * gr * c * nf, dtype=complex)
-        self._kf = np.empty(self.bins * c * nf, dtype=complex)
+        self._kernel_sizes = (k * k * c * nf, k * gr * c * nf, self.bins * c * nf)
 
-    def inputs(self, x):
-        """Spectra of the samples x (m, c, h, w), as (bins, m, c)."""
-        m, c, h, wd = x.shape
+    @functools.cached_property
+    def _kernel_buffers(self):
+        """The buffers of taps, per-row spectra and spectra that
+        :meth:`kernels` and :meth:`correlation_taps` share, allocated at
+        their first use, after a caller's work on the input spectra."""
+        return tuple(np.empty(size, dtype=complex) for size in self._kernel_sizes)
+
+    def inputs(self, m, fill):
+        """Spectra of m samples, as (bins, m, c). ``fill(j, grid)`` writes
+        sample j's (c, h, w) map into ``grid``, a view of the zero-padded
+        grid whose padding it leaves untouched."""
+        c = self._grid.shape[0]
         xf = self._xf[:self.bins * m * c].reshape(self.gh, self.gr, m, c)
         for j in range(m):
-            self._grid[:, :h, :wd] = x[j]
+            fill(j, self._corner)
             np.fft.rfft2(self._grid, out=self._spec)
             xf[:, :, j] = self._spec.transpose(1, 2, 0)
         return xf.reshape(self.bins, m, c)
@@ -329,11 +402,12 @@ class _Spectra:
     def kernels(self, w):
         """Conjugate spectra of the kernels w (fb, c, k, k), as (bins, c, fb)."""
         fb, c, k, _ = w.shape
-        wt = self._taps[:k * k * c * fb].reshape(k, k, c * fb)
+        taps, rows, spectra = self._kernel_buffers
+        wt = taps[:k * k * c * fb].reshape(k, k, c * fb)
         wt.reshape(k, k, c, fb)[...] = w.transpose(2, 3, 1, 0)
-        rows = self._rows[:k * self.gr * c * fb].reshape(k, self.gr, c * fb)
+        rows = rows[:k * self.gr * c * fb].reshape(k, self.gr, c * fb)
         np.matmul(self._dft_w, wt, out=rows)  # along the width, per kernel row
-        kf = self._kf[:self.bins * c * fb].reshape(self.gh, self.gr * c * fb)
+        kf = spectra[:self.bins * c * fb].reshape(self.gh, self.gr * c * fb)
         np.matmul(self._dft_h, rows.reshape(k, self.gr * c * fb), out=kf)  # along the height
         return kf.reshape(self.bins, c, fb)
 
@@ -346,55 +420,115 @@ class _Spectra:
         :meth:`kernels`, with no inverse FFT over the grid. The product
         takes the kernel spectra's buffer."""
         fb, c, k = daf.shape[1], xf.shape[2], self._tap_h.shape[0]
-        g = self._kf[:self.bins * fb * c].reshape(self.bins, fb, c)
+        taps, rows, spectra = self._kernel_buffers
+        g = spectra[:self.bins * fb * c].reshape(self.bins, fb, c)
         np.matmul(daf, xf, out=g)
-        rows = self._rows[:k * self.gr * fb * c].reshape(k, self.gr, fb * c)
+        rows = rows[:k * self.gr * fb * c].reshape(k, self.gr, fb * c)
         np.matmul(self._tap_h, g.reshape(self.gh, self.gr * fb * c),
                   out=rows.reshape(k, self.gr * fb * c))  # along the height
-        t = self._taps[:k * k * fb * c].reshape(k, k, fb * c)
+        t = taps[:k * k * fb * c].reshape(k, k, fb * c)
         np.matmul(self._tap_w, rows, out=t)  # along the width, per tap row
         return t.real.reshape(k, k, fb, c).transpose(2, 3, 0, 1)
 
 
 def _conv_pool_fft(x, w, b, need_idx):
-    """:func:`_conv_pool_forward` through real FFTs (Mathieu et al. 2014).
-
-    Per frequency bin, the conv map's spectrum is the input spectra times
-    the conjugate kernel spectra (:class:`_Spectra`), summed over
-    channels: one stacked matmul over the bins, straight into the layout
-    the inverse transform reads. Samples go ``_FFT_SAMPLES`` at a time and
-    filters ``_FFT_FILTERS`` at a time. Every working buffer is allocated
-    once per call and reused, so only the pooled output grows with the
-    batch.
-    """
-    n, c, h, wd = x.shape
-    f, _, k, _ = w.shape
-    oh, ow = h - k + 1, wd - k + 1
-    ns, nf = min(n, _FFT_SAMPLES), min(f, _FFT_FILTERS)
-    spectra = _Spectra(x.shape, w.shape, ns)
-    gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
-    # flat buffers, viewed at each block's size so that partial blocks stay contiguous
-    yf_buf = np.empty(bins * ns * nf, dtype=complex)
-    zf_buf = np.empty(bins * ns * nf, dtype=complex)
-    conv_buf = np.empty(ns * nf * gh * gw)
-    out = np.empty((n, f, oh // _POOL, ow // _POOL))
+    """:func:`_conv_pool_forward` through real FFTs (Mathieu et al. 2014):
+    the input spectra of ``_FFT_SAMPLES`` samples at a time go through
+    :func:`_conv_pool_spectra`. Only the pooled output grows with the
+    batch."""
+    n = len(x)
+    spectra = _Spectra(x.shape, w.shape, min(n, _FFT_SAMPLES))
+    out = np.empty(_pooled_shape(x.shape, w.shape))
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
-    for s0 in range(0, n, ns):
-        m = min(ns, n - s0)
-        xf = spectra.inputs(x[s0:s0 + m])
-        for f0 in range(0, f, nf):
-            fb = min(nf, f - f0)
-            yf = yf_buf[:bins * m * fb].reshape(gh, gr, m, fb)
-            np.matmul(xf, spectra.kernels(w[f0:f0 + fb]), out=yf.reshape(bins, m, fb))
-            zf = zf_buf[:bins * m * fb].reshape(m, fb, gh, gr)
+    for s0 in range(0, n, _FFT_SAMPLES):
+        m = min(_FFT_SAMPLES, n - s0)
+        xf = spectra.inputs(m, lambda j, grid: np.copyto(grid, x[s0 + j]))
+        block = np.s_[s0:s0 + m]
+        _conv_pool_spectra(spectra, xf, w, b, out[block], idx[block] if need_idx else None)
+    return out, idx
+
+
+def _conv_pool_spectra(spectra, xf, w, b, out, idx):
+    """Pool the conv maps of the samples whose input spectra are ``xf``
+    (bins, m, c) into ``out`` (m, f, ph, pw) and, given ``idx``, its argmax
+    bytes.
+
+    Filters go ``_FFT_FILTERS`` at a time in the outer loop, so each kernel
+    spectrum is built once per call. Per filter block, samples go
+    ``_FFT_MAP_SAMPLES`` at a time: per frequency bin, the conv maps'
+    spectrum is the input spectra times the conjugate kernel spectra
+    (:class:`_Spectra`), summed over channels, one stacked matmul over the
+    bins straight into the layout the inverse transform reads; then the
+    bias add and the pool. The working buffers are allocated once per call
+    and reused.
+    """
+    m = xf.shape[1]
+    f = w.shape[0]
+    oh, ow = _POOL * out.shape[2], _POOL * out.shape[3]  # the part of each map pooling reads
+    ms, nf = min(m, _FFT_MAP_SAMPLES), min(f, _FFT_FILTERS)
+    gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
+    # flat buffers, viewed at each block's size so that partial blocks stay
+    # contiguous; the conv maps (gh x gw real values each) take the place of
+    # the products (gh x gr complex), which the inverse FFT has consumed
+    yf_buf = np.empty(bins * ms * nf, dtype=complex)
+    zf_buf = np.empty(bins * ms * nf, dtype=complex)
+    for f0 in range(0, f, nf):
+        fb = min(nf, f - f0)
+        kf = spectra.kernels(w[f0:f0 + fb])
+        for j0 in range(0, m, ms):
+            mb = min(ms, m - j0)
+            yf = yf_buf[:bins * mb * fb].reshape(gh, gr, mb, fb)
+            np.matmul(xf[:, j0:j0 + mb], kf, out=yf.reshape(bins, mb, fb))
+            zf = zf_buf[:bins * mb * fb].reshape(mb, fb, gh, gr)
             np.fft.ifft(yf, axis=0, out=zf.transpose(2, 3, 0, 1))
-            conv = conv_buf[:m * fb * gh * gw].reshape(m, fb, gh, gw)
+            conv = yf_buf.view(float)[:mb * fb * gh * gw].reshape(mb, fb, gh, gw)
             np.fft.irfft(zf, n=gw, axis=-1, out=conv)
             conv = conv[:, :, :oh, :ow]
             conv += b[f0:f0 + fb, None, None]
-            block = np.s_[s0:s0 + m, f0:f0 + fb]
-            _pool_forward(conv, out[block], idx[block] if need_idx else None)
-    return out, idx
+            block = np.s_[j0:j0 + mb, f0:f0 + fb]
+            _pool_forward(conv, out[block], None if idx is None else idx[block])
+
+
+def _conv_stages_inference(x, t):
+    """Both conv stages in inference mode, with no batch-sized conv1
+    output: conv2's pooled map (n, f2, ph2, pw2), before its ReLU.
+
+    Each sample's conv1 map is pooled strip by strip (:class:`_Strips`)
+    and ReLU'd, then handed to conv2 at once. When conv2 runs by FFT
+    (:func:`_by_fft`), the map is pooled straight into the zero-padded
+    grid, whose spectrum joins the input spectra of its block of
+    ``_FFT_SAMPLES`` samples (:func:`_conv1_spectra`), and each block goes
+    through :func:`_conv_pool_spectra`. Otherwise one conv1 map is reused
+    and conv2's strips read it.
+    """
+    w1, w2, b2 = t["conv1_w"], t["conv2_w"], t["conv2_b"]
+    n = len(x)
+    p1_shape = _pooled_shape(x.shape, w1.shape)
+    out = np.empty(_pooled_shape(p1_shape, w2.shape))
+    if not _by_fft(p1_shape, w2.shape):
+        conv1, conv2 = _Strips(x.shape, w1, t["conv1_b"]), _Strips(p1_shape, w2, b2)
+        p1 = np.empty(p1_shape[1:])
+        for s in range(n):
+            conv2(np.maximum(conv1(x[s], p1), 0.0, out=p1), out[s])
+        return out
+    spectra = _Spectra(p1_shape, w2.shape, min(n, _FFT_SAMPLES))
+    for s0 in range(0, n, _FFT_SAMPLES):
+        block = np.s_[s0:s0 + _FFT_SAMPLES]
+        xf = _conv1_spectra(x[block], w1, t["conv1_b"], spectra)
+        _conv_pool_spectra(spectra, xf, w2, b2, out[block], None)
+    return out
+
+
+def _conv1_spectra(x, w, b, spectra):
+    """The input spectra (bins, n, c) of conv2 for the samples x (n, c, h, w):
+    each sample's conv1 map is pooled by :class:`_Strips` straight into the
+    zero-padded grid of ``spectra`` and ReLU'd there. The strips' buffers
+    are freed on return, before conv2's own buffers are allocated."""
+    conv1 = _Strips(x.shape, w, b)
+
+    def fill(j, grid):
+        np.maximum(conv1(x[j], grid), 0.0, out=grid)
+    return spectra.inputs(len(x), fill)
 
 
 def _pool_conv_backward(x, w, dpool, idx, need_dx):
@@ -409,7 +543,7 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     with k*k slice-adds (col2im). With ``need_dx`` False, dx is skipped
     and returned as None.
     """
-    if _by_fft(x, w):
+    if _by_fft(x.shape, w.shape):
         return _pool_conv_backward_fft(x, w, dpool, idx, need_dx)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
@@ -471,7 +605,7 @@ def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
     prod_buf = np.empty(bins * ns * c, dtype=complex) if need_dx else None
     for s0 in range(0, n, ns):
         m = min(ns, n - s0)
-        xf = spectra.inputs(x[s0:s0 + m])
+        xf = spectra.inputs(m, lambda j, grid: np.copyto(grid, x[s0 + j]))
         if need_dx:
             dxf = dxf_buf[:bins * c * m].reshape(bins, c, m)
             dxf[...] = 0.0
@@ -575,11 +709,15 @@ def _forward_full(params, x, train_mode):
         raise DataError(f"sample {np.argmin(finite)} of the batch holds NaN or inf")
     cache: dict[str, np.ndarray] = {"x": x}
 
-    # pool each sample's conv map, then ReLU in place on the pooled batch
+    # pool each sample's conv map, then ReLU in place on the pooled map
     # (see the module docstring)
-    p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], train_mode)
-    np.maximum(p1, 0.0, out=p1)
-    p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], train_mode)
+    if train_mode:
+        p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=True)
+        np.maximum(p1, 0.0, out=p1)
+        p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], need_idx=True)
+        cache.update(p1=p1, idx1=idx1, idx2=idx2)
+    else:
+        p2 = _conv_stages_inference(x, t)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
@@ -590,8 +728,7 @@ def _forward_full(params, x, train_mode):
         mu, var = t["bn_mean"], t["bn_var"]
     bn, xhat = _bn_forward(flat, t["bn_gamma"], t["bn_beta"], mu, var)
 
-    cache.update(idx1=idx1, p1=p1, idx2=idx2, p2=p2, xhat=xhat,
-                 bn_mean=mu, bn_var=var, bn=bn)
+    cache.update(p2=p2, xhat=xhat, bn_mean=mu, bn_var=var, bn=bn)
     h = bn
     acts = []
     for i, name in enumerate(("fc1", "fc2", "fc3", "fc4")):
@@ -795,9 +932,11 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
 def gradient_check(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
                    n_coords: int = 200) -> float:
     """Max relative error between analytic gradients and central finite
-    differences, at step 1e-3, over a fixed random subset of ``n_coords``
-    coordinates."""
-    epsilon = 1e-3
+    differences, at step 1e-5, over a fixed random subset of ``n_coords``
+    coordinates. The step is small enough not to cross the ReLU and
+    max-pool kinks near a unit of a wide He-scaled conv stage, which a step
+    of 1e-3 did, and large enough that round-off stays below 1e-7."""
+    epsilon = 1e-5
     params = params.copy()
     _, grads = loss_and_grads(params, x, y)
     rng = np.random.default_rng(0)

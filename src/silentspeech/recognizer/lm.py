@@ -1,21 +1,24 @@
 """Interpolated Witten-Bell bigram language model (Witten & Bell 1991).
 
-Histories h are the sentence-begin symbol or a vocabulary word; predicted
-events w are the vocabulary words plus the sentence-end symbol. Every
-history uses the one formula
+The vocabulary is given, normally the lexicon's words, and may hold words
+that no training sentence does. Histories h are the sentence-begin symbol
+or a vocabulary word; predicted events w are the vocabulary words plus the
+sentence-end symbol. A history seen in training uses
 
     P(w | h) = (c(h, w) + T(h) * P_uni(w)) / (c(h) + T(h))
 
 where c(h, w) counts w after h, c(h) is the sum of those counts and T(h)
-is the number of distinct successors of h. The unigram is Witten-Bell
-smoothed towards the uniform distribution over the V events; every event
-occurs in training, so it is P_uni(w) = (c(w) + 1) / (N + V) for N event
-tokens. For every history the conditional distribution sums to one.
+is the number of distinct successors of h. A history with no successors
+(T(h) = c(h) = 0, where the formula is 0/0) uses the unigram. The unigram
+is add-one smoothed over the V events, P_uni(w) = (c(w) + 1) / (N + V)
+for N event tokens, so an unseen word gets the mass of one count. For
+every history the conditional distribution sums to one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import DataError
@@ -42,6 +45,8 @@ class BigramLm:
         if history not in self.successors:
             raise DataError(f"history {history!r} is neither {BOS!r} nor a vocabulary word")
         succ = self.successors[history]
+        if not succ:
+            return self.unigram[word]
         types = len(succ)
         return (succ.get(word, 0) + types * self.unigram[word]) / (self.totals[history] + types)
 
@@ -57,23 +62,31 @@ class BigramLm:
         return total + self.logprob(EOS, history)
 
 
-def train_bigram(sentences: list[list[str]]) -> BigramLm:
-    """Interpolated Witten-Bell bigram over word sequences; empty sentences
-    are skipped."""
+def train_bigram(sentences: list[list[str]], vocab: Iterable[str]) -> BigramLm:
+    """Interpolated Witten-Bell bigram over word sequences, predicting the
+    words of ``vocab`` (the lexicon's words, say) and the sentence end.
+    Empty sentences are skipped; DataError for a sentence word outside
+    ``vocab`` or a reserved symbol in either."""
+    vocab = sorted(set(vocab))
+    for w in (BOS, EOS):
+        if w in vocab:
+            raise DataError(f"vocabulary holds the reserved symbol {w!r}")
     sentences = [s for s in sentences if s]
     if not sentences:
         raise DataError("cannot train a language model on an empty corpus")
-    uni_counts: dict[str, int] = {}
-    successors: dict[str, dict[str, int]] = {}
+    uni_counts = dict.fromkeys(vocab + [EOS], 0)
+    successors: dict[str, dict[str, int]] = {h: {} for h in [BOS] + vocab}
     for s in sentences:
         if BOS in s or EOS in s:
             raise DataError(f"sentence {s!r} holds a reserved symbol {BOS!r} or {EOS!r}")
         for history, w in zip([BOS] + s, s + [EOS]):
-            uni_counts[w] = uni_counts.get(w, 0) + 1
-            succ = successors.setdefault(history, {})
+            if w not in uni_counts:
+                raise DataError(f"sentence {s!r} holds the word {w!r}, "
+                                "which is not in the vocabulary")
+            uni_counts[w] += 1
+            succ = successors[history]
             succ[w] = succ.get(w, 0) + 1
-    vocab = sorted(uni_counts.keys() - {EOS})
     denom = sum(uni_counts.values()) + len(uni_counts)
-    unigram = {w: (uni_counts[w] + 1) / denom for w in vocab + [EOS]}
+    unigram = {w: (c + 1) / denom for w, c in uni_counts.items()}
     totals = {h: sum(succ.values()) for h, succ in successors.items()}
     return BigramLm(vocab=vocab, unigram=unigram, successors=successors, totals=totals)

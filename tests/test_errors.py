@@ -154,6 +154,9 @@ BAD_DATA = {
                                r"polygon_area expects \(n, 2\) vertices"),
     "pool_clouds-utterance": (lambda d: articspace.pool_clouds({"u9": []}, {}),
                               "unknown utterance 'u9'"),
+    "train_bigram-word-outside-vocabulary": (
+        lambda d: recognizer.train_bigram([["w1", "w2"]], ["w1"]),
+        "holds the word 'w2', which is not in the vocabulary"),
     "Lexicon-no-phones": (lambda d: recognizer.Lexicon(["p0"], {"w": ()}),
                           "'w' has no phones"),
     "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}),

@@ -313,6 +313,66 @@ def conv_scale(x, w, b):
                for xs in x)
 
 
+def whole_map_conv_pool(x, w, b):
+    """Per-sample im2col over the whole conv map, one matmul per sample,
+    then the pool: the conv stage before it ran in row strips."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    cols = np.empty((c * k * k, oh * ow))
+    out = np.empty((n, f, oh // 2, ow // 2))
+    idx = np.empty(out.shape, dtype=np.uint8)
+    for s in range(n):
+        conv = w.reshape(f, -1) @ featnet._cols(x[s], k, cols)
+        conv += b[:, None]
+        featnet._pool_forward(conv.reshape(f, oh, ow), out[s], idx[s])
+    return out, idx
+
+
+class TestStrips:
+    """An im2col stage in row strips against the whole-map code."""
+
+    @pytest.mark.parametrize("rows", [2, 6, 16])
+    def test_matches_whole_map(self, rows, monkeypatch):
+        """Strips of 2 and 6 conv rows (the last one partial) and one strip
+        of an odd-sided map, whose last row and column pooling drops, match
+        the whole map to 1e-12 of its scale, with the same argmax bytes."""
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((2, 3, 19, 24))  # conv map 16 x 21
+        w = rng.standard_normal((5, 3, 4, 4))
+        b = rng.standard_normal(5)
+        monkeypatch.setattr(featnet, "_STRIP_BYTES", rows * 3 * 4 * 4 * 20 * 8)
+        stage = featnet._Strips(x.shape, w, b)
+        assert stage.rows == rows
+        out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
+        ref_out, ref_idx = whole_map_conv_pool(x, w, b)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
+        assert np.array_equal(idx, ref_idx)
+
+    def test_one_strip_bit_identical_to_whole_map(self, monkeypatch):
+        """With a budget that holds the whole map, a conv1 of paper depth and
+        kernel on an even-sided map (32 x 72) is the whole-map matmul, bit
+        for bit, argmax bytes included."""
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2, 7, 41, 81))
+        w = rng.standard_normal((64, 7, 10, 10)) * np.sqrt(2.0 / 700)
+        b = rng.standard_normal(64)
+        monkeypatch.setattr(featnet, "_STRIP_BYTES", 1 << 40)
+        assert featnet._Strips(x.shape, w, b).rows == 32
+        got = featnet._conv_pool_forward(x, w, b, need_idx=True)
+        assert all(np.array_equal(g, r) for g, r in zip(got, whole_map_conv_pool(x, w, b)))
+
+    def test_paper_conv1_strips_fit_budget(self):
+        """Paper conv1 computes its 54 x 118 corner in strips of an even
+        number of rows whose column buffer fits ``_STRIP_BYTES``."""
+        cfg = featnet.FeatNetConfig()
+        w = np.zeros(featnet.param_shapes(cfg)["conv1_w"])
+        stage = featnet._Strips((1, *cfg.input_shape), w, np.zeros(len(w)))
+        assert (stage.ph, stage.pw) == cfg.stage_shapes()["pool1"]
+        assert stage.rows % 2 == 0 and 2 <= stage.rows < 54
+        assert stage._cols.nbytes <= featnet._STRIP_BYTES
+
+
 def spy_calls(monkeypatch, *names):
     """Replace each named featnet function with a wrapper that records
     (name, shape of the first argument) before calling it; returns the
@@ -438,6 +498,63 @@ class TestFFTConvolution:
         featnet.loss_and_grads(params, x, np.zeros(2, dtype=int))
         p1 = (2, cfg.conv_filters[0], *cfg.stage_shapes()["pool1"])
         assert calls == [("_conv_pool_fft", p1), ("_pool_conv_backward_fft", p1)]
+
+
+def staged_forward(params, x):
+    """Inference stage by stage, with the batch's pooled conv1 output
+    built: conv stages as training runs them, then batch norm on the
+    running moments and the fc layers."""
+    t = params.tensors
+    p1, _ = featnet._conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=False)
+    np.maximum(p1, 0.0, out=p1)
+    p2, _ = featnet._conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], need_idx=False)
+    h = np.maximum(p2, 0.0).reshape(len(x), -1)
+    h = (h - t["bn_mean"]) / np.sqrt(t["bn_var"] + featnet._BN_EPS) * t["bn_gamma"] + t["bn_beta"]
+    acts = []
+    for name in ("fc1", "fc2", "fc3", "fc4"):
+        h = np.maximum(h @ t[f"{name}_w"] + t[f"{name}_b"], 0.0)
+        acts.append(h)
+    return h @ t["out_w"] + t["out_b"], acts[2]
+
+
+class TestFusedInference:
+    """forward streams each sample through both conv stages, with no
+    batch-sized conv1 output."""
+
+    MID = featnet.FeatNetConfig(input_shape=(1, 40, 40), conv_kernel=8, conv_filters=(32, 4),
+                                fc_dims=(16, 8, 4, 8), n_classes=3)
+
+    @pytest.mark.parametrize("n", [37, 1], ids=["fft-blocks", "one-sample"])
+    def test_matches_staged_forward(self, n):
+        """37 samples leave a partial block of input spectra and of
+        products; conv2 (32 x 8 x 8 = 2 048 taps) runs by FFT in both
+        paths. One sample runs both stages by im2col."""
+        params = featnet.init_params(self.MID)
+        rng = np.random.default_rng(41)
+        params.tensors["bn_mean"] = 0.1 * rng.standard_normal(self.MID.flat_dim)
+        params.tensors["bn_var"] = rng.uniform(0.5, 2.0, self.MID.flat_dim)
+        x = rng.standard_normal((n, *self.MID.input_shape))
+        p1_shape = (n, 32, *self.MID.stage_shapes()["pool1"])
+        assert featnet._by_fft(p1_shape, params["conv2_w"].shape) == (n > 1)
+        for got, want in zip(featnet.forward(params, x), staged_forward(params, x)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_kernel_spectra_built_once_per_call(self, paper_params, monkeypatch):
+        """A 32-sample inference call at paper shape builds each of conv2's
+        blocks of kernel spectra once: 128 / 16 = 8 builds (32 when they
+        were rebuilt for every 8 samples)."""
+        builds = []
+        inner = featnet._Spectra.kernels
+
+        def spy(self, w):
+            builds.append(w.shape[0])
+            return inner(self, w)
+        monkeypatch.setattr(featnet._Spectra, "kernels", spy)
+        cfg = paper_params.config
+        featnet.forward(paper_params, np.zeros((32, *cfg.input_shape)))
+        f = cfg.conv_filters[1]
+        assert len(builds) == math.ceil(f / featnet._FFT_FILTERS)
+        assert sum(builds) == f
 
 
 class TestPooling:
@@ -873,7 +990,7 @@ class TestBottleneck:
 class TestGradientCheck:
     def test_correct_backprop_passes(self):
         # batch of 16 keeps batch-norm curvature mild so the central
-        # difference at eps=1e-3 stays in its quadratic regime
+        # difference at eps=1e-5 stays in its quadratic regime
         params = featnet.init_params(dataclasses.replace(TINY, seed=8))
         rng = np.random.default_rng(21)
         x = rng.standard_normal((16, *TINY.input_shape))
@@ -882,19 +999,13 @@ class TestGradientCheck:
         assert err < 1e-4
 
     def test_fft_conv_stage_passes(self, monkeypatch):
-        """Backprop through a conv2 of 32 channels x 8 x 8 = 2 048 taps,
-        which runs by FFT in both directions, passes the check. At He scale
-        a stage this wide holds units within a step of 1e-3 of a ReLU or
-        max-pool kink, which no central difference can follow (im2col fails
-        the same way), so both conv weights are scaled by 100: batch norm
-        leaves the network's function unchanged but for its epsilon, and the
-        step shrinks 100-fold against the weights. Without weight decay,
-        whose gradient would then swamp theirs."""
+        """Backprop through a He-scaled conv2 of 32 channels x 8 x 8 = 2 048
+        taps, which runs by FFT in both directions, passes the check.
+        Without weight decay, so that the conv coordinates are checked on
+        the loss's own gradient."""
         cfg = featnet.FeatNetConfig(input_shape=(1, 40, 40), conv_kernel=8, conv_filters=(32, 4),
                                     fc_dims=(16, 8, 4, 8), n_classes=3, l2_weight=0.0)
         params = featnet.init_params(cfg)
-        for name in ("conv1_w", "conv2_w"):
-            params.tensors[name] = 100.0 * params.tensors[name]
         rng = np.random.default_rng(22)
         x = rng.standard_normal((4, *cfg.input_shape))
         y = rng.integers(0, cfg.n_classes, 4)
@@ -930,6 +1041,35 @@ class TestGradientCheck:
         l1, _ = featnet.loss_and_grads(params, x, y)
         l2, _ = featnet.loss_and_grads(params, x, y)
         assert l1 == l2
+
+
+class TestBenchmarkHooks:
+    """The benchmark records step losses by replacing
+    ``featnet.loss_and_grads`` and traces ``featnet.forward``; both must stay
+    the module attributes that training and inference call, once per step
+    and once per chunk."""
+
+    def test_one_call_per_step_and_chunk(self, monkeypatch):
+        calls = {"loss_and_grads": 0, "forward": 0}
+        for name in calls:
+            def spy(*args, inner=getattr(featnet, name), name=name, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(featnet, name, spy)
+        monkeypatch.setattr(featnet, "_ACCURACY_CHUNK", 4)
+        cfg = dataclasses.replace(TINY, input_shape=(7, 8, 8))  # windows of 7 frames; batch 8
+        params = featnet.init_params(cfg)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((20, *cfg.input_shape))
+        y = rng.integers(0, cfg.n_classes, 20)
+        featnet.train_sgd(params, x, y, x[:6], y[:6], epochs=2)
+        assert calls == {"loss_and_grads": 2 * 3, "forward": 2 * 2}
+        calls.update(loss_and_grads=0, forward=0)
+        featnet.accuracy(params, x[:10], y[:10])
+        assert calls == {"loss_and_grads": 0, "forward": 3}
+        calls["forward"] = 0
+        featnet.extract_bottleneck(params, rng.standard_normal((11, 8, 8)), chunk=4)
+        assert calls == {"loss_and_grads": 0, "forward": 3}
 
 
 class TestCheckpoint:
