@@ -42,13 +42,13 @@ sample is faster by im2col in both directions. Small configs (k = 2-5,
 at most a few hundred taps) keep im2col everywhere; a k = 3 config took
 twice as long by FFT.
 
-Inference (:func:`forward`) holds no batch-sized conv1 output: each
-sample's conv1 map is pooled strip by strip and ReLU'd, then handed to
-conv2 at once. When conv2 runs by FFT, the pooled map is written straight
-into the zero-padded grid whose spectrum joins its block's input
-spectra. Training keeps the pooled conv1 output and its argmax bytes for
-the backward pass and takes conv2's input spectra from them, through the
-same strips and the same FFT loop.
+When conv2 runs by FFT, inference (:func:`forward`) holds no batch-sized
+conv1 output: each sample's conv1 map is pooled strip by strip straight
+into the zero-padded grid, ReLU'd there, and its spectrum joins its
+block's input spectra. Otherwise inference runs the stages one after the
+other, as training does. Training keeps the pooled conv1 output and its
+argmax bytes for the backward pass and takes conv2's input spectra from
+them, through the same strips and the same FFT loop.
 
 Outputs and gradients of an FFT stage match im2col to about 1e-15 of
 their largest value, not bit for bit; its bias gradient is bit for bit.
@@ -387,6 +387,11 @@ class _Spectra:
         their first use, after a caller's work on the input spectra."""
         return tuple(np.empty(size, dtype=complex) for size in self._kernel_sizes)
 
+    def free_kernel_buffers(self):
+        """Free the buffers of :meth:`kernels`, which its next call
+        allocates anew."""
+        self.__dict__.pop("_kernel_buffers", None)
+
     def inputs(self, m, fill):
         """Spectra of m samples, as (bins, m, c). ``fill(j, grid)`` writes
         sample j's (c, h, w) map into ``grid``, a view of the zero-padded
@@ -460,7 +465,8 @@ def _conv_pool_spectra(spectra, xf, w, b, out, idx):
     (:class:`_Spectra`), summed over channels, one stacked matmul over the
     bins straight into the layout the inverse transform reads; then the
     bias add and the pool. The working buffers are allocated once per call
-    and reused.
+    and reused, and the kernel spectra's buffers are freed on return, so
+    that the next block's conv1 strips never lie beside them.
     """
     m = xf.shape[1]
     f = w.shape[0]
@@ -487,35 +493,29 @@ def _conv_pool_spectra(spectra, xf, w, b, out, idx):
             conv += b[f0:f0 + fb, None, None]
             block = np.s_[j0:j0 + mb, f0:f0 + fb]
             _pool_forward(conv, out[block], None if idx is None else idx[block])
+    spectra.free_kernel_buffers()
 
 
-def _conv_stages_inference(x, t):
-    """Both conv stages in inference mode, with no batch-sized conv1
-    output: conv2's pooled map (n, f2, ph2, pw2), before its ReLU.
+def _conv_stages_fused(x, t):
+    """Both conv stages in inference mode, when conv2 runs by FFT
+    (:func:`_by_fft`), with no batch-sized conv1 output: conv2's pooled map
+    (n, f2, ph2, pw2), before its ReLU.
 
     Each sample's conv1 map is pooled strip by strip (:class:`_Strips`)
-    and ReLU'd, then handed to conv2 at once. When conv2 runs by FFT
-    (:func:`_by_fft`), the map is pooled straight into the zero-padded
-    grid, whose spectrum joins the input spectra of its block of
-    ``_FFT_SAMPLES`` samples (:func:`_conv1_spectra`), and each block goes
-    through :func:`_conv_pool_spectra`. Otherwise one conv1 map is reused
-    and conv2's strips read it.
+    straight into the zero-padded grid and ReLU'd there; its spectrum
+    joins the input spectra of its block of ``_FFT_SAMPLES`` samples
+    (:func:`_conv1_spectra`), and each block goes through
+    :func:`_conv_pool_spectra`.
     """
-    w1, w2, b2 = t["conv1_w"], t["conv2_w"], t["conv2_b"]
+    w1, w2 = t["conv1_w"], t["conv2_w"]
     n = len(x)
     p1_shape = _pooled_shape(x.shape, w1.shape)
     out = np.empty(_pooled_shape(p1_shape, w2.shape))
-    if not _by_fft(p1_shape, w2.shape):
-        conv1, conv2 = _Strips(x.shape, w1, t["conv1_b"]), _Strips(p1_shape, w2, b2)
-        p1 = np.empty(p1_shape[1:])
-        for s in range(n):
-            conv2(np.maximum(conv1(x[s], p1), 0.0, out=p1), out[s])
-        return out
     spectra = _Spectra(p1_shape, w2.shape, min(n, _FFT_SAMPLES))
     for s0 in range(0, n, _FFT_SAMPLES):
         block = np.s_[s0:s0 + _FFT_SAMPLES]
         xf = _conv1_spectra(x[block], w1, t["conv1_b"], spectra)
-        _conv_pool_spectra(spectra, xf, w2, b2, out[block], None)
+        _conv_pool_spectra(spectra, xf, w2, t["conv2_b"], out[block], None)
     return out
 
 
@@ -711,13 +711,15 @@ def _forward_full(params, x, train_mode):
 
     # pool each sample's conv map, then ReLU in place on the pooled map
     # (see the module docstring)
-    if train_mode:
-        p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=True)
-        np.maximum(p1, 0.0, out=p1)
-        p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], need_idx=True)
-        cache.update(p1=p1, idx1=idx1, idx2=idx2)
+    p1_shape = _pooled_shape(x.shape, t["conv1_w"].shape)
+    if not train_mode and _by_fft(p1_shape, t["conv2_w"].shape):
+        p2 = _conv_stages_fused(x, t)
     else:
-        p2 = _conv_stages_inference(x, t)
+        p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=train_mode)
+        np.maximum(p1, 0.0, out=p1)
+        p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], need_idx=train_mode)
+        if train_mode:
+            cache.update(p1=p1, idx1=idx1, idx2=idx2)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 

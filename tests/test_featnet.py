@@ -488,16 +488,28 @@ class TestFFTConvolution:
     def test_paper_shape_runs_conv2_by_fft(self, monkeypatch):
         """At paper shape conv1 (700 taps) stays on im2col and conv2 (6 400
         taps) goes through the FFT stage in both directions, from 2
-        samples; a single sample runs im2col, which is faster for it."""
+        samples, in inference and training alike; a single sample runs
+        im2col, which is faster for it."""
         calls = spy_calls(monkeypatch, "_conv_pool_fft", "_pool_conv_backward_fft")
+        inner = featnet._conv_pool_spectra
+
+        def spy(spectra, xf, *args):  # every FFT forward, as (name, samples, channels)
+            calls.append(("_conv_pool_spectra", *xf.shape[1:]))
+            return inner(spectra, xf, *args)
+        monkeypatch.setattr(featnet, "_conv_pool_spectra", spy)
         cfg = featnet.FeatNetConfig()
         params = featnet.init_params(cfg)
         x = np.zeros((2, *cfg.input_shape))
+        c = cfg.conv_filters[0]
         featnet.forward(params, x[:1])
         assert calls == []
+        featnet.forward(params, x)
+        assert calls == [("_conv_pool_spectra", 2, c)]
+        calls.clear()
         featnet.loss_and_grads(params, x, np.zeros(2, dtype=int))
-        p1 = (2, cfg.conv_filters[0], *cfg.stage_shapes()["pool1"])
-        assert calls == [("_conv_pool_fft", p1), ("_pool_conv_backward_fft", p1)]
+        p1 = (2, c, *cfg.stage_shapes()["pool1"])
+        assert calls == [("_conv_pool_fft", p1), ("_conv_pool_spectra", 2, c),
+                         ("_pool_conv_backward_fft", p1)]
 
 
 def staged_forward(params, x):
@@ -518,8 +530,8 @@ def staged_forward(params, x):
 
 
 class TestFusedInference:
-    """forward streams each sample through both conv stages, with no
-    batch-sized conv1 output."""
+    """When conv2 runs by FFT, forward streams each sample through both
+    conv stages, with no batch-sized conv1 output."""
 
     MID = featnet.FeatNetConfig(input_shape=(1, 40, 40), conv_kernel=8, conv_filters=(32, 4),
                                 fc_dims=(16, 8, 4, 8), n_classes=3)
@@ -528,7 +540,7 @@ class TestFusedInference:
     def test_matches_staged_forward(self, n):
         """37 samples leave a partial block of input spectra and of
         products; conv2 (32 x 8 x 8 = 2 048 taps) runs by FFT in both
-        paths. One sample runs both stages by im2col."""
+        paths. One sample runs both stages by im2col, one after the other."""
         params = featnet.init_params(self.MID)
         rng = np.random.default_rng(41)
         params.tensors["bn_mean"] = 0.1 * rng.standard_normal(self.MID.flat_dim)
@@ -634,8 +646,8 @@ def paper_peak(paper_params):
     or ``loss_and_grads`` call at batch n, measured once per class."""
     cfg = paper_params.config
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((24, *cfg.input_shape))
-    y = rng.integers(0, cfg.n_classes, 24)
+    x = rng.standard_normal((40, *cfg.input_shape))
+    y = rng.integers(0, cfg.n_classes, 40)
     calls = {"forward": lambda n: featnet.forward(paper_params, x[:n]),
              "step": lambda n: featnet.loss_and_grads(paper_params, x[:n], y[:n])}
     return functools.cache(lambda name, n: traced_peak(calls[name], n))
@@ -660,6 +672,16 @@ class TestMemory:
         the batch."""
         growth = (paper_peak("forward", 24) - paper_peak("forward", 8)) / 16
         assert growth < 1.6 * 2 ** 20
+
+    def test_inference_growth_past_one_block(self, paper_peak):
+        """Samples past the first block of ``_FFT_SAMPLES`` input spectra
+        cost paper-shape inference less than 0.5 MiB each, their pooled
+        maps and fc activations: each block frees its conv1 strips and its
+        kernel spectra's buffers before the next block allocates its own
+        (1.8 MiB per sample when the kernel buffers outlived their block)."""
+        assert featnet._FFT_SAMPLES == 32
+        growth = (paper_peak("forward", 40) - paper_peak("forward", 32)) / 8
+        assert growth < 0.5 * 2 ** 20
 
     def test_step_growth_per_sample(self, paper_peak):
         """Each added sample costs a paper-shape training step less than
