@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, _count
 from . import svgfig
 
 logger = logging.getLogger(__name__)
@@ -289,8 +289,9 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     then one split dimension and one split value per internal node in
     pre-order. A given seed therefore always yields the same trees.
     """
-    if n_trees < 1 or psi < 2:
-        raise UsageError(f"need n_trees >= 1 and psi >= 2, got {n_trees} and {psi}")
+    n_trees, psi = _count(n_trees, "n_trees"), _count(psi, "psi")
+    if psi < 2:
+        raise UsageError(f"need psi >= 2, got {psi}")
     points = _finite_2d(points, "isolation forest fit")
     n = points.shape[0]
     if n < 2:

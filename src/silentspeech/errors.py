@@ -12,6 +12,7 @@ its cause.
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -30,6 +31,20 @@ class DataError(SilentSpeechError):
 
 class NumericalError(SilentSpeechError):
     """Numerical failure: divergence, singular system, degenerate input."""
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int if it is an integer >= 1 and not a bool;
+    UsageError naming ``name`` otherwise."""
+    if not isinstance(value, bool):  # numpy's bool has no __index__
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise UsageError(f"need an integer {name} >= 1, got {value!r}")
 
 
 def open_input(path: str | Path) -> BinaryIO:

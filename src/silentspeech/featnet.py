@@ -23,9 +23,9 @@ gradients and, for the second stage, the column gradient that k*k
 slice-adds scatter back to the input (col2im). The first layer's input
 gradient is never formed, since nothing consumes it.
 
-A conv stage whose im2col column holds at least ``_FFT_MIN_TAPS`` taps
-(c*k*k), called on at least ``_FFT_MIN_SAMPLES`` samples, runs through
-real FFTs instead, in both directions (Mathieu, Henaff & LeCun 2014): per
+Conv2 runs through real FFTs instead, in both directions (Mathieu, Henaff
+& LeCun 2014), when its im2col column holds at least ``_FFT_MIN_TAPS``
+taps (c*k*k) and the call has at least ``_FFT_MIN_SAMPLES`` samples: per
 frequency bin, stacked matmuls of input, kernel and gradient spectra.
 Kernel spectra are built from the taps, and weight gradients read back
 to the taps, by DFT-matrix products in blocks of ``_FFT_FILTERS``
@@ -33,24 +33,23 @@ filters, so a layer's spectra are never held whole. The forward pass
 takes the input spectra of ``_FFT_SAMPLES`` samples at a time and runs
 filter blocks outer and sample blocks inner, so each kernel spectrum is
 built once per block of ``_FFT_SAMPLES`` samples. The rule looks only at
-the call's shape. At paper shape it sends conv2 (6 400 taps) through
-FFTs, which more than halved its forward time at 32 samples and cut its
-backward time by about a third at 4 samples on a 2-core machine, and
-keeps conv1 (700 taps) on im2col: so few taps per output save too little
-to pay for the transforms, and conv1 by FFT was no faster. A single
-sample is faster by im2col in both directions. Small configs (k = 2-5,
-at most a few hundred taps) keep im2col everywhere; a k = 3 config took
-twice as long by FFT.
+conv2's shape. At paper shape (6 400 taps) FFTs more than halved conv2's
+forward time at 32 samples and cut its backward time by about a third at
+4 samples on a 2-core machine; a single sample is faster by im2col in
+both directions. Conv1 always runs by im2col: at paper shape its 700 taps
+per output save too little to pay for the transforms, and conv1 by FFT
+was no faster. Small configs (k = 2-5, at most a few hundred taps) keep
+im2col everywhere; a k = 3 config took twice as long by FFT.
 
-When conv2 runs by FFT, inference (:func:`forward`) holds no batch-sized
-conv1 output: each sample's conv1 map is pooled strip by strip straight
-into the zero-padded grid, ReLU'd there, and its spectrum joins its
-block's input spectra. Otherwise inference runs the stages one after the
-other, as training does. Training keeps the pooled conv1 output and its
-argmax bytes for the backward pass and takes conv2's input spectra from
-them, through the same strips and the same FFT loop.
+Training and inference share one conv route (:func:`_conv_stages`). When
+conv2 runs by FFT, each sample's conv1 map is pooled strip by strip
+straight into the zero-padded grid, ReLU'd there, and its spectrum joins
+its block's input spectra, so inference holds no batch-sized conv1
+output; training also copies the ReLU'd map and its argmax bytes into the
+batch's pooled conv1 output, which the backward pass reads. Otherwise the
+two im2col stages run one after the other.
 
-Outputs and gradients of an FFT stage match im2col to about 1e-15 of
+Conv2's outputs and gradients by FFT match im2col to about 1e-15 of
 their largest value, not bit for bit; its bias gradient is bit for bit.
 Strips can round differently from one whole-map matmul too, as a BLAS
 kernel may treat the columns at a matrix's edge differently: paper
@@ -80,7 +79,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -90,15 +88,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import window_stack
-from .errors import DataError, NumericalError, UsageError, open_input
+from .errors import DataError, NumericalError, UsageError, _count, open_input
 
 _CKPT_MAGIC = b"FNET"
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
 _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read or write block (1 MiB)
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 _POOL = 2  # max-pool window side and stride of both conv stages
-_FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which a conv stage runs by FFT
-_FFT_MIN_SAMPLES = 2  # samples from which such a stage runs by FFT
+_FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which conv2 runs by FFT
+_FFT_MIN_SAMPLES = 2  # samples from which such a conv2 runs by FFT
 _STRIP_BYTES = 18 << 20  # largest column buffer of a row strip in an im2col conv stage
 _FFT_FILTERS = 16  # filters per block of kernel spectra in the FFT conv stage
 _FFT_SAMPLES = 32  # samples per block of input spectra in the forward FFT conv stage
@@ -121,18 +119,16 @@ class FeatNetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        c, h, w = self.input_shape
-        if min(c, h, w) < 1:
-            raise UsageError(f"bad input shape {self.input_shape}")
-        if len(self.fc_dims) != 4:
-            raise UsageError("fc_dims must list the four hidden layer widths")
-        if min(self.conv_kernel, *self.conv_filters, *self.fc_dims) < 1:
-            raise UsageError(f"conv_kernel, conv_filters and fc_dims need sizes >= 1, got "
-                             f"{self.conv_kernel}, {self.conv_filters}, {self.fc_dims}")
+        for name, length in (("input_shape", 3), ("conv_filters", 2), ("fc_dims", 4)):
+            sizes = getattr(self, name)
+            if len(sizes) != length:
+                raise UsageError(f"{name} needs {length} sizes, got {sizes}")
+            for size in sizes:
+                _count(size, name)
+        for name in ("conv_kernel", "n_classes", "batch_size"):
+            _count(getattr(self, name), name)
         if self.n_classes < 2:
             raise UsageError("need at least 2 classes")
-        if self.batch_size < 1:
-            raise UsageError(f"need batch_size >= 1, got {self.batch_size}")
         if not 0.0 < self.lr < math.inf:
             raise UsageError(f"need a finite lr > 0, got {self.lr}")
         if not 0.0 <= self.l2_weight < math.inf:
@@ -141,7 +137,8 @@ class FeatNetConfig:
             if oh < 1 or ow < 1:
                 raise UsageError(
                     f"{name} output collapses to {oh}x{ow}; "
-                    f"input {h}x{w} too small for kernel {self.conv_kernel}")
+                    f"input {self.input_shape[1]}x{self.input_shape[2]} too small for "
+                    f"kernel {self.conv_kernel}")
 
     @property
     def bottleneck_dim(self) -> int:
@@ -261,7 +258,7 @@ def _pooled_shape(x_shape, w_shape):
 
 
 def _by_fft(x_shape, w_shape) -> bool:
-    """Whether a conv stage of input x (n, c, h, w) and weights w (f, c, k, k)
+    """Whether conv2, of input x (n, c, h, w) and weights w (f, c, k, k),
     runs through FFTs, in both directions: with at least ``_FFT_MIN_TAPS``
     taps (c*k*k) per output and at least ``_FFT_MIN_SAMPLES`` samples."""
     n, c = x_shape[:2]
@@ -313,15 +310,12 @@ class _Strips:
 
 def _conv_pool_forward(x, w, b, need_idx):
     """Valid convolution (cross-correlation) of x (n, c, h, w) with
-    w (f, c, k, k) plus bias, then max-pool.
+    w (f, c, k, k) plus bias, then max-pool, by im2col.
 
-    A stage that :func:`_by_fft` selects goes through
-    :func:`_conv_pool_fft`. Any other runs one sample at a time through
-    :class:`_Strips`, so only the pooled (n, f, oh // _POOL, ow // _POOL)
-    output and, with ``need_idx``, its argmax indices grow with the batch.
+    Runs one sample at a time through :class:`_Strips`, so only the pooled
+    (n, f, oh // _POOL, ow // _POOL) output and, with ``need_idx``, its
+    argmax indices grow with the batch.
     """
-    if _by_fft(x.shape, w.shape):
-        return _conv_pool_fft(x, w, b, need_idx)
     stage = _Strips(x.shape, w, b)
     out = np.empty(_pooled_shape(x.shape, w.shape))
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
@@ -436,23 +430,6 @@ class _Spectra:
         return t.real.reshape(k, k, fb, c).transpose(2, 3, 0, 1)
 
 
-def _conv_pool_fft(x, w, b, need_idx):
-    """:func:`_conv_pool_forward` through real FFTs (Mathieu et al. 2014):
-    the input spectra of ``_FFT_SAMPLES`` samples at a time go through
-    :func:`_conv_pool_spectra`. Only the pooled output grows with the
-    batch."""
-    n = len(x)
-    spectra = _Spectra(x.shape, w.shape, min(n, _FFT_SAMPLES))
-    out = np.empty(_pooled_shape(x.shape, w.shape))
-    idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
-    for s0 in range(0, n, _FFT_SAMPLES):
-        m = min(_FFT_SAMPLES, n - s0)
-        xf = spectra.inputs(m, lambda j, grid: np.copyto(grid, x[s0 + j]))
-        block = np.s_[s0:s0 + m]
-        _conv_pool_spectra(spectra, xf, w, b, out[block], idx[block] if need_idx else None)
-    return out, idx
-
-
 def _conv_pool_spectra(spectra, xf, w, b, out, idx):
     """Pool the conv maps of the samples whose input spectra are ``xf``
     (bins, m, c) into ``out`` (m, f, ph, pw) and, given ``idx``, its argmax
@@ -496,55 +473,65 @@ def _conv_pool_spectra(spectra, xf, w, b, out, idx):
     spectra.free_kernel_buffers()
 
 
-def _conv_stages_fused(x, t):
-    """Both conv stages in inference mode, when conv2 runs by FFT
-    (:func:`_by_fft`), with no batch-sized conv1 output: conv2's pooled map
-    (n, f2, ph2, pw2), before its ReLU.
+def _conv_stages(x, t, train_mode):
+    """Both conv stages on x (n, c, h, w) with the tensors ``t``: conv2's
+    pooled map (n, f2, ph2, pw2), before its ReLU, and the dict that the
+    backward pass reads, which in train mode holds the ReLU'd pooled conv1
+    output ``p1`` and the argmax bytes ``idx1`` and ``idx2``, and is empty
+    otherwise.
 
-    Each sample's conv1 map is pooled strip by strip (:class:`_Strips`)
-    straight into the zero-padded grid and ReLU'd there; its spectrum
-    joins the input spectra of its block of ``_FFT_SAMPLES`` samples
-    (:func:`_conv1_spectra`), and each block goes through
-    :func:`_conv_pool_spectra`.
+    When conv2 runs by FFT (:func:`_by_fft`), the input spectra of each
+    block of ``_FFT_SAMPLES`` samples come straight from conv1's strips
+    (:func:`_conv1_spectra`) and go through :func:`_conv_pool_spectra`.
+    Otherwise the two im2col stages run one after the other.
     """
-    w1, w2 = t["conv1_w"], t["conv2_w"]
+    w1, b1, w2, b2 = t["conv1_w"], t["conv1_b"], t["conv2_w"], t["conv2_b"]
     n = len(x)
     p1_shape = _pooled_shape(x.shape, w1.shape)
-    out = np.empty(_pooled_shape(p1_shape, w2.shape))
-    spectra = _Spectra(p1_shape, w2.shape, min(n, _FFT_SAMPLES))
-    for s0 in range(0, n, _FFT_SAMPLES):
-        block = np.s_[s0:s0 + _FFT_SAMPLES]
-        xf = _conv1_spectra(x[block], w1, t["conv1_b"], spectra)
-        _conv_pool_spectra(spectra, xf, w2, t["conv2_b"], out[block], None)
-    return out
+    if _by_fft(p1_shape, w2.shape):
+        p1 = np.empty(p1_shape) if train_mode else None
+        idx1 = np.empty(p1_shape, dtype=np.uint8) if train_mode else None
+        p2 = np.empty(_pooled_shape(p1_shape, w2.shape))
+        idx2 = np.empty(p2.shape, dtype=np.uint8) if train_mode else None
+        spectra = _Spectra(p1_shape, w2.shape, min(n, _FFT_SAMPLES))
+        for s0 in range(0, n, _FFT_SAMPLES):
+            block = np.s_[s0:s0 + _FFT_SAMPLES]
+            p1b, idx1b, idx2b = (None if a is None else a[block] for a in (p1, idx1, idx2))
+            xf = _conv1_spectra(x[block], w1, b1, spectra, p1b, idx1b)
+            _conv_pool_spectra(spectra, xf, w2, b2, p2[block], idx2b)
+    else:
+        p1, idx1 = _conv_pool_forward(x, w1, b1, need_idx=train_mode)
+        np.maximum(p1, 0.0, out=p1)
+        p2, idx2 = _conv_pool_forward(p1, w2, b2, need_idx=train_mode)
+    return p2, (dict(p1=p1, idx1=idx1, idx2=idx2) if train_mode else {})
 
 
-def _conv1_spectra(x, w, b, spectra):
+def _conv1_spectra(x, w, b, spectra, p1, idx1):
     """The input spectra (bins, n, c) of conv2 for the samples x (n, c, h, w):
     each sample's conv1 map is pooled by :class:`_Strips` straight into the
-    zero-padded grid of ``spectra`` and ReLU'd there. The strips' buffers
-    are freed on return, before conv2's own buffers are allocated."""
+    zero-padded grid of ``spectra`` and ReLU'd there. Given ``p1`` and
+    ``idx1`` (train mode), sample j's ReLU'd map is also copied into
+    ``p1[j]`` and its argmax bytes written into ``idx1[j]``. The strips'
+    buffers are freed on return, before conv2's own buffers are allocated."""
     conv1 = _Strips(x.shape, w, b)
 
     def fill(j, grid):
-        np.maximum(conv1(x[j], grid), 0.0, out=grid)
+        np.maximum(conv1(x[j], grid, None if idx1 is None else idx1[j]), 0.0, out=grid)
+        if p1 is not None:
+            p1[j] = grid
     return spectra.inputs(len(x), fill)
 
 
 def _pool_conv_backward(x, w, dpool, idx, need_dx):
     """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
-    gradient ``dpool`` of its pooled output.
+    gradient ``dpool`` of its pooled output, by im2col.
 
-    A stage that :func:`_by_fft` selects goes through
-    :func:`_pool_conv_backward_fft`. Any other runs per sample: the pool
-    gradient forms that sample's conv-map gradient ``da``; db accumulates
-    its sums and dw ``da @ cols.T``. For dx the column gradient
-    ``w2.T @ da`` is written into the column buffer and scattered back
-    with k*k slice-adds (col2im). With ``need_dx`` False, dx is skipped
-    and returned as None.
+    Runs per sample: the pool gradient forms that sample's conv-map
+    gradient ``da``; db accumulates its sums and dw ``da @ cols.T``. For dx
+    the column gradient ``w2.T @ da`` is written into the column buffer and
+    scattered back with k*k slice-adds (col2im). With ``need_dx`` False, dx
+    is skipped and returned as None.
     """
-    if _by_fft(x.shape, w.shape):
-        return _pool_conv_backward_fft(x, w, dpool, idx, need_dx)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
@@ -568,8 +555,9 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
 
 
 def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
-    """:func:`_pool_conv_backward` through real FFTs on the grid of
-    :func:`_conv_pool_fft` (Mathieu et al. 2014).
+    """:func:`_pool_conv_backward` through real FFTs on the grid of the
+    forward FFT stage (Mathieu et al. 2014), for conv2 when :func:`_by_fft`
+    selects it.
 
     Per block of samples and filters, the conv-map gradients are scattered
     onto the zero grid and transformed to DA. Per bin, the weight
@@ -711,15 +699,8 @@ def _forward_full(params, x, train_mode):
 
     # pool each sample's conv map, then ReLU in place on the pooled map
     # (see the module docstring)
-    p1_shape = _pooled_shape(x.shape, t["conv1_w"].shape)
-    if not train_mode and _by_fft(p1_shape, t["conv2_w"].shape):
-        p2 = _conv_stages_fused(x, t)
-    else:
-        p1, idx1 = _conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=train_mode)
-        np.maximum(p1, 0.0, out=p1)
-        p2, idx2 = _conv_pool_forward(p1, t["conv2_w"], t["conv2_b"], need_idx=train_mode)
-        if train_mode:
-            cache.update(p1=p1, idx1=idx1, idx2=idx2)
+    p2, conv_cache = _conv_stages(x, t, train_mode)
+    cache.update(conv_cache)
     np.maximum(p2, 0.0, out=p2)
     flat = p2.reshape(x.shape[0], -1)
 
@@ -807,7 +788,9 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     # is the unit the ReLU let through.
     p1, p2 = cache["p1"], cache["p2"]
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
-    dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
+    conv2_backward = (_pool_conv_backward_fft if _by_fft(p1.shape, t["conv2_w"].shape)
+                      else _pool_conv_backward)
+    dp1, dw2, db2 = conv2_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
     dp1 *= p1 > 0
     _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],
@@ -824,20 +807,6 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Training
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int if it is an integer >= 1 and not a bool;
-    UsageError naming ``name`` otherwise."""
-    if not isinstance(value, bool):  # numpy's bool has no __index__
-        try:
-            count = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if count >= 1:
-                return count
-    raise UsageError(f"need an integer {name} >= 1, got {value!r}")
 
 
 def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:

@@ -32,6 +32,14 @@ BAD_CALLS = {
     "FeatNetConfig-classes": lambda: dataclasses.replace(TINY, n_classes=1),
     "FeatNetConfig-input-shape": lambda: dataclasses.replace(TINY, input_shape=(0, 8, 8)),
     "FeatNetConfig-collapse": lambda: dataclasses.replace(TINY, input_shape=(1, 4, 4)),
+    "FeatNetConfig-input-shape-length": lambda: dataclasses.replace(TINY, input_shape=(8, 8)),
+    "FeatNetConfig-filters-one": lambda: dataclasses.replace(TINY, conv_filters=(2,)),
+    "FeatNetConfig-filters-three": lambda: dataclasses.replace(TINY, conv_filters=(2, 3, 4)),
+    "FeatNetConfig-kernel-float": lambda: dataclasses.replace(TINY, conv_kernel=2.5),
+    "FeatNetConfig-kernel-bool": lambda: dataclasses.replace(TINY, conv_kernel=True),
+    "FeatNetConfig-classes-float": lambda: dataclasses.replace(TINY, n_classes=3.5),
+    "FeatNetConfig-fc-dims-float": lambda: dataclasses.replace(TINY, fc_dims=(8, 6, 4, 6.5)),
+    "FeatNetConfig-batch-float": lambda: dataclasses.replace(TINY, batch_size=2.5),
     "train_sgd-epochs": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
                                                   epochs=0),
     "train_sgd-epochs-float": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
@@ -45,6 +53,9 @@ BAD_CALLS = {
     "extract_bottleneck-chunk-bool": lambda: featnet.extract_bottleneck(
         featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=True),
     "fit_iforest-psi": lambda: articspace.fit_iforest(POINTS, psi=1),
+    "fit_iforest-psi-float": lambda: articspace.fit_iforest(POINTS, psi=2.5),
+    "fit_iforest-trees-float": lambda: articspace.fit_iforest(POINTS, n_trees=1.5),
+    "fit_iforest-trees-bool": lambda: articspace.fit_iforest(POINTS, n_trees=True),
     "prune_outliers-contamination": lambda: articspace.prune_outliers(
         articspace.ContourCloud("s0", "modal", POINTS), contamination=0.5),
     "betainc-a": lambda: stats.betainc(0.0, 1.0, 0.5),

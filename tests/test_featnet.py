@@ -379,11 +379,33 @@ def spy_calls(monkeypatch, *names):
     record."""
     calls = []
     for name in names:
-        def spy(x, *args, inner=getattr(featnet, name), name=name):
+        def spy(x, *args, inner=getattr(featnet, name), name=name, **kwargs):
             calls.append((name, x.shape))
-            return inner(x, *args)
+            return inner(x, *args, **kwargs)
         monkeypatch.setattr(featnet, name, spy)
     return calls
+
+
+def spy_fft_forward(monkeypatch, calls):
+    """Record every FFT forward stage into ``calls`` as
+    ("_conv_pool_spectra", samples, channels)."""
+    inner = featnet._conv_pool_spectra
+
+    def spy(spectra, xf, *args):
+        calls.append(("_conv_pool_spectra", *xf.shape[1:]))
+        return inner(spectra, xf, *args)
+    monkeypatch.setattr(featnet, "_conv_pool_spectra", spy)
+
+
+def fft_conv_pool(x, w, b, need_idx):
+    """The FFT forward stage on the samples x in one block: their input
+    spectra by ``_Spectra.inputs``, then ``_conv_pool_spectra``."""
+    spectra = featnet._Spectra(x.shape, w.shape, len(x))
+    out = np.empty(featnet._pooled_shape(x.shape, w.shape))
+    idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
+    xf = spectra.inputs(len(x), lambda j, grid: np.copyto(grid, x[j]))
+    featnet._conv_pool_spectra(spectra, xf, w, b, out, idx)
+    return out, idx
 
 
 # (n, c, h, w, f, k) layers for the FFT conv stage: paper conv2's channels
@@ -399,40 +421,38 @@ FFT_LAYERS = pytest.mark.parametrize("n, c, h, wd, f, k", [
 
 class TestFFTConvolution:
     """The FFT conv stage, forward and backward, against the im2col code it
-    replaces for layers with at least ``_FFT_MIN_TAPS`` taps, and the rule
+    replaces for conv2 with at least ``_FFT_MIN_TAPS`` taps, and the rule
     that selects it."""
 
     @FFT_LAYERS
-    def test_matches_im2col(self, n, c, h, wd, f, k, monkeypatch):
+    def test_matches_im2col(self, n, c, h, wd, f, k):
         rng = np.random.default_rng(n * c + h)
         x = np.maximum(rng.standard_normal((n, c, h, wd)), 0.0)  # ReLU'd, as conv2's input
         w = rng.standard_normal((f, c, k, k)) * np.sqrt(2.0 / (c * k * k))
         b = rng.standard_normal(f)
-        out, idx = featnet._conv_pool_fft(x, w, b, need_idx=True)
-        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+        out, idx = fft_conv_pool(x, w, b, need_idx=True)
         ref_out, ref_idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
         assert out.shape == ref_out.shape
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
         assert np.array_equal(idx, ref_idx)
-        out_only, no_idx = featnet._conv_pool_fft(x, w, b, need_idx=False)
+        out_only, no_idx = fft_conv_pool(x, w, b, need_idx=False)
         assert no_idx is None
         assert np.array_equal(out_only, out)
 
     @FFT_LAYERS
-    def test_backward_matches_im2col(self, n, c, h, wd, f, k, monkeypatch):
+    def test_backward_matches_im2col(self, n, c, h, wd, f, k):
         """dx and dw within 1e-12 of each gradient's largest value, db bit
         for bit; without dx, the same dw and db bit for bit."""
         rng = np.random.default_rng(n * c + h + 1)
         x = np.maximum(rng.standard_normal((n, c, h, wd)), 0.0)
         w = rng.standard_normal((f, c, k, k)) * np.sqrt(2.0 / (c * k * k))
-        _, idx = featnet._conv_pool_fft(x, w, rng.standard_normal(f), need_idx=True)
+        _, idx = fft_conv_pool(x, w, rng.standard_normal(f), need_idx=True)
         dpool = rng.standard_normal(idx.shape)
         dx, dw, db = featnet._pool_conv_backward_fft(x, w, dpool, idx, need_dx=True)
         no_dx, dw_only, db_only = featnet._pool_conv_backward_fft(x, w, dpool, idx, need_dx=False)
         assert no_dx is None
         assert np.array_equal(dw_only, dw)
         assert np.array_equal(db_only, db)
-        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
         ref_dx, ref_dw, ref_db = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
         for got, want in ((dx, ref_dx), (dw, ref_dw)):
             assert got.shape == want.shape
@@ -446,29 +466,38 @@ class TestFFTConvolution:
             assert featnet._fast_len(n) == next(m for m in smooth if m >= n), n
 
     def test_selection_at_threshold(self, monkeypatch):
-        """A layer one tap or one sample below the thresholds runs im2col,
-        and one at both the FFT stage, each bit for bit in both directions."""
+        """Networks whose conv2 (k = 1, on a (1, 4, 4) input) has one tap
+        fewer than ``_FFT_MIN_TAPS`` or exactly that many, at 1 and 2
+        samples. Below either threshold ``forward`` and ``loss_and_grads``
+        make no FFT call and match the all-im2col run bit for bit; at both,
+        conv2 runs by FFT in both directions."""
+        calls = spy_calls(monkeypatch, "_pool_conv_backward_fft")
+        spy_fft_forward(monkeypatch, calls)
         rng = np.random.default_rng(25)
-        taps, n = featnet._FFT_MIN_TAPS, featnet._FFT_MIN_SAMPLES
-        layers = {name: (rng.standard_normal((m, c, 5, 6)), rng.standard_normal((3, c, 1, 1)))
-                  for name, m, c in (("taps-below", n, taps - 1), ("samples-below", n - 1, taps),
-                                     ("at", n, taps))}
-        b = rng.standard_normal(3)
 
-        def both_directions(forward, backward, x, w):
-            out, idx = forward(x, w, b, need_idx=True)
-            return (out, idx, *backward(x, w, np.cos(out), idx, need_dx=True))
+        def run(params, x, y):
+            loss, grads = featnet.loss_and_grads(params, x, y)
+            return (*featnet.forward(params, x), loss, *grads.values())
 
-        got = {name: both_directions(featnet._conv_pool_forward, featnet._pool_conv_backward, *xw)
-               for name, xw in layers.items()}
-        want = {"at": both_directions(featnet._conv_pool_fft, featnet._pool_conv_backward_fft,
-                                      *layers["at"])}
-        monkeypatch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
-        for name in ("taps-below", "samples-below"):
-            want[name] = both_directions(featnet._conv_pool_forward, featnet._pool_conv_backward,
-                                         *layers[name])
-        for name in layers:
-            assert all(np.array_equal(g, r) for g, r in zip(got[name], want[name])), name
+        for f1 in (featnet._FFT_MIN_TAPS - 1, featnet._FFT_MIN_TAPS):
+            cfg = featnet.FeatNetConfig(input_shape=(1, 4, 4), conv_kernel=1,
+                                        conv_filters=(f1, 3), fc_dims=(4, 4, 2, 4), n_classes=2)
+            params = featnet.init_params(cfg)
+            for n in (featnet._FFT_MIN_SAMPLES - 1, featnet._FFT_MIN_SAMPLES):
+                x = rng.standard_normal((n, *cfg.input_shape))
+                y = rng.integers(0, cfg.n_classes, n)
+                calls.clear()
+                got = run(params, x, y)
+                if f1 == featnet._FFT_MIN_TAPS and n == featnet._FFT_MIN_SAMPLES:
+                    fft_forward = ("_conv_pool_spectra", n, f1)
+                    assert calls == [fft_forward, ("_pool_conv_backward_fft", (n, f1, 2, 2)),
+                                     fft_forward]
+                    continue
+                assert calls == [], (f1, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(featnet, "_FFT_MIN_TAPS", math.inf)
+                    want = run(params, x, y)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (f1, n)
 
     @pytest.mark.parametrize("cfg", [TINY, SMALL], ids=["tiny", "small"])
     def test_small_configs_bit_identical_to_im2col(self, cfg, monkeypatch):
@@ -488,34 +517,31 @@ class TestFFTConvolution:
     def test_paper_shape_runs_conv2_by_fft(self, monkeypatch):
         """At paper shape conv1 (700 taps) stays on im2col and conv2 (6 400
         taps) goes through the FFT stage in both directions, from 2
-        samples, in inference and training alike; a single sample runs
-        im2col, which is faster for it."""
-        calls = spy_calls(monkeypatch, "_conv_pool_fft", "_pool_conv_backward_fft")
-        inner = featnet._conv_pool_spectra
-
-        def spy(spectra, xf, *args):  # every FFT forward, as (name, samples, channels)
-            calls.append(("_conv_pool_spectra", *xf.shape[1:]))
-            return inner(spectra, xf, *args)
-        monkeypatch.setattr(featnet, "_conv_pool_spectra", spy)
+        samples: a training step makes the same single FFT forward as
+        inference, then the FFT backward. A single sample runs im2col in
+        inference and training, which is faster for it."""
+        calls = spy_calls(monkeypatch, "_pool_conv_backward_fft")
+        spy_fft_forward(monkeypatch, calls)
         cfg = featnet.FeatNetConfig()
         params = featnet.init_params(cfg)
         x = np.zeros((2, *cfg.input_shape))
+        y = np.zeros(2, dtype=int)
         c = cfg.conv_filters[0]
         featnet.forward(params, x[:1])
+        featnet.loss_and_grads(params, x[:1], y[:1])
         assert calls == []
         featnet.forward(params, x)
         assert calls == [("_conv_pool_spectra", 2, c)]
         calls.clear()
-        featnet.loss_and_grads(params, x, np.zeros(2, dtype=int))
+        featnet.loss_and_grads(params, x, y)
         p1 = (2, c, *cfg.stage_shapes()["pool1"])
-        assert calls == [("_conv_pool_fft", p1), ("_conv_pool_spectra", 2, c),
-                         ("_pool_conv_backward_fft", p1)]
+        assert calls == [("_conv_pool_spectra", 2, c), ("_pool_conv_backward_fft", p1)]
 
 
 def staged_forward(params, x):
     """Inference stage by stage, with the batch's pooled conv1 output
-    built: conv stages as training runs them, then batch norm on the
-    running moments and the fc layers."""
+    built: both conv stages by im2col, one after the other, then batch
+    norm on the running moments and the fc layers."""
     t = params.tensors
     p1, _ = featnet._conv_pool_forward(x, t["conv1_w"], t["conv1_b"], need_idx=False)
     np.maximum(p1, 0.0, out=p1)
@@ -531,7 +557,8 @@ def staged_forward(params, x):
 
 class TestFusedInference:
     """When conv2 runs by FFT, forward streams each sample through both
-    conv stages, with no batch-sized conv1 output."""
+    conv stages, with no batch-sized conv1 output, and training takes the
+    same route."""
 
     MID = featnet.FeatNetConfig(input_shape=(1, 40, 40), conv_kernel=8, conv_filters=(32, 4),
                                 fc_dims=(16, 8, 4, 8), n_classes=3)
@@ -550,6 +577,20 @@ class TestFusedInference:
         assert featnet._by_fft(p1_shape, params["conv2_w"].shape) == (n > 1)
         for got, want in zip(featnet.forward(params, x), staged_forward(params, x)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_train_mode_conv1_cache_exact(self):
+        """Through the streamed route, a training pass keeps the pooled,
+        ReLU'd conv1 output and its argmax bytes bit for bit as conv1's
+        im2col stage gives them, over a partial block of input spectra."""
+        params = featnet.init_params(self.MID)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((37, *self.MID.input_shape))
+        _, _, cache = featnet._forward_full(params, x, train_mode=True)
+        assert featnet._by_fft(cache["p1"].shape, params["conv2_w"].shape)
+        p1, idx1 = featnet._conv_pool_forward(x, params["conv1_w"], params["conv1_b"],
+                                              need_idx=True)
+        assert np.array_equal(cache["p1"], np.maximum(p1, 0.0))
+        assert np.array_equal(cache["idx1"], idx1)
 
     def test_kernel_spectra_built_once_per_call(self, paper_params, monkeypatch):
         """A 32-sample inference call at paper shape builds each of conv2's
