@@ -1,5 +1,5 @@
-"""Articulatory-space measurement: tongue contours, isolation-forest
-pruning, convex hulls, and per-speaker/mode hull areas.
+"""Articulatory-space measurement: tongue contours as (n, 2) point arrays,
+isolation-forest pruning, convex hulls, and per-speaker/mode hull areas.
 
 Every stage is exact: a seed fixes every tree, score, pruned set and hull
 bit for bit.
@@ -53,19 +53,6 @@ _RIDGE_KERNEL /= _RIDGE_KERNEL.sum()
 
 
 @dataclass
-class TongueContour:
-    utt_id: str
-    frame_index: int
-    points: np.ndarray  # (n, 2) of (x, y) pixel coordinates
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 2:
-            raise DataError(
-                f"{self.utt_id}[{self.frame_index}]: contour needs >= 2 (x, y) points")
-
-
-@dataclass
 class ContourCloud:
     speaker_id: str
     mode: str
@@ -108,10 +95,11 @@ def _smooth_columns(frame: np.ndarray) -> np.ndarray:
     return out
 
 
-def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> TongueContour:
+def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> np.ndarray:
     """Track the brightest ridge: per column, the row of maximum smoothed
     intensity; columns whose smoothed maximum stays below
-    ``_RIDGE_THRESHOLD`` are omitted."""
+    ``_RIDGE_THRESHOLD`` are omitted. Returns the (n, 2) float64 (x, y)
+    points; ``utt_id`` and ``frame_index`` label its "no ridge" error."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
@@ -122,8 +110,7 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> To
     if cols.size < 2:
         raise DataError(f"{utt_id}[{frame_index}]: no ridge found: "
                         "fewer than 2 columns exceed the threshold")
-    pts = np.stack([cols.astype(np.float64), rows[cols].astype(np.float64)], axis=1)
-    return TongueContour(utt_id=utt_id, frame_index=frame_index, points=pts)
+    return np.stack([cols.astype(np.float64), rows[cols].astype(np.float64)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +395,22 @@ def polygon_area(vertices: np.ndarray) -> float:
 # Per-speaker x mode analysis
 
 
-def pool_clouds(contours_by_utt: dict[str, list[TongueContour]],
+def pool_clouds(contours_by_utt: dict[str, list[np.ndarray]],
                 utt_meta: dict[str, tuple[str, str]]) -> list[ContourCloud]:
     """Pool contour points per (speaker, mode).
 
-    ``utt_meta`` maps utt_id -> (speaker_id, mode).
+    ``utt_meta`` maps utt_id -> (speaker_id, mode). Each contour must be an
+    (n, 2) array with n >= 2, as :func:`ridge_track` returns; DataError
+    names the ``utt_id[i]`` of any other.
     """
     pooled: dict[tuple[str, str], list[np.ndarray]] = {}
     for utt_id, contours in contours_by_utt.items():
         if utt_id not in utt_meta:
             raise DataError(f"contours reference unknown utterance {utt_id!r}")
-        key = utt_meta[utt_id]
-        pooled.setdefault(key, []).extend(c.points for c in contours)
+        for i, c in enumerate(contours):
+            if np.ndim(c) != 2 or np.shape(c)[1] != 2 or len(c) < 2:
+                raise DataError(f"{utt_id}[{i}]: contour needs >= 2 (x, y) points")
+        pooled.setdefault(utt_meta[utt_id], []).extend(contours)
     # a (speaker, mode) without points gets an empty cloud, which ContourCloud rejects
     return [ContourCloud(spk, mode, np.concatenate(pts or [np.empty((0, 2))]))
             for (spk, mode), pts in sorted(pooled.items())]

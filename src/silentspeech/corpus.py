@@ -402,9 +402,9 @@ def split_prompt_disjoint(manifest: Manifest, test_prompts: set[str],
     n_val = int(round(val_fraction * len(rest)))
     val_idx = set(order[:n_val].tolist())
 
-    tagged = [replace(r, split="test", root=r.root) for r in test_recs]
+    tagged = [replace(r, split="test") for r in test_recs]
     for j, r in enumerate(rest):
-        tagged.append(replace(r, split="validation" if j in val_idx else "train", root=r.root))
+        tagged.append(replace(r, split="validation" if j in val_idx else "train"))
     if not any(r.split == "train" for r in tagged):
         raise DataError("split left no training records")
 

@@ -33,8 +33,8 @@ class NumericalError(SilentSpeechError):
     """Numerical failure: divergence, singular system, degenerate input."""
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int if it is an integer >= 1 and not a bool;
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int if it is an integer >= ``least`` and not a bool;
     UsageError naming ``name`` otherwise."""
     if not isinstance(value, bool):  # numpy's bool has no __index__
         try:
@@ -42,9 +42,9 @@ def _count(value, name: str) -> int:
         except TypeError:
             pass
         else:
-            if count >= 1:
+            if count >= least:
                 return count
-    raise UsageError(f"need an integer {name} >= 1, got {value!r}")
+    raise UsageError(f"need an integer {name} >= {least}, got {value!r}")
 
 
 def open_input(path: str | Path) -> BinaryIO:

@@ -82,6 +82,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -121,18 +122,18 @@ class FeatNetConfig:
     def __post_init__(self) -> None:
         for name, length in (("input_shape", 3), ("conv_filters", 2), ("fc_dims", 4)):
             sizes = getattr(self, name)
-            if len(sizes) != length:
-                raise UsageError(f"{name} needs {length} sizes, got {sizes}")
+            # a list would pass here and then fail every shape compare in forward
+            if not isinstance(sizes, tuple) or len(sizes) != length:
+                raise UsageError(f"{name} needs a tuple of {length} sizes, got {sizes!r}")
             for size in sizes:
                 _count(size, name)
-        for name in ("conv_kernel", "n_classes", "batch_size"):
-            _count(getattr(self, name), name)
-        if self.n_classes < 2:
-            raise UsageError("need at least 2 classes")
-        if not 0.0 < self.lr < math.inf:
-            raise UsageError(f"need a finite lr > 0, got {self.lr}")
-        if not 0.0 <= self.l2_weight < math.inf:
-            raise UsageError(f"need a finite l2_weight >= 0, got {self.l2_weight}")
+        for name, least in (("conv_kernel", 1), ("n_classes", 2), ("batch_size", 1), ("seed", 0)):
+            _count(getattr(self, name), name, least)
+        lr, l2 = self.lr, self.l2_weight
+        if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 < lr < math.inf:
+            raise UsageError(f"need a finite lr > 0, got {lr!r}")
+        if isinstance(l2, bool) or not isinstance(l2, Real) or not 0.0 <= l2 < math.inf:
+            raise UsageError(f"need a finite l2_weight >= 0, got {l2!r}")
         for name, (oh, ow) in self.stage_shapes().items():
             if oh < 1 or ow < 1:
                 raise UsageError(
@@ -554,10 +555,10 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     return dx, dw.reshape(w.shape), db
 
 
-def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
-    """:func:`_pool_conv_backward` through real FFTs on the grid of the
-    forward FFT stage (Mathieu et al. 2014), for conv2 when :func:`_by_fft`
-    selects it.
+def _pool_conv_backward_fft(x, w, dpool, idx):
+    """:func:`_pool_conv_backward` with ``need_dx`` True, through real FFTs
+    on the grid of the forward FFT stage (Mathieu et al. 2014), for conv2
+    when :func:`_by_fft` selects it.
 
     Per block of samples and filters, the conv-map gradients are scattered
     onto the zero grid and transformed to DA. Per bin, the weight
@@ -582,22 +583,21 @@ def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
     # training step's peak RSS was 30 MiB higher the other way round)
     dw = np.zeros(w.shape)
     db = np.zeros(f)
-    dx = np.empty(x.shape) if need_dx else None
+    dx = np.empty(x.shape)
     spectra = _Spectra(x.shape, w.shape, ns)
     gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
     # flat buffers, viewed at each block's size so that partial blocks stay contiguous
     grid_buf = np.zeros(ns * nf * gh * gw)  # written only inside each map's oh x ow corner
     spec_buf = np.empty(ns * nf * gh * gr, dtype=complex)
     daf_buf = np.empty(bins * ns * nf, dtype=complex)
-    dxf_buf = np.empty(bins * ns * c, dtype=complex) if need_dx else None
-    prod_buf = np.empty(bins * ns * c, dtype=complex) if need_dx else None
+    dxf_buf = np.empty(bins * ns * c, dtype=complex)
+    prod_buf = np.empty(bins * ns * c, dtype=complex)
     for s0 in range(0, n, ns):
         m = min(ns, n - s0)
         xf = spectra.inputs(m, lambda j, grid: np.copyto(grid, x[s0 + j]))
-        if need_dx:
-            dxf = dxf_buf[:bins * c * m].reshape(bins, c, m)
-            dxf[...] = 0.0
-            prod = prod_buf[:bins * c * m].reshape(bins, c, m)
+        dxf = dxf_buf[:bins * c * m].reshape(bins, c, m)
+        dxf[...] = 0.0
+        prod = prod_buf[:bins * c * m].reshape(bins, c, m)
         for f0 in range(0, f, nf):
             fb = min(nf, f - f0)
             block = np.s_[s0:s0 + m, f0:f0 + fb]
@@ -614,14 +614,12 @@ def _pool_conv_backward_fft(x, w, dpool, idx, need_dx):
             np.conjugate(spec.transpose(2, 3, 1, 0), out=daf)
             daf = daf.reshape(bins, fb, m)
             dw[f0:f0 + fb] += spectra.correlation_taps(daf, xf)
-            if need_dx:
-                np.matmul(spectra.kernels(w[f0:f0 + fb]), daf, out=prod)
-                dxf += prod
-        if need_dx:
-            np.conjugate(dxf, out=dxf)
-            zf = prod_buf[:bins * c * m].reshape(m, c, gh, gr)
-            np.fft.ifft(dxf.reshape(gh, gr, c, m), axis=0, out=zf.transpose(2, 3, 1, 0))
-            dx[s0:s0 + m] = np.fft.irfft(zf, n=gw, axis=-1)[:, :, :h, :wd]
+            np.matmul(spectra.kernels(w[f0:f0 + fb]), daf, out=prod)
+            dxf += prod
+        np.conjugate(dxf, out=dxf)
+        zf = prod_buf[:bins * c * m].reshape(m, c, gh, gr)
+        np.fft.ifft(dxf.reshape(gh, gr, c, m), axis=0, out=zf.transpose(2, 3, 1, 0))
+        dx[s0:s0 + m] = np.fft.irfft(zf, n=gw, axis=-1)[:, :, :h, :wd]
     return dx, dw, db
 
 
@@ -788,9 +786,10 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     # is the unit the ReLU let through.
     p1, p2 = cache["p1"], cache["p2"]
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
-    conv2_backward = (_pool_conv_backward_fft if _by_fft(p1.shape, t["conv2_w"].shape)
-                      else _pool_conv_backward)
-    dp1, dw2, db2 = conv2_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
+    if _by_fft(p1.shape, t["conv2_w"].shape):
+        dp1, dw2, db2 = _pool_conv_backward_fft(p1, t["conv2_w"], dp2, cache["idx2"])
+    else:
+        dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
     dp1 *= p1 > 0
     _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],

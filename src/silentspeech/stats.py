@@ -110,6 +110,12 @@ class TestResult:
     p: float
 
 
+def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values * 2**-e, e)``, e putting the largest magnitude in [0.5, 1)."""
+    e = math.frexp(float(np.abs(values).max()))[1]  # 0 for an infinite value
+    return np.ldexp(values, -e), e
+
+
 def _mean_std(values: np.ndarray, keys: list[str], what: str) -> tuple[float, float, int]:
     """Mean and sample standard deviation (0 for one value) of ``values``
     as ``(mean, std, e)``: the moments are ``mean * 2**e`` and ``std * 2**e``.
@@ -119,9 +125,8 @@ def _mean_std(values: np.ndarray, keys: list[str], what: str) -> tuple[float, fl
     underflow nor overflow, so their ratio is scale-free. DataError, naming
     the key of the largest magnitude, when a moment overflows float64.
     """
-    e = math.frexp(float(np.abs(values).max()))[1]  # 0 for an infinite value
+    scaled, e = _unit_scale(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.ldexp(values, -e)
         mean = float(scaled.mean())
         std = float(scaled.std(ddof=1)) if values.size > 1 else 0.0
         unscaled = np.ldexp([mean, std], e)
@@ -174,7 +179,8 @@ def holm_bonferroni(p_values: list[float]) -> list[bool]:
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Pearson correlation coefficient of two 1-D series."""
+    """Sample Pearson correlation coefficient of two 1-D series, scale-free:
+    each series is scaled by :func:`_unit_scale` before it is centred."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
@@ -183,6 +189,7 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
         raise DataError("pearson_r needs two equal-length series of >= 2 values")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("pearson_r input contains NaN or inf")
+    x, y = _unit_scale(x)[0], _unit_scale(y)[0]
     dx = x - x.mean()
     dy = y - y.mean()
     sx = math.sqrt(float(dx @ dx))

@@ -497,8 +497,8 @@ class TestRidgeTrack:
         truth = np.clip(truth, 4, h - 5)
         frame = render_ridge(truth, h, w)
         contour = arts.ridge_track(frame)
-        assert contour.points.shape[0] == w
-        rms = np.sqrt(np.mean((contour.points[:, 1] - truth) ** 2))
+        assert contour.shape == (w, 2) and contour.dtype == np.float64
+        rms = np.sqrt(np.mean((contour[:, 1] - truth) ** 2))
         assert rms <= 1.0
 
     def test_black_frame_rejected(self):
@@ -544,7 +544,7 @@ class TestRidgeTrack:
         for frame in frames:
             smoothed, points = self.reference_ridge(frame)
             assert np.array_equal(arts._smooth_columns(frame), smoothed)
-            assert np.array_equal(arts.ridge_track(frame).points, points)
+            assert np.array_equal(arts.ridge_track(frame), points)
             ties += int(((smoothed == smoothed.max(axis=0)).sum(axis=0) > 1).sum())
         assert ties > 0  # the blocks do produce exact ties for argmax to break
 
@@ -552,8 +552,8 @@ class TestRidgeTrack:
         frame = np.zeros((20, 15))
         frame[5:10, :] = 1.0  # one bright row smooths to a peak below the threshold
         contour = arts.ridge_track(frame)
-        assert contour.points.shape[0] == 15
-        assert np.all(contour.points[:, 1] == 7)
+        assert contour.shape == (15, 2)
+        assert np.all(contour[:, 1] == 7)
 
 
 class TestArticulatorySpace:
@@ -628,6 +628,17 @@ class TestArticulatorySpace:
         for x, y in xy:
             assert svgfig._X0 <= x <= svgfig._X1 and svgfig._Y1 <= y <= svgfig._Y0
 
+    def test_hull_svg_single_x_value(self, tmp_path):
+        """A cloud whose points share one x gets an x axis widened to
+        x +- 0.5, which puts every dot on the plot's middle column."""
+        pts = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
+        clouds = [arts.ContourCloud("spk0", "modal", pts)]
+        results = arts.articulatory_space(clouds, contamination=0.0)
+        arts.write_hull_report(results, clouds, tmp_path)
+        doc = minidom.parse(str(tmp_path / "hull_spk0.svg"))
+        xs = {float(c.getAttribute("cx")) for c in doc.getElementsByTagName("circle")}
+        assert xs == {round((svgfig._X0 + svgfig._X1) / 2, 2)}
+
     def test_hull_report_missing_cloud_rejected(self, tmp_path):
         clouds = self._clouds(n_speakers=2)
         results = arts.articulatory_space(clouds, contamination=0.0)
@@ -677,8 +688,8 @@ class TestArticulatorySpace:
 class TestContourIO:
     def test_pool_clouds(self):
         contours = {
-            "u1": [arts.TongueContour("u1", 0, [[0, 0], [1, 1]])],
-            "u2": [arts.TongueContour("u2", 0, [[2, 2], [3, 3]])],
+            "u1": [np.array([[0.0, 0.0], [1.0, 1.0]])],
+            "u2": [np.array([[2.0, 2.0], [3.0, 3.0]])],
         }
         meta = {"u1": ("s1", "modal"), "u2": ("s1", "modal")}
         clouds = arts.pool_clouds(contours, meta)

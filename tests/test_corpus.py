@@ -175,6 +175,16 @@ class TestManifest:
         with pytest.raises(DataError, match=r"u1: .*u1\.artf"):
             corpus.load_manifest(tmp_path / "m.json")
 
+    def test_phone_labels(self, tmp_path):
+        """A record reads its label file from its root; without one it has
+        no labels."""
+        rec = make_record(tmp_path, "u1", "a b", n_frames=4)
+        corpus.write_labels(tmp_path / rec.labels_path, np.array([2, 0, 1, 1]))
+        labels = rec.phone_labels()
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [2, 0, 1, 1]
+        assert make_record(tmp_path, "u2", "c d", with_labels=False).phone_labels() is None
+
     def test_parse_error_reports_line(self, tmp_path):
         (tmp_path / "m.json").write_text('{"phones": [,]}')
         with pytest.raises(DataError, match="line"):
@@ -337,6 +347,7 @@ class TestSplit:
     def test_matching_prompts_go_to_test(self, tmp_path):
         man = self._manifest(tmp_path)
         out = corpus.split_prompt_disjoint(man, {"prompt 0", "prompt 1", "prompt 2"}, seed=0)
+        assert all(r.root == tmp_path for r in out.records)
         for r in out.records:
             if r.prompt in {"prompt 0", "prompt 1", "prompt 2"}:
                 assert r.split == "test"

@@ -40,6 +40,16 @@ BAD_CALLS = {
     "FeatNetConfig-classes-float": lambda: dataclasses.replace(TINY, n_classes=3.5),
     "FeatNetConfig-fc-dims-float": lambda: dataclasses.replace(TINY, fc_dims=(8, 6, 4, 6.5)),
     "FeatNetConfig-batch-float": lambda: dataclasses.replace(TINY, batch_size=2.5),
+    "FeatNetConfig-input-shape-int": lambda: dataclasses.replace(TINY, input_shape=8),
+    "FeatNetConfig-fc-dims-int": lambda: dataclasses.replace(TINY, fc_dims=5),
+    "FeatNetConfig-filters-none": lambda: dataclasses.replace(TINY, conv_filters=None),
+    "FeatNetConfig-input-shape-list": lambda: dataclasses.replace(TINY, input_shape=[1, 8, 8]),
+    "FeatNetConfig-lr-string": lambda: dataclasses.replace(TINY, lr="0.1"),
+    "FeatNetConfig-lr-bool": lambda: dataclasses.replace(TINY, lr=True),
+    "FeatNetConfig-l2-string": lambda: dataclasses.replace(TINY, l2_weight="0"),
+    "FeatNetConfig-seed-float": lambda: dataclasses.replace(TINY, seed=1.5),
+    "FeatNetConfig-seed-negative": lambda: dataclasses.replace(TINY, seed=-1),
+    "FeatNetConfig-seed-bool": lambda: dataclasses.replace(TINY, seed=True),
     "train_sgd-epochs": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
                                                   epochs=0),
     "train_sgd-epochs-float": lambda: featnet.train_sgd(featnet.init_params(TINY), X, Y, X, Y,
@@ -151,8 +161,10 @@ BAD_DATA = {
             ["p0"], [record(), record(utt_id="u2", split="test")]))),
         r"prompts shared between train and test: \['p'\]"),
     "normalize-empty": (lambda d: corpus.normalize([]), "empty set"),
-    "TongueContour-one-point": (lambda d: articspace.TongueContour("u1", 4, [[0.0, 0.0]]),
-                                r"u1\[4\]: contour needs >= 2"),
+    "pool_clouds-one-point": (
+        lambda d: articspace.pool_clouds({"u1": [np.zeros((2, 2))] * 4 + [np.zeros((1, 2))]},
+                                         {"u1": ("s1", "modal")}),
+        r"^u1\[4\]: contour needs >= 2 \(x, y\) points$"),
     "ContourCloud-empty": (lambda d: articspace.ContourCloud("s1", "modal", np.empty((0, 2))),
                            "s1/modal: empty contour cloud"),
     "ridge_track-1d": (lambda d: articspace.ridge_track(np.ones(5)),

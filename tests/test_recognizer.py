@@ -124,6 +124,12 @@ class TestLexicon:
         save_lexicon(lex, tmp_path / "lex.txt")
         assert load_lexicon(tmp_path / "lex.txt", self.PHONES) == lex
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("\nhello\tp0 p1\n  \n\t\nworld\tp2\n\n")
+        assert load_lexicon(path, self.PHONES) == Lexicon(
+            phones=self.PHONES, entries={"hello": (0, 1), "world": (2,)})
+
     def test_phones_for_concatenates_entries(self):
         lex = Lexicon(phones=self.PHONES, entries={"hello": (0, 1, 2), "world": (2, 0)})
         assert lex.phones_for(["world", "hello", "world"]) == [2, 0, 0, 1, 2, 2, 0]

@@ -46,6 +46,12 @@ class TestStudentTSf:
         ps = [stats.student_t_sf(float(t), 9) for t in ts]
         assert all(ps[i + 1] <= ps[i] for i in range(len(ps) - 1))
 
+    def test_betainc_outside_open_interval(self):
+        for x in (-0.5, 0.0):
+            assert stats.betainc(2.0, 3.0, x) == 0.0
+        for x in (1.0, 1.5):
+            assert stats.betainc(2.0, 3.0, x) == 1.0
+
     def test_nonfinite_t_rejected(self):
         with pytest.raises(ValueError):
             stats.student_t_sf(float("nan"), 5)
@@ -185,6 +191,27 @@ class TestPearson:
         with pytest.raises(NumericalError):
             stats.pearson_r(np.ones(5), np.arange(5.0))
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_scale_bit_identical(self, k):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal(15), rng.standard_normal(15)
+        y += 0.5 * x
+        assert stats.pearson_r(x * 2.0 ** k, y) == stats.pearson_r(x, y)
+        assert stats.pearson_r(x, y * 2.0 ** k) == stats.pearson_r(x, y)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scale_matches_unit_scale(self, scale):
+        """Before scaling, 1e160 overflowed the sums of products (r read 0.0
+        with a numpy warning) and 1e-170 underflowed them (a "constant
+        series" NumericalError)."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(10)
+        y = x + 0.3 * rng.standard_normal(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = stats.pearson_r(x * scale, y * scale)
+        assert abs(r - stats.pearson_r(x, y)) <= 1e-15
+
     def test_non_finite_value_rejected(self):
         """Left unchecked, a NaN made r -1.0."""
         with pytest.raises(DataError, match="NaN or inf"):
@@ -246,6 +273,60 @@ class TestModeReport:
         assert table is not None
         assert set(table.columns) == {"hull_area", "wer"}
         assert ("hull_area", "wer") in table.correlations
+
+    def test_tiny_scale_correlation_kept(self):
+        """Speaker differences of about 1e-170 keep their correlation; their
+        sums of products underflowed to zero, and the pair was dropped."""
+        diffs = [1.0, 3.0, 2.0, 5.0]
+        spk = {m: {"modal": {f"s{i}": 2.0 * j * d * 1e-170 for i, d in enumerate(diffs)},
+                   "silent": {f"s{i}": j * d * 1e-170 for i, d in enumerate(diffs)}}
+               for j, m in ((1, "hull_area"), (3, "wer"))}
+        report = stats.build_mode_report({}, spk)
+        assert report.differences.correlations == {("hull_area", "wer"): 1.0}
+
+    def test_mode_without_values_has_no_summary(self):
+        utt, spk = self._metrics(modes=("modal", "silent"))
+        utt["syllable_rate"]["whispered"] = {}
+        report = stats.build_mode_report(utt, spk)
+        rate_modes = [r.mode for r in report.summaries if r.metric == "syllable_rate"]
+        assert rate_modes == ["modal", "silent"]
+
+    def test_pair_sharing_one_key_untested(self):
+        """A mode pair with a single shared key gets no test row; the keys
+        of either mode outside the pair's shared keys are excluded."""
+        spk = {"hull_area": {"modal": {"s0": 1.0, "s1": 2.0},
+                             "silent": {"s1": 3.0, "s2": 4.0}}}
+        report = stats.build_mode_report({}, spk)
+        assert report.tests == []
+        assert report.excluded_keys == ["s0", "s2"]
+
+    def test_metric_without_modal_and_silent_has_no_column(self):
+        utt, spk = self._metrics()
+        spk["wer"] = {m: dict(spk["hull_area"][m]) for m in ("modal", "whispered")}
+        report = stats.build_mode_report(utt, spk)
+        assert set(report.differences.columns) == {"hull_area"}
+
+    @pytest.mark.parametrize("spk", [
+        pytest.param({"hull_area": {"modal": {"s0": 1.0, "s1": 2.0},
+                                    "whispered": {"s0": 1.5, "s1": 2.5}}},
+                     id="no-modal-silent-metric"),
+        pytest.param({"hull_area": {"modal": {"s0": 1.0, "s1": 2.0},
+                                    "silent": {"s0": 0.5, "s1": 1.0}},
+                      "wer": {"modal": {"s1": 0.4, "s2": 0.3},
+                              "silent": {"s1": 0.6, "s2": 0.5}}},
+                     id="one-shared-speaker"),
+    ])
+    def test_no_difference_table(self, spk):
+        assert stats.build_mode_report({}, spk).differences is None
+
+    def test_constant_difference_column_has_no_correlation(self):
+        utt, spk = self._metrics(modes=("modal", "silent"))
+        spk["wer"] = {"modal": {k: v + 0.25 for k, v in spk["hull_area"]["silent"].items()},
+                      "silent": dict(spk["hull_area"]["silent"])}
+        table = stats.build_mode_report(utt, spk).differences
+        assert set(table.columns) == {"hull_area", "wer"}
+        assert np.all(table.columns["wer"] == 0.25)
+        assert table.correlations == {}
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_metric_rejected(self, bad):
