@@ -408,8 +408,10 @@ def pool_clouds(contours_by_utt: dict[str, list[np.ndarray]],
         if utt_id not in utt_meta:
             raise DataError(f"contours reference unknown utterance {utt_id!r}")
         for i, c in enumerate(contours):
-            if np.ndim(c) != 2 or np.shape(c)[1] != 2 or len(c) < 2:
-                raise DataError(f"{utt_id}[{i}]: contour needs >= 2 (x, y) points")
+            # a type test, as np.ndim raises a bare ValueError for a ragged list
+            if not isinstance(c, np.ndarray) or c.ndim != 2 or c.shape[1] != 2 or len(c) < 2:
+                raise DataError(f"{utt_id}[{i}]: contour needs an (n, 2) array "
+                                "of n >= 2 (x, y) points")
         pooled.setdefault(utt_meta[utt_id], []).extend(contours)
     # a (speaker, mode) without points gets an empty cloud, which ContourCloud rejects
     return [ContourCloud(spk, mode, np.concatenate(pts or [np.empty((0, 2))]))

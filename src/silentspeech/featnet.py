@@ -64,6 +64,12 @@ output (a strip's rows of a sample, or the FFT stage's block of samples x
 filters), and the argmax positions the backward pass needs are written
 beside it, only in train mode, one byte each.
 
+The network splits at the bottleneck: :func:`bottleneck_logits` takes
+fc3's output to logits through fc4 and the output layer, the same code
+that ends :func:`forward`, so a recogniser reads the features that
+:func:`extract_bottleneck` and ``corpus.write_features`` produce and
+scores them with the classifier that made them.
+
 Checkpoints are read and written through one reused 1 MiB float32
 block, so loading holds no more than the float64 tensors it returns and
 saving makes no float32 copy of a tensor.
@@ -125,10 +131,10 @@ class FeatNetConfig:
             # a list would pass here and then fail every shape compare in forward
             if not isinstance(sizes, tuple) or len(sizes) != length:
                 raise UsageError(f"{name} needs a tuple of {length} sizes, got {sizes!r}")
-            for size in sizes:
-                _count(size, name)
+            # plain ints, so that a numpy integer reaches neither json.dumps nor a repr
+            object.__setattr__(self, name, tuple(_count(size, name) for size in sizes))
         for name, least in (("conv_kernel", 1), ("n_classes", 2), ("batch_size", 1), ("seed", 0)):
-            _count(getattr(self, name), name, least)
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         lr, l2 = self.lr, self.l2_weight
         if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 < lr < math.inf:
             raise UsageError(f"need a finite lr > 0, got {lr!r}")
@@ -712,12 +718,33 @@ def _forward_full(params, x, train_mode):
     cache.update(p2=p2, xhat=xhat, bn_mean=mu, bn_var=var, bn=bn)
     h = bn
     acts = []
-    for i, name in enumerate(("fc1", "fc2", "fc3", "fc4")):
+    for name in ("fc1", "fc2", "fc3"):
         h = np.maximum(h @ t[f"{name}_w"] + t[f"{name}_b"], 0.0)
         acts.append(h)
+    fc4, logits = _head(t, h)
+    acts.append(fc4)
     cache["acts"] = acts
-    logits = acts[-1] @ t["out_w"] + t["out_b"]
     return logits, acts[2], cache
+
+
+def _head(t, bneck):
+    """fc4's activation and the logits of bottleneck rows (fc3's output)."""
+    h = np.maximum(bneck @ t["fc4_w"] + t["fc4_b"], 0.0)
+    return h, h @ t["out_w"] + t["out_b"]
+
+
+def bottleneck_logits(params: FeatNetParams, feats: np.ndarray) -> np.ndarray:
+    """Logits of bottleneck feature rows, such as :func:`extract_bottleneck`
+    returns: fc4 and the output layer, the code that ends :func:`forward`.
+    DataError unless ``feats`` is (n, bottleneck_dim) and finite."""
+    feats = np.asarray(feats, dtype=np.float64)
+    d = params.config.bottleneck_dim
+    if feats.ndim != 2 or feats.shape[1] != d:
+        raise DataError(f"bottleneck features must be (n, {d}), got shape {feats.shape}")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise DataError(f"feature row {np.argmin(finite)} holds NaN or inf")
+    return _head(params.tensors, feats)[1]
 
 
 def _labels(y, n: int, n_classes: int, what: str) -> np.ndarray:

@@ -12,6 +12,8 @@ TINY = featnet.FeatNetConfig(input_shape=(1, 8, 8), conv_kernel=2, conv_filters=
 X = np.zeros((2, *TINY.input_shape))
 Y = np.zeros(2, dtype=int)
 POINTS = np.random.default_rng(0).random((10, 2))
+LEXICON = recognizer.Lexicon(["p0", "p1"], {"ab": (0, 1), "ba": (1, 0)})
+LM = recognizer.train_bigram([["ab", "ba"]], LEXICON.words)
 
 # every argument check of the public API, each with an argument it rejects
 BAD_CALLS = {
@@ -81,6 +83,8 @@ BAD_CALLS = {
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=-0.3),
     "split_prompt_disjoint-val-one": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=1.0),
+    "wer-string-reference": lambda: recognizer.wer([("a b", ["a", "b"])]),
+    "wer-string-hypothesis": lambda: recognizer.wer([(["a", "b"], "a b")]),
 }
 
 
@@ -164,7 +168,10 @@ BAD_DATA = {
     "pool_clouds-one-point": (
         lambda d: articspace.pool_clouds({"u1": [np.zeros((2, 2))] * 4 + [np.zeros((1, 2))]},
                                          {"u1": ("s1", "modal")}),
-        r"^u1\[4\]: contour needs >= 2 \(x, y\) points$"),
+        r"^u1\[4\]: contour needs an \(n, 2\) array of n >= 2 \(x, y\) points$"),
+    "pool_clouds-ragged": (
+        lambda d: articspace.pool_clouds({"u": [[[0.0, 0.0], [1.0]]]}, {"u": ("s1", "modal")}),
+        r"^u\[0\]: contour needs an \(n, 2\) array"),
     "ContourCloud-empty": (lambda d: articspace.ContourCloud("s1", "modal", np.empty((0, 2))),
                            "s1/modal: empty contour cloud"),
     "ridge_track-1d": (lambda d: articspace.ridge_track(np.ones(5)),
@@ -180,6 +187,41 @@ BAD_DATA = {
     "train_bigram-word-outside-vocabulary": (
         lambda d: recognizer.train_bigram([["w1", "w2"]], ["w1"]),
         "holds the word 'w2', which is not in the vocabulary"),
+    "bottleneck_logits-width": (
+        lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), np.zeros((3, 5))),
+        r"bottleneck features must be \(n, 4\), got shape \(3, 5\)"),
+    "bottleneck_logits-nan": (
+        lambda d: featnet.bottleneck_logits(featnet.init_params(TINY),
+                                            [[0, 0, 0, 0], [0, math.nan, 0, 0]]),
+        "feature row 1 holds NaN or inf"),
+    "bottleneck_logits-inf": (
+        lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), [[0, 0, -math.inf, 0]]),
+        "feature row 0 holds NaN or inf"),
+    "emission_scores-label-range": (
+        lambda d: recognizer.emission_scores(np.zeros((2, 3)), np.array([0, 3])),
+        r"training labels must be 1-D integers in 0\.\.2"),
+    "align-chain-longer-than-utterance": (
+        lambda d: recognizer.align(np.zeros((3, 2)), [0, 1, 0, 1]),
+        "no path fits 3 frames: the shortest chain holds 4 phones"),
+    "align-phone-outside-emissions": (lambda d: recognizer.align(np.zeros((3, 2)), [0, 2]),
+                                      r"need phones in 0\.\.1, got \[0, 2\]"),
+    "align-no-phones": (lambda d: recognizer.align(np.zeros((3, 2)), []),
+                        r"need phones in 0\.\.1, got \[\]"),
+    "align-inf": (lambda d: recognizer.align([[0.0, 0.0], [math.inf, 0.0]], [0]),
+                  "emission frame 1 holds NaN or inf"),
+    "decode-nan": (lambda d: recognizer.decode(np.array([[0.0, math.nan]] * 3), LEXICON, LM),
+                   "emission frame 0 holds NaN or inf"),
+    "decode-no-frames": (lambda d: recognizer.decode(np.zeros((0, 2)), LEXICON, LM),
+                         r"frames >= 1, got shape \(0, 2\)"),
+    "decode-words-longer-than-utterance": (
+        lambda d: recognizer.decode(np.zeros((1, 2)), LEXICON, LM),
+        "no path fits 1 frames: the shortest chain holds 2 phones"),
+    "decode-word-outside-lm": (
+        lambda d: recognizer.decode(np.zeros((4, 2)), LEXICON,
+                                    recognizer.train_bigram([["ab"]], ["ab"])),
+        "word 'ba' outside the language model vocabulary"),
+    "wer-no-reference-words": (lambda d: recognizer.wer([([], ["a"])]),
+                               "needs at least one reference word"),
     "Lexicon-no-phones": (lambda d: recognizer.Lexicon(["p0"], {"w": ()}),
                           "'w' has no phones"),
     "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}),

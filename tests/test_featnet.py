@@ -1041,6 +1041,14 @@ class TestBottleneck:
         with pytest.raises(ValueError, match="chunk"):
             featnet.extract_bottleneck(params, np.zeros((5, 16, 32)), chunk=chunk)
 
+    @pytest.mark.parametrize("config", [TINY, SMALL], ids=["tiny", "small"])
+    def test_logits_split_at_bottleneck(self, config):
+        """The logits of forward's bottleneck are forward's logits, bit for bit."""
+        params = featnet.init_params(config)
+        x = np.random.default_rng(21).standard_normal((5, *config.input_shape))
+        logits, bneck = featnet.forward(params, x)
+        assert np.array_equal(featnet.bottleneck_logits(params, bneck), logits)
+
     def test_empty_sequence_rejected(self):
         params = featnet.init_params(dataclasses.replace(SMALL, seed=8))
         with pytest.raises(DataError, match="empty"):
@@ -1141,6 +1149,21 @@ class TestBenchmarkHooks:
 
 
 class TestCheckpoint:
+    def test_numpy_integer_config_round_trip(self, tmp_path):
+        """Numpy integer sizes and seed are kept as plain ints, so the
+        config's JSON can be written, and it reads back equal."""
+        i64 = np.int64
+        cfg = featnet.FeatNetConfig(
+            input_shape=(i64(1), i64(8), i64(8)), conv_kernel=np.int32(2),
+            conv_filters=(i64(2), i64(3)), fc_dims=tuple(map(i64, TINY.fc_dims)),
+            n_classes=np.uint8(2), batch_size=i64(8), l2_weight=0.01, lr=0.05, seed=i64(3))
+        sizes = [*cfg.input_shape, cfg.conv_kernel, *cfg.conv_filters, *cfg.fc_dims,
+                 cfg.n_classes, cfg.batch_size, cfg.seed]
+        assert [type(v) for v in sizes] == [int] * 13
+        featnet.save_params(featnet.init_params(cfg), tmp_path / "net.ckpt")
+        assert featnet.load_params(tmp_path / "net.ckpt").config == cfg
+        assert cfg == dataclasses.replace(TINY, seed=3)
+
     def test_round_trip(self, tmp_path):
         params = featnet.init_params(dataclasses.replace(SMALL, seed=11))
         featnet.save_params(params, tmp_path / "net.ckpt")

@@ -1,18 +1,25 @@
+import dataclasses
 import importlib
+import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
+from silentspeech import corpus, featnet
 from silentspeech.errors import DataError
-from silentspeech.recognizer import Lexicon, load_lexicon, save_lexicon, train_bigram
+from silentspeech.recognizer import (Lexicon, align, decode, emission_scores, load_lexicon,
+                                     save_lexicon, train_bigram, wer)
+from silentspeech.recognizer.decode import _LM_WEIGHT
 from silentspeech.recognizer.lm import BOS, EOS
 
 
 def test_package_imports():
     rec = importlib.import_module("silentspeech.recognizer")
     assert set(rec.__all__) == {"Lexicon", "load_lexicon", "save_lexicon",
-                                "BigramLm", "train_bigram"}
+                                "BigramLm", "train_bigram",
+                                "emission_scores", "decode", "align", "wer"}
     for name in rec.__all__:
         assert hasattr(rec, name)
 
@@ -161,3 +168,139 @@ class TestLexicon:
         path.write_text(f"good\tp0 p1\n{line}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: {reason}")):
             load_lexicon(path, self.PHONES)
+
+
+def word_sequences(lexicon, budget):
+    """Every nonempty word sequence whose phones number at most ``budget``."""
+    for w in lexicon.words:
+        n = len(lexicon.entries[w])
+        if n <= budget:
+            yield [w]
+            for rest in word_sequences(lexicon, budget - n):
+                yield [w, *rest]
+
+
+def segmentations(chain, n_frames):
+    """The frame labels of every split of ``n_frames`` frames into one run
+    of at least one frame per phone of ``chain``, in order."""
+    for cuts in itertools.combinations(range(1, n_frames), len(chain) - 1):
+        bounds = (0, *cuts, n_frames)
+        yield [p for p, lo, hi in zip(chain, bounds, bounds[1:]) for _ in range(lo, hi)]
+
+
+def path_score(em, labels):
+    return sum(em[t, p] for t, p in enumerate(labels))
+
+
+def random_case(seed):
+    """A 3- or 4-word lexicon of 1-3 phones per word over 3 or 4 phones, a
+    bigram LM trained on three random sentences of it, and 3-7 frames of
+    standard normal emissions, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n_phones = int(rng.integers(3, 5))
+    words = [f"w{i}" for i in range(int(rng.integers(3, 5)))]
+    lexicon = Lexicon([f"p{i}" for i in range(n_phones)], {
+        w: tuple(int(p) for p in rng.integers(0, n_phones, int(rng.integers(1, 4))))
+        for w in words})
+    sentences = [list(rng.choice(words, int(rng.integers(1, 4)))) for _ in range(3)]
+    lm = train_bigram(sentences, words)
+    em = rng.standard_normal((int(rng.integers(3, 8)), n_phones))
+    return lexicon, lm, em
+
+
+class TestDecode:
+    # no word's phones begin another's, so a phone string spells one word sequence
+    LEXICON = Lexicon(["a", "b", "c", "d"],
+                      {"one": (0,), "two": (1, 2), "three": (2, 3, 1), "four": (3, 0)})
+    PROMPT = ["two", "four", "three", "one"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_exhaustive_search(self, seed):
+        """The words and score equal the best of every word sequence and
+        every segmentation of its phones, the LM scored by
+        ``sentence_logprob``, which the trellis does not call."""
+        lexicon, lm, em = random_case(seed)
+        best_score, best_words = -math.inf, None
+        for words in word_sequences(lexicon, len(em)):
+            lm_score = _LM_WEIGHT * lm.sentence_logprob(words)
+            for labels in segmentations(lexicon.phones_for(words), len(em)):
+                score = path_score(em, labels) + lm_score
+                if score > best_score:
+                    best_score, best_words = score, words
+        words, score = decode(em, lexicon, lm)
+        assert words == best_words
+        assert score == pytest.approx(best_score, rel=1e-12, abs=0)
+
+    def test_posterior_argmax_spells_prompt(self):
+        """Frames whose most probable phone runs through the prompt's phones,
+        three frames each, decode to the prompt and align to those phones.
+        The LM saw the prompt and two other sentences, whose bigrams
+        "three four" and "four </s>" would spell a wrong ending."""
+        chain = self.LEXICON.phones_for(self.PROMPT)
+        labels = np.repeat(chain, 3)
+        posteriors = np.full((len(labels), 4), 0.01)
+        posteriors[np.arange(len(labels)), labels] = 0.97
+        train_labels = np.array([0, 1, 1, 2, 2, 2, 3, 3])
+        em = emission_scores(np.log(posteriors), train_labels)
+        lm = train_bigram([["one", "two"], ["three", "four"], self.PROMPT], self.LEXICON.words)
+        assert decode(em, self.LEXICON, lm)[0] == self.PROMPT
+        assert np.array_equal(align(em, chain), labels)
+
+    def test_emission_scores_hand_computed(self):
+        """log posterior less log prior: priors (1 + 1) / 5 and (2 + 1) / 5."""
+        em = emission_scores(np.log([[0.25, 0.75]]) + 3.0, np.array([0, 1, 1]))
+        want = [math.log(0.25 / 0.4), math.log(0.75 / 0.6)]
+        assert em[0] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestAlign:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_exhaustive_search(self, seed):
+        """The labels are those of the best of every segmentation of the
+        chain, each phone taking at least one frame in order."""
+        rng = np.random.default_rng(seed)
+        em = rng.standard_normal((int(rng.integers(1, 8)), 4))
+        chain = [int(p) for p in rng.integers(0, 4, int(rng.integers(1, len(em) + 1)))]
+        best = max(segmentations(chain, len(em)), key=lambda labels: path_score(em, labels))
+        assert align(em, chain).tolist() == best
+
+
+class TestWer:
+    @pytest.mark.parametrize("ref, hyp, edits", [
+        ("a b c d", "a b c d", 0),
+        ("a b c d", "a x c d", 1),  # substitution
+        ("a b", "a b c", 1),  # insertion
+        ("a b c", "a c", 1),  # deletion
+        ("a b", "", 2),  # empty hypothesis: every word deleted
+        ("a b c", "b c d", 2),  # a deleted, d inserted
+        ("a b c", "c b a", 2),  # two substitutions
+    ])
+    def test_hand_computed_edits(self, ref, hyp, edits):
+        assert wer([(ref.split(), hyp.split())]) == edits / len(ref.split())
+
+    def test_pools_edits_over_reference_words(self):
+        pairs = [("a b c d".split(), "a x c d".split()), ("a b".split(), [])]
+        assert wer(pairs) == 3 / 6
+
+
+def test_pipeline_smoke(tmp_path):
+    """FeatNet -> bottleneck -> feature file -> logits -> emissions ->
+    decode and align, on an untrained TINY network. No accuracy is claimed:
+    each of the 8 frames' words holds 3 phones, so no hypothesis outnumbers
+    the 2-word reference and the WER cannot pass 1."""
+    cfg = featnet.FeatNetConfig(input_shape=(7, 8, 8), conv_kernel=2, conv_filters=(2, 3),
+                                fc_dims=(8, 6, 4, 6), n_classes=2, seed=0)
+    params = featnet.init_params(cfg)
+    rng = np.random.default_rng(3)
+    frames = rng.random((8, 8, 8))
+    corpus.write_features(tmp_path / "u1.fea", featnet.extract_bottleneck(params, frames))
+    logits = featnet.bottleneck_logits(params, corpus.read_features(tmp_path / "u1.fea"))
+    em = emission_scores(logits, rng.integers(0, 2, 40))
+    lexicon = Lexicon(["a", "b"], {"aab": (0, 0, 1), "abb": (0, 1, 1), "bba": (1, 1, 0)})
+    prompt = ["aab", "bba"]
+    lm = train_bigram([prompt, ["abb"]], lexicon.words)
+    words, _ = decode(em, lexicon, lm)
+    labels = align(em, lexicon.phones_for(prompt))
+    assert words and all(w in lexicon.entries for w in words)
+    assert labels.shape == (len(frames),)
+    assert 0.0 <= wer([(prompt, words)]) <= 1.0
