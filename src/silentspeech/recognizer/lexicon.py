@@ -20,6 +20,10 @@ class Lexicon:
     def __post_init__(self) -> None:
         n = len(self.phones)
         for word, seq in self.entries.items():
+            # decode would emit such a word, and no prompt split into words holds it
+            if not isinstance(word, str) or not word or word != word.strip():
+                raise DataError(f"lexicon word {word!r} must be a nonempty string "
+                                f"with no surrounding whitespace")
             if not seq:
                 raise DataError(f"lexicon entry {word!r} has no phones")
             if any(p < 0 or p >= n for p in seq):

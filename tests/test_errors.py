@@ -85,6 +85,8 @@ BAD_CALLS = {
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=1.0),
     "wer-string-reference": lambda: recognizer.wer([("a b", ["a", "b"])]),
     "wer-string-hypothesis": lambda: recognizer.wer([(["a", "b"], "a b")]),
+    "wer-none-hypothesis": lambda: recognizer.wer([(["a"], None)]),
+    "wer-number-word": lambda: recognizer.wer([(["a", 1], ["a"])]),
 }
 
 
@@ -209,6 +211,17 @@ BAD_DATA = {
                         r"need phones in 0\.\.1, got \[\]"),
     "align-inf": (lambda d: recognizer.align([[0.0, 0.0], [math.inf, 0.0]], [0]),
                   "emission frame 1 holds NaN or inf"),
+    "align-float-phones": (lambda d: recognizer.align(np.zeros((3, 2)), [1.5, 0.2]),
+                           r"phone indices must be integers, got 1\.5"),
+    "align-bool-phone": (lambda d: recognizer.align(np.zeros((3, 3)), [True, 2]),
+                         "phone indices must be integers, got True"),
+    "align-string-phone": (lambda d: recognizer.align(np.zeros((3, 2)), ["a"]),
+                           "phone indices must be integers, got 'a'"),
+    "decode-bool-phone": (
+        lambda d: recognizer.decode(np.zeros((4, 2)),
+                                    recognizer.Lexicon(["p0", "p1"], {"ab": (0, True)}),
+                                    recognizer.train_bigram([["ab"]], ["ab"])),
+        "phone indices must be integers, got True"),
     "decode-nan": (lambda d: recognizer.decode(np.array([[0.0, math.nan]] * 3), LEXICON, LM),
                    "emission frame 0 holds NaN or inf"),
     "decode-no-frames": (lambda d: recognizer.decode(np.zeros((0, 2)), LEXICON, LM),
@@ -226,6 +239,11 @@ BAD_DATA = {
                           "'w' has no phones"),
     "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}),
                             "'w' has phone index outside inventory"),
+    "Lexicon-empty-word": (lambda d: recognizer.Lexicon(["p0"], {"": (0,)}),
+                           "lexicon word '' must be a nonempty string"),
+    "Lexicon-padded-word": (lambda d: recognizer.Lexicon(["p0"], {" yes ": (0,)}),
+                            "lexicon word ' yes ' must be a nonempty string "
+                            "with no surrounding whitespace"),
     "PairedSeries-duplicate-keys": (lambda d: stats.PairedSeries(["a", "a"], [1, 2], [3, 4]),
                                     "keys must be unique"),
     "PairedSeries-lengths": (lambda d: stats.PairedSeries(["a", "b"], [1, 2], [3]),

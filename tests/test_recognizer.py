@@ -169,6 +169,15 @@ class TestLexicon:
         with pytest.raises(DataError, match=re.escape(f"{path}:2: {reason}")):
             load_lexicon(path, self.PHONES)
 
+    @pytest.mark.parametrize("line, word", [("\tp0", ""), (" yes \tp0", " yes ")])
+    def test_empty_or_padded_word_rejected(self, tmp_path, line, word):
+        """A word that decode could emit but no prompt holds: '' from a
+        line that starts with its tab, or ' yes ' beside 'yes'."""
+        path = tmp_path / "lex.txt"
+        path.write_text(f"yes\tp1\n{line}\n")
+        with pytest.raises(DataError, match=re.escape(f"lexicon word {word!r} must be")):
+            load_lexicon(path, self.PHONES)
+
 
 def word_sequences(lexicon, budget):
     """Every nonempty word sequence whose phones number at most ``budget``."""
