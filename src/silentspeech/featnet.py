@@ -9,37 +9,45 @@ optimizer are plain numpy in double precision so gradients can be
 finite-difference checked.
 
 A conv stage runs by im2col (Chellapilla et al. 2006), one sample at a
-time, in row strips: only the corner of the conv map that pooling reads
-is computed, a strip of conv rows at a time whose column buffer holds at
-most ``_STRIP_BYTES``. A strip is one copy from a sliding-window view
-into the column buffer, one BLAS matmul and the bias add, and is
-max-pooled straight into its rows of the output, so no whole conv map is
-held. At paper shape conv1's 54 x 118 corner takes two strips (28 and 26
-rows); a small config's map fits one. The buffers are allocated once per
-layer call, so only pooled maps grow with the batch. The backward pass
-runs per sample over the whole map: the pooled gradient is scattered to
-that sample's conv-map gradient, which feeds the bias and weight
-gradients and, for the second stage, the column gradient that k*k
-slice-adds scatter back to the input (col2im). The first layer's input
-gradient is never formed, since nothing consumes it.
+time, lowered to pooling windows: the k x k kernels, zero-padded to
+(k+1) x (k+1) at each of a 2 x 2 window's four offsets, are stacked into
+one matrix of 4*f rows, and a column is the (k+1) x (k+1) input patch
+under one pooled output, taken at stride 2. One BLAS matmul then gives
+each window's four conv outputs as four contiguous row blocks, and
+pooling is their elementwise maximum. Only the part of the map that
+pooling reads is computed, a strip of pooled rows at a time whose column
+buffer holds at most ``_STRIP_BYTES``, pooled straight into its rows of
+the output, so no whole conv map is held. At paper shape conv1 takes one
+strip: 847 x 1 593 columns (10.8 MB, against 35.7 MB for the whole map's
+700 x 6 372) and a 256-row kernel matrix, 21% more FLOPs in a GEMM that
+runs faster for its rows. The buffers and the stacked kernels are built
+once per layer call, so only pooled maps grow with the batch. The
+backward pass runs the same stage: the argmax bytes route the pooled
+gradient into the four row blocks, whose product with the columns is the
+stacked kernels' gradient, folded back over the offsets; for the second
+stage the column gradient is scattered back to the input at stride 2
+(col2im). The first layer's input gradient is never formed, since
+nothing consumes it.
 
 Conv2 runs through real FFTs instead, in both directions (Mathieu, Henaff
 & LeCun 2014), when its im2col column holds at least ``_FFT_MIN_TAPS``
-taps (c*k*k) and the call has at least ``_FFT_MIN_SAMPLES`` samples: per
-frequency bin, stacked matmuls of input, kernel and gradient spectra.
-Kernel spectra are built from the taps, and weight gradients read back
-to the taps, by DFT-matrix products in blocks of ``_FFT_FILTERS``
-filters, so a layer's spectra are never held whole. The forward pass
-takes the input spectra of ``_FFT_SAMPLES`` samples at a time and runs
-filter blocks outer and sample blocks inner, so each kernel spectrum is
-built once per block of ``_FFT_SAMPLES`` samples. The rule looks only at
-conv2's shape. At paper shape (6 400 taps) FFTs more than halved conv2's
-forward time at 32 samples and cut its backward time by about a third at
-4 samples on a 2-core machine; a single sample is faster by im2col in
-both directions. Conv1 always runs by im2col: at paper shape its 700 taps
-per output save too little to pay for the transforms, and conv1 by FFT
-was no faster. Small configs (k = 2-5, at most a few hundred taps) keep
-im2col everywhere; a k = 3 config took twice as long by FFT.
+taps (c*k*k), at every sample count: per frequency bin, stacked matmuls
+of input, kernel and gradient spectra. Kernel spectra are built from the
+taps, and weight gradients read back to the taps, by DFT-matrix products
+in blocks of ``_FFT_FILTERS`` filters, so a layer's spectra are never
+held whole. The forward pass takes the input spectra of ``_FFT_SAMPLES``
+samples at a time and runs filter blocks outer and sample blocks inner,
+so each kernel spectrum is built once per block of ``_FFT_SAMPLES``
+samples. The rule looks only at conv2's shape. At paper shape (6 400
+taps) FFTs more than halved conv2's forward time at 32 samples and cut
+its backward time by about a third at 4 samples on a 2-core machine. At
+one sample, where whole-map im2col was faster, the window lowering
+builds a 32 MB stacked kernel, and a forward pass took 47.9 ms against
+44.9 ms with conv2 by FFT (medians of 40 runs on the same machine).
+Conv1 always runs by im2col: at paper shape its 700 taps per output save
+too little to pay for the transforms, and conv1 by FFT was no faster.
+Small configs (k = 2-5, at most a few hundred taps) keep im2col
+everywhere; a k = 3 config took twice as long by FFT.
 
 Training and inference share one conv route (:func:`_conv_stages`). When
 conv2 runs by FFT, each sample's conv1 map is pooled strip by strip
@@ -49,20 +57,21 @@ output; training also copies the ReLU'd map and its argmax bytes into the
 batch's pooled conv1 output, which the backward pass reads. Otherwise the
 two im2col stages run one after the other.
 
-Conv2's outputs and gradients by FFT match im2col to about 1e-15 of
-their largest value, not bit for bit; its bias gradient is bit for bit.
-Strips can round differently from one whole-map matmul too, as a BLAS
-kernel may treat the columns at a matrix's edge differently: paper
-conv1's pooled output moved by about 1e-15 of its largest value. A map
-with even sides that fits one strip is the whole-map matmul itself.
+Neither route is bit-identical to whole-map im2col. Conv2's outputs and
+gradients by FFT match it to about 1e-15 of their largest value; its
+bias gradient sums the pooled gradient as the im2col code does, bit for
+bit. The window lowering sums each output's taps over a zero-padded
+patch, in another order: paper conv1's pooled output moved by about
+1e-15 of its largest value, with the same argmax bytes.
 
 Each stage max-pools the pre-activation map and applies ReLU to the
 pooled map, which is four times smaller; max-pooling commutes with the
-monotone ReLU, so the result is the same as ReLU then pool. Pooling takes
-four strided maxima without copying windows, straight into the pooled
-output (a strip's rows of a sample, or the FFT stage's block of samples x
-filters), and the argmax positions the backward pass needs are written
-beside it, only in train mode, one byte each.
+monotone ReLU, so the result is the same as ReLU then pool. Pooling
+takes four maxima without copying windows: of the four row blocks in an
+im2col stage, of four strided views in the FFT stage, straight into the
+pooled output (a strip's rows of a sample, or the FFT stage's block of
+samples x filters). The argmax positions the backward pass needs are
+written beside it, only in train mode, one byte each.
 
 The network splits at the bottleneck: :func:`bottleneck_logits` takes
 fc3's output to logits through fc4 and the output layer, the same code
@@ -110,8 +119,7 @@ _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read or write block (1 Mi
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 _POOL = 2  # max-pool window side and stride of both conv stages
 _FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which conv2 runs by FFT
-_FFT_MIN_SAMPLES = 2  # samples from which such a conv2 runs by FFT
-_STRIP_BYTES = 18 << 20  # largest column buffer of a row strip in an im2col conv stage
+_STRIP_BYTES = 18 << 20  # largest column buffer of a strip of pooled rows in an im2col conv stage
 _FFT_FILTERS = 16  # filters per block of kernel spectra in the FFT conv stage
 _FFT_SAMPLES = 32  # samples per block of input spectra in the forward FFT conv stage
 _FFT_MAP_SAMPLES = 16  # samples per block of its products and inverse transforms
@@ -250,19 +258,6 @@ def init_params(config: FeatNetConfig) -> FeatNetParams:
 # Layers
 
 
-def _cols(x_s: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """im2col of one sample x_s (c, h, w) into ``out`` (c*k*k, oh*ow).
-
-    Row ``(ci*k + i)*k + j`` holds ``x_s[ci, i:i+oh, j:j+ow]`` flattened,
-    matching ``w.reshape(f, -1)`` for w of shape (f, c, k, k). One copy
-    from the (c, oh, ow, k, k) window view, reordered to (c, k, k, oh, ow).
-    """
-    c, h, w = x_s.shape
-    np.copyto(out.reshape(c, k, k, h - k + 1, w - k + 1),
-              sliding_window_view(x_s, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2))
-    return out
-
-
 def _pooled_shape(x_shape, w_shape):
     """Shape (n, f, oh // _POOL, ow // _POOL) of a conv stage's pooled output,
     for input x (n, c, h, w) and weights w (f, c, k, k)."""
@@ -271,54 +266,80 @@ def _pooled_shape(x_shape, w_shape):
     return n, f, (h - k + 1) // _POOL, (wd - k + 1) // _POOL
 
 
-def _by_fft(x_shape, w_shape) -> bool:
-    """Whether conv2, of input x (n, c, h, w) and weights w (f, c, k, k),
-    runs through FFTs, in both directions: with at least ``_FFT_MIN_TAPS``
-    taps (c*k*k) per output and at least ``_FFT_MIN_SAMPLES`` samples."""
-    n, c = x_shape[:2]
-    k = w_shape[-1]
-    return c * k * k >= _FFT_MIN_TAPS and n >= _FFT_MIN_SAMPLES
+def _by_fft(w_shape) -> bool:
+    """Whether conv2, of weights w (f, c, k, k), runs through FFTs, in both
+    directions: with at least ``_FFT_MIN_TAPS`` taps (c*k*k) per output."""
+    return math.prod(w_shape[1:]) >= _FFT_MIN_TAPS
 
 
 class _Strips:
-    """An im2col conv stage (Chellapilla et al. 2006) that max-pools each
-    sample's conv map strip by strip.
+    """An im2col conv stage (Chellapilla et al. 2006) lowered to pooling
+    windows: each p x p window (p = ``_POOL``) of a sample's conv map is
+    computed in one product.
 
-    Only the (_POOL * ph) x (_POOL * pw) corner of the map, the part that
-    pooling reads, is computed: ``rows`` conv rows at a time, a multiple of
-    ``_POOL`` whose column buffer holds at most ``_STRIP_BYTES`` (at least
-    ``_POOL`` rows). A strip is one copy into the column buffer, one BLAS
-    matmul and the bias add, and is pooled into its rows of the output
-    at once. The column buffer and the strip's map are allocated once per
-    stage and reused for every strip and sample.
+    The k x k kernels are zero-padded to K x K (K = k + p - 1) at each of
+    the p*p offsets (i, j) of a window and stacked into one (p*p*f, c*K*K)
+    matrix ``w2``, whose row block ``i*p + j`` holds the kernels shifted by
+    (i, j). A column is the K x K input patch under one pooled output,
+    taken at stride p. So one matmul gives each window's p*p conv outputs
+    as p*p contiguous row blocks, and pooling is their elementwise maximum.
+    Columns are taken a strip of ``rows`` pooled rows at a time, as many
+    as fit ``_STRIP_BYTES`` (at least one). The stacked kernels, the column
+    buffer and the strip's row blocks are allocated once per stage and
+    reused for every strip and sample; the backward pass reads the same
+    columns and routes its gradient into the same blocks.
     """
 
-    def __init__(self, x_shape, w, b):
+    def __init__(self, x_shape, w):
         c = x_shape[1]
         f, _, k, _ = w.shape
+        p = _POOL
+        self.side = side = k + p - 1
         _, _, self.ph, self.pw = _pooled_shape(x_shape, w.shape)
-        self.k, self.width = k, _POOL * self.pw
-        row_bytes = c * k * k * self.width * 8  # column buffer per conv row
-        self.rows = min(_POOL * max(1, _STRIP_BYTES // (_POOL * row_bytes)), _POOL * self.ph)
-        self.w2, self.b = w.reshape(f, -1), b[:, None]
-        self._cols = np.empty(c * k * k * self.rows * self.width)
-        self._conv = np.empty(f * self.rows * self.width)
+        taps = c * side * side
+        self.rows = min(max(1, _STRIP_BYTES // (taps * self.pw * 8)), self.ph)
+        stacked = np.zeros((p, p, f, c, side, side))
+        for i in range(p):
+            for j in range(p):
+                stacked[i, j, :, :, i:i + k, j:j + k] = w
+        self.w2 = stacked.reshape(p * p * f, taps)
+        self._cols = np.empty(taps * self.rows * self.pw)
+        self._blocks = np.empty(p * p * f * self.rows * self.pw)
 
-    def __call__(self, x_s, out, idx=None):
-        """Pool the conv map of one sample x_s (c, h, w) into ``out``
-        (f, ph, pw) and, given ``idx``, its argmax bytes (see
-        :func:`_pool_forward`); returns ``out``."""
-        k, width = self.k, self.width
-        f, taps = self.w2.shape
-        for r0 in range(0, _POOL * self.ph, self.rows):
-            r = min(self.rows, _POOL * self.ph - r0)
-            cols = self._cols[:taps * r * width].reshape(taps, r * width)
-            _cols(x_s[:, r0:r0 + r + k - 1, :width + k - 1], k, cols)
-            conv = self._conv[:f * r * width].reshape(f, r * width)
-            np.matmul(self.w2, cols, out=conv)
-            conv += self.b
-            band = np.s_[:, r0 // _POOL:(r0 + r) // _POOL]
-            _pool_forward(conv.reshape(f, r, width), out[band], None if idx is None else idx[band])
+    def strips(self):
+        """(first pooled row, pooled rows) of each strip."""
+        return [(r0, min(self.rows, self.ph - r0)) for r0 in range(0, self.ph, self.rows)]
+
+    def cols(self, x_s, r0, r):
+        """The columns (c*K*K, r*pw) of pooled rows r0 .. r0+r-1 of one sample
+        x_s (c, h, w): row ``(ci*K + u)*K + v``, column ``(i - r0)*pw + j``
+        holds ``x_s[ci, p*i + u, p*j + v]``. One copy from the stride-p
+        window view."""
+        c = x_s.shape[0]
+        side, p, pw = self.side, _POOL, self.pw
+        cols = self._cols[:c * side * side * r * pw].reshape(c * side * side, r * pw)
+        part = x_s[:, p * r0:p * (r0 + r - 1) + side, :p * (pw - 1) + side]
+        patches = sliding_window_view(part, (side, side), axis=(1, 2))[:, ::p, ::p]
+        np.copyto(cols.reshape(c, side, side, r, pw), patches.transpose(0, 3, 4, 1, 2))
+        return cols
+
+    def blocks(self, r):
+        """The strip buffer for r pooled rows, as p*p row blocks (p*p, f, r, pw)."""
+        return self._blocks[:self.w2.shape[0] * r * self.pw].reshape(
+            _POOL * _POOL, -1, r, self.pw)
+
+    def __call__(self, x_s, b, out, idx=None):
+        """Pool the conv map of one sample x_s (c, h, w), plus the bias b,
+        into ``out`` (f, ph, pw) and, given ``idx``, its argmax bytes (see
+        :func:`_pool_max`); returns ``out``. The bias is added to the
+        pooled map, a quarter of the values: rounding is monotone, so the
+        maximum of the biased values is the biased maximum."""
+        for r0, r in self.strips():
+            conv = self.blocks(r)
+            np.matmul(self.w2, self.cols(x_s, r0, r), out=conv.reshape(len(self.w2), -1))
+            band = np.s_[:, r0:r0 + r]
+            _pool_max(conv, out[band], None if idx is None else idx[band])
+            out[band] += b[:, None, None]
         return out
 
 
@@ -330,11 +351,11 @@ def _conv_pool_forward(x, w, b, need_idx):
     (n, f, oh // _POOL, ow // _POOL) output and, with ``need_idx``, its
     argmax indices grow with the batch.
     """
-    stage = _Strips(x.shape, w, b)
+    stage = _Strips(x.shape, w)
     out = np.empty(_pooled_shape(x.shape, w.shape))
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
     for s in range(len(x)):
-        stage(x[s], out[s], idx[s] if need_idx else None)
+        stage(x[s], b, out[s], idx[s] if need_idx else None)
     return out, idx
 
 
@@ -502,7 +523,7 @@ def _conv_stages(x, t, train_mode):
     w1, b1, w2, b2 = t["conv1_w"], t["conv1_b"], t["conv2_w"], t["conv2_b"]
     n = len(x)
     p1_shape = _pooled_shape(x.shape, w1.shape)
-    if _by_fft(p1_shape, w2.shape):
+    if _by_fft(w2.shape):
         p1 = np.empty(p1_shape) if train_mode else None
         idx1 = np.empty(p1_shape, dtype=np.uint8) if train_mode else None
         p2 = np.empty(_pooled_shape(p1_shape, w2.shape))
@@ -527,10 +548,10 @@ def _conv1_spectra(x, w, b, spectra, p1, idx1):
     ``idx1`` (train mode), sample j's ReLU'd map is also copied into
     ``p1[j]`` and its argmax bytes written into ``idx1[j]``. The strips'
     buffers are freed on return, before conv2's own buffers are allocated."""
-    conv1 = _Strips(x.shape, w, b)
+    conv1 = _Strips(x.shape, w)
 
     def fill(j, grid):
-        np.maximum(conv1(x[j], grid, None if idx1 is None else idx1[j]), 0.0, out=grid)
+        np.maximum(conv1(x[j], b, grid, None if idx1 is None else idx1[j]), 0.0, out=grid)
         if p1 is not None:
             p1[j] = grid
     return spectra.inputs(len(x), fill)
@@ -538,34 +559,49 @@ def _conv1_spectra(x, w, b, spectra, p1, idx1):
 
 def _pool_conv_backward(x, w, dpool, idx, need_dx):
     """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
-    gradient ``dpool`` of its pooled output, by im2col.
+    gradient ``dpool`` of its pooled output, by the same :class:`_Strips`
+    stage.
 
-    Runs per sample: the pool gradient forms that sample's conv-map
-    gradient ``da``; db accumulates its sums and dw ``da @ cols.T``. For dx
-    the column gradient ``w2.T @ da`` is written into the column buffer and
-    scattered back with k*k slice-adds (col2im). With ``need_dx`` False, dx
+    Per sample and strip, the argmax bytes route the pooled gradient into
+    the p*p row blocks of the strip buffer; the stacked kernels' gradient
+    accumulates that block matrix times the columns' transpose, and is
+    folded back over the p*p offsets into dw at the end. For dx the column
+    gradient ``w2.T @ blocks`` is written into the column buffer and
+    scattered back with K*K stride-p slice-adds (col2im). db sums the
+    pooled gradient, as the FFT backward does. With ``need_dx`` False, dx
     is skipped and returned as None.
     """
-    n, c, h, wd = x.shape
+    n, c = x.shape[:2]
     f, _, k, _ = w.shape
-    oh, ow = h - k + 1, wd - k + 1
-    w2 = w.reshape(f, -1)
-    cols = np.empty((c * k * k, oh * ow))
-    view = cols.reshape(c, k, k, oh, ow)
-    dw = np.zeros_like(w2)
-    db = np.zeros(f)
+    p = _POOL
+    dw = np.zeros(w.shape)
+    db = dpool.sum(axis=(2, 3)).sum(axis=0)
     dx = np.zeros(x.shape) if need_dx else None
+    stage = _Strips(x.shape, w)
+    side, pw = stage.side, stage.pw
+    dstacked = np.zeros_like(stage.w2)
     for s in range(n):
-        da = _pool_backward(dpool[s], idx[s], (f, oh, ow))
-        db += da.sum(axis=(1, 2))
-        da = da.reshape(f, oh * ow)
-        dw += da @ _cols(x[s], k, cols).T
-        if need_dx:
-            np.matmul(w2.T, da, out=cols)
-            for i in range(k):
-                for j in range(k):
-                    dx[s, :, i:i + oh, j:j + ow] += view[:, i, j]
-    return dx, dw.reshape(w.shape), db
+        for r0, r in stage.strips():
+            band = np.s_[:, r0:r0 + r]
+            dpool_s, idx_s = dpool[s][band], idx[s][band]
+            blocks = stage.blocks(r)
+            for q, block in enumerate(blocks):
+                np.multiply(dpool_s, idx_s == q, out=block)
+            blocks = blocks.reshape(len(dstacked), r * pw)
+            cols = stage.cols(x[s], r0, r)
+            dstacked += blocks @ cols.T
+            if need_dx:
+                np.matmul(stage.w2.T, blocks, out=cols)
+                view = cols.reshape(c, side, side, r, pw)
+                for u in range(side):
+                    for v in range(side):
+                        dx[s, :, p * r0 + u:p * (r0 + r - 1) + u + 1:p,
+                           v:p * (pw - 1) + v + 1:p] += view[:, u, v]
+    dstacked = dstacked.reshape(p, p, f, c, side, side)
+    for i in range(p):
+        for j in range(p):
+            dw += dstacked[i, j, :, :, i:i + k, j:j + k]
+    return dx, dw, db
 
 
 def _pool_conv_backward_fft(x, w, dpool, idx):
@@ -581,8 +617,8 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     input gradient's spectrum is the sum over filters of DA K, with K the
     kernel spectra; it is accumulated as its conjugate, conj(DA) times the
     conjugate spectra that :meth:`_Spectra.kernels` builds, and taken back
-    by one inverse transform per sample block. db sums each map as the
-    im2col code does, so it is bit-identical. Samples go
+    by one inverse transform per sample block. db sums the pooled
+    gradient as the im2col code does, so it is bit-identical. Samples go
     ``_FFT_GRAD_SAMPLES`` at a time, since the input spectra, the dx
     accumulator, its product and its inverse transform grow with the
     block: about 4 MB per sample at paper shape.
@@ -595,7 +631,7 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     # heap and go back to the system when they are freed (a paper-shape
     # training step's peak RSS was 30 MiB higher the other way round)
     dw = np.zeros(w.shape)
-    db = np.zeros(f)
+    db = dpool.sum(axis=(2, 3)).sum(axis=0)
     dx = np.empty(x.shape)
     spectra = _Spectra(x.shape, w.shape, ns)
     gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
@@ -615,8 +651,6 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
             fb = min(nf, f - f0)
             block = np.s_[s0:s0 + m, f0:f0 + fb]
             da = _pool_backward(dpool[block], idx[block], (m, fb, oh, ow))
-            for sums in da.sum(axis=(2, 3)):  # sample by sample, as the im2col code adds
-                db[f0:f0 + fb] += sums
             grid = grid_buf[:m * fb * gh * gw].reshape(m, fb, gh, gw)
             grid[:, :, :oh, :ow] = da
             spec = spec_buf[:m * fb * gh * gr].reshape(m, fb, gh, gr)
@@ -640,22 +674,27 @@ def _pool_forward(x, out, idx=None):
     """p x p max-pool (p = ``_POOL``) over the last two axes of x (..., h, w)
     into ``out`` (..., h // p, w // p), dropping trailing rows and columns.
 
-    The max is taken over the p*p strided views ``x[..., i::p, j::p]``, so
-    no window copy is made. Given ``idx`` (uint8, the shape of ``out``),
-    every byte of it is set to the first argmax within its window
-    (row-major ``i*p + j``). ``out`` and ``idx`` may be strided views.
+    The max is taken over the p*p strided views ``x[..., i::p, j::p]``
+    (:func:`_pool_max`), so no window copy is made.
     """
     p = _POOL
     h, w = x.shape[-2:]
     oh, ow = h // p, w // p
-    views = [x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)]
+    _pool_max([x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)], out, idx)
+
+
+def _pool_max(views, out, idx=None):
+    """The elementwise maximum of the p*p ``views`` of each window's values,
+    row-major by window position, into ``out``. Given ``idx`` (uint8, the
+    shape of ``out``), every byte of it is set to the first argmax within
+    its window (``i*p + j``). ``out`` and ``idx`` may be strided views."""
     np.maximum(views[0], views[1], out=out)
     for v in views[2:]:
         np.maximum(out, v, out=out)
     if idx is not None:
         # in reverse, so the first position holding the max is written last;
         # a window's max is one of its values, so every byte is written
-        for q in range(p * p - 1, -1, -1):
+        for q in range(len(views) - 1, -1, -1):
             np.copyto(idx, q, where=views[q] == out)
 
 
@@ -829,7 +868,7 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     dp2 = dflat.reshape(p2.shape) * (p2 > 0)
     del dflat, p2
     idx2 = cache.pop("idx2")
-    if _by_fft(p1.shape, t["conv2_w"].shape):
+    if _by_fft(t["conv2_w"].shape):
         dp1, dw2, db2 = _pool_conv_backward_fft(p1, t["conv2_w"], dp2, idx2)
     else:
         dp1, dw2, db2 = _pool_conv_backward(p1, t["conv2_w"], dp2, idx2, need_dx=True)

@@ -7,6 +7,7 @@ with phone symbols resolved against the manifest phone inventory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 from ..errors import DataError, read_text
@@ -26,6 +27,10 @@ class Lexicon:
                                 f"with no surrounding whitespace")
             if not seq:
                 raise DataError(f"lexicon entry {word!r} has no phones")
+            wrong = [p for p in seq if isinstance(p, bool) or not isinstance(p, Integral)]
+            if wrong:
+                raise DataError(f"lexicon entry {word!r} has phone index {wrong[0]!r}, "
+                                "not an integer")
             if any(p < 0 or p >= n for p in seq):
                 raise DataError(f"lexicon entry {word!r} has phone index outside inventory")
 

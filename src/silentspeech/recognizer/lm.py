@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ..errors import DataError
+from ..errors import DataError, UsageError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -65,8 +65,18 @@ class BigramLm:
 def train_bigram(sentences: list[list[str]], vocab: Iterable[str]) -> BigramLm:
     """Interpolated Witten-Bell bigram over word sequences, predicting the
     words of ``vocab`` (the lexicon's words, say) and the sentence end.
-    Empty sentences are skipped; DataError for a sentence word outside
-    ``vocab`` or a reserved symbol in either."""
+    Empty sentences are skipped. UsageError when ``vocab`` is a string,
+    which would iterate as its characters; DataError for a vocabulary word
+    that is not a nonempty string without surrounding whitespace (the
+    lexicon's rule for its words), a sentence word outside ``vocab`` or a
+    reserved symbol in either."""
+    if isinstance(vocab, str):
+        raise UsageError(f"vocab must be a collection of words, not the string {vocab!r}")
+    vocab = list(vocab)
+    for w in vocab:
+        if not isinstance(w, str) or not w or w != w.strip():
+            raise DataError(f"vocabulary word {w!r} must be a nonempty string "
+                            "with no surrounding whitespace")
     vocab = sorted(set(vocab))
     for w in (BOS, EOS):
         if w in vocab:

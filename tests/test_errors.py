@@ -87,6 +87,7 @@ BAD_CALLS = {
     "wer-string-hypothesis": lambda: recognizer.wer([(["a", "b"], "a b")]),
     "wer-none-hypothesis": lambda: recognizer.wer([(["a"], None)]),
     "wer-number-word": lambda: recognizer.wer([(["a", 1], ["a"])]),
+    "train_bigram-vocab-string": lambda: recognizer.train_bigram([["a"]], "abc"),
 }
 
 
@@ -121,6 +122,15 @@ def write_frames(path, frames):
 def write_manifest(path, manifest):
     corpus.save_manifest(manifest, path)
     return path
+
+
+def lexicon_edited_to(word, phones):
+    """A one-word lexicon whose entry is replaced after construction, past
+    the checks of ``Lexicon.__post_init__``, so that decode's own check of
+    phone indices is the one that runs."""
+    lexicon = recognizer.Lexicon(["p0", "p1"], {word: (0,)})
+    lexicon.entries[word] = phones
+    return lexicon
 
 
 # data checks of the public API, each with input it rejects and the message
@@ -189,6 +199,15 @@ BAD_DATA = {
     "train_bigram-word-outside-vocabulary": (
         lambda d: recognizer.train_bigram([["w1", "w2"]], ["w1"]),
         "holds the word 'w2', which is not in the vocabulary"),
+    "train_bigram-number-word": (lambda d: recognizer.train_bigram([["a"]], ["a", 1]),
+                                 "vocabulary word 1 must be a nonempty string"),
+    "train_bigram-none-word": (lambda d: recognizer.train_bigram([["a"]], ["a", None]),
+                               "vocabulary word None must be a nonempty string"),
+    "train_bigram-empty-word": (lambda d: recognizer.train_bigram([["a"]], ["a", ""]),
+                                "vocabulary word '' must be a nonempty string"),
+    "train_bigram-padded-word": (lambda d: recognizer.train_bigram([["a"]], ["a", " b"]),
+                                 "vocabulary word ' b' must be a nonempty string "
+                                 "with no surrounding whitespace"),
     "bottleneck_logits-width": (
         lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), np.zeros((3, 5))),
         r"bottleneck features must be \(n, 4\), got shape \(3, 5\)"),
@@ -199,6 +218,9 @@ BAD_DATA = {
     "bottleneck_logits-inf": (
         lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), [[0, 0, -math.inf, 0]]),
         "feature row 0 holds NaN or inf"),
+    "emission_scores-1d-logits": (
+        lambda d: recognizer.emission_scores(np.zeros(3), np.array([0])),
+        r"logits must be \(frames, classes\), got shape \(3,\)"),
     "emission_scores-label-range": (
         lambda d: recognizer.emission_scores(np.zeros((2, 3)), np.array([0, 3])),
         r"training labels must be 1-D integers in 0\.\.2"),
@@ -218,8 +240,7 @@ BAD_DATA = {
     "align-string-phone": (lambda d: recognizer.align(np.zeros((3, 2)), ["a"]),
                            "phone indices must be integers, got 'a'"),
     "decode-bool-phone": (
-        lambda d: recognizer.decode(np.zeros((4, 2)),
-                                    recognizer.Lexicon(["p0", "p1"], {"ab": (0, True)}),
+        lambda d: recognizer.decode(np.zeros((4, 2)), lexicon_edited_to("ab", (0, True)),
                                     recognizer.train_bigram([["ab"]], ["ab"])),
         "phone indices must be integers, got True"),
     "decode-nan": (lambda d: recognizer.decode(np.array([[0.0, math.nan]] * 3), LEXICON, LM),
@@ -239,6 +260,12 @@ BAD_DATA = {
                           "'w' has no phones"),
     "Lexicon-phone-index": (lambda d: recognizer.Lexicon(["p0"], {"w": (1,)}),
                             "'w' has phone index outside inventory"),
+    "Lexicon-string-phone": (lambda d: recognizer.Lexicon(["p0", "p1"], {"w": ("a",)}),
+                             "lexicon entry 'w' has phone index 'a', not an integer"),
+    "Lexicon-float-phone": (lambda d: recognizer.Lexicon(["p0", "p1"], {"w": (0.5, 1)}),
+                            "lexicon entry 'w' has phone index 0.5, not an integer"),
+    "Lexicon-bool-phone": (lambda d: recognizer.Lexicon(["p0", "p1"], {"w": (True,)}),
+                           "lexicon entry 'w' has phone index True, not an integer"),
     "Lexicon-empty-word": (lambda d: recognizer.Lexicon(["p0"], {"": (0,)}),
                            "lexicon word '' must be a nonempty string"),
     "Lexicon-padded-word": (lambda d: recognizer.Lexicon(["p0"], {" yes ": (0,)}),

@@ -7,7 +7,7 @@ import types
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from silentspeech import featnet
 from silentspeech.corpus import window_stack
@@ -305,72 +305,93 @@ class TestConvolution:
         assert np.array_equal(db, db_skip)
 
 
+def whole_map_cols(x_s, k):
+    """im2col of one sample x_s (c, h, w) over the whole conv map, as
+    (c*k*k, oh*ow): row ``(ci*k + i)*k + j`` holds ``x_s[ci, i:i+oh,
+    j:j+ow]`` flattened, matching ``w.reshape(f, -1)`` for w (f, c, k, k)."""
+    c, h, w = x_s.shape
+    win = sliding_window_view(x_s, (k, k), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (h - k + 1) * (w - k + 1))
+
+
 def conv_scale(x, w, b):
     """max |conv| of the valid convolution, by per-sample im2col."""
-    f, c, k, _ = w.shape
-    cols = np.empty((c * k * k, (x.shape[2] - k + 1) * (x.shape[3] - k + 1)))
-    return max(np.abs(w.reshape(f, -1) @ featnet._cols(xs, k, cols) + b[:, None]).max()
-               for xs in x)
+    f, _, k, _ = w.shape
+    return max(np.abs(w.reshape(f, -1) @ whole_map_cols(xs, k) + b[:, None]).max() for xs in x)
 
 
 def whole_map_conv_pool(x, w, b):
     """Per-sample im2col over the whole conv map, one matmul per sample,
-    then the pool: the conv stage before it ran in row strips."""
+    then the strided-view pool: the conv stage before it was lowered to
+    pooling windows."""
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
-    cols = np.empty((c * k * k, oh * ow))
     out = np.empty((n, f, oh // 2, ow // 2))
     idx = np.empty(out.shape, dtype=np.uint8)
     for s in range(n):
-        conv = w.reshape(f, -1) @ featnet._cols(x[s], k, cols)
+        conv = w.reshape(f, -1) @ whole_map_cols(x[s], k)
         conv += b[:, None]
         featnet._pool_forward(conv.reshape(f, oh, ow), out[s], idx[s])
     return out, idx
 
 
 class TestStrips:
-    """An im2col stage in row strips against the whole-map code."""
+    """An im2col stage lowered to pooling windows, in strips of pooled
+    rows, against the whole-map code."""
 
     @pytest.mark.parametrize("rows", [2, 6, 16])
     def test_matches_whole_map(self, rows, monkeypatch):
-        """Strips of 2 and 6 conv rows (the last one partial) and one strip
-        of an odd-sided map, whose last row and column pooling drops, match
-        the whole map to 1e-12 of its scale, with the same argmax bytes."""
+        """Strips of 2 and 6 pooled rows (the last one partial), and a
+        budget beyond the map's 8 pooled rows, which takes one strip, on an
+        odd-sided map whose last row and column pooling drops: the pooled
+        output within 1e-12 of the whole map's scale, the same argmax
+        bytes, and every gradient within 1e-12 of its largest value."""
         rng = np.random.default_rng(rows)
-        x = rng.standard_normal((2, 3, 19, 24))  # conv map 16 x 21
+        x = rng.standard_normal((2, 3, 20, 24))  # conv map 17 x 21, pooled 8 x 10
         w = rng.standard_normal((5, 3, 4, 4))
         b = rng.standard_normal(5)
-        monkeypatch.setattr(featnet, "_STRIP_BYTES", rows * 3 * 4 * 4 * 20 * 8)
-        stage = featnet._Strips(x.shape, w, b)
-        assert stage.rows == rows
+        monkeypatch.setattr(featnet, "_STRIP_BYTES", rows * 3 * 5 * 5 * 10 * 8)
+        stage = featnet._Strips(x.shape, w)
+        assert (stage.ph, stage.rows) == (8, min(rows, 8))
+        out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
+        ref_out, ref_idx = whole_map_conv_pool(x, w, b)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
+        assert np.array_equal(idx, ref_idx)
+        dpool = rng.standard_normal(out.shape)
+        got = featnet._pool_conv_backward(x, w, dpool, idx, need_dx=True)
+        conv = reference_conv_forward(x, w, b)
+        want = reference_conv_backward(x, w, reference_pool_backward(dpool, idx, conv.shape, 2))
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    def test_paper_depth_matches_whole_map(self):
+        """A conv1 of paper depth and kernel (700 taps, 64 filters) on an
+        even-sided map (32 x 72), in one strip: within 1e-12 of the
+        whole-map matmul's scale, argmax bytes included. The window
+        lowering sums each output's taps in another order, so it is not
+        bit-identical."""
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2, 7, 41, 81))
+        w = rng.standard_normal((64, 7, 10, 10)) * np.sqrt(2.0 / 700)
+        b = rng.standard_normal(64)
+        assert featnet._Strips(x.shape, w).rows == 16
         out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
         ref_out, ref_idx = whole_map_conv_pool(x, w, b)
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
         assert np.array_equal(idx, ref_idx)
 
-    def test_one_strip_bit_identical_to_whole_map(self, monkeypatch):
-        """With a budget that holds the whole map, a conv1 of paper depth and
-        kernel on an even-sided map (32 x 72) is the whole-map matmul, bit
-        for bit, argmax bytes included."""
-        rng = np.random.default_rng(40)
-        x = rng.standard_normal((2, 7, 41, 81))
-        w = rng.standard_normal((64, 7, 10, 10)) * np.sqrt(2.0 / 700)
-        b = rng.standard_normal(64)
-        monkeypatch.setattr(featnet, "_STRIP_BYTES", 1 << 40)
-        assert featnet._Strips(x.shape, w, b).rows == 32
-        got = featnet._conv_pool_forward(x, w, b, need_idx=True)
-        assert all(np.array_equal(g, r) for g, r in zip(got, whole_map_conv_pool(x, w, b)))
-
     def test_paper_conv1_strips_fit_budget(self):
-        """Paper conv1 computes its 54 x 118 corner in strips of an even
-        number of rows whose column buffer fits ``_STRIP_BYTES``."""
+        """Paper conv1 computes all 27 pooled rows in one strip, whose
+        column buffer of 11 x 11 patches (10.8 MB) fits ``_STRIP_BYTES``,
+        with a stacked kernel matrix of 4 x 64 rows."""
         cfg = featnet.FeatNetConfig()
         w = np.zeros(featnet.param_shapes(cfg)["conv1_w"])
-        stage = featnet._Strips((1, *cfg.input_shape), w, np.zeros(len(w)))
+        stage = featnet._Strips((1, *cfg.input_shape), w)
         assert (stage.ph, stage.pw) == cfg.stage_shapes()["pool1"]
-        assert stage.rows % 2 == 0 and 2 <= stage.rows < 54
-        assert stage._cols.nbytes <= featnet._STRIP_BYTES
+        assert stage.rows == stage.ph == 27
+        assert stage.w2.shape == (256, 7 * 11 * 11)
+        assert stage._cols.nbytes == 7 * 11 * 11 * 27 * 59 * 8 <= featnet._STRIP_BYTES
 
 
 def spy_calls(monkeypatch, *names):
@@ -464,9 +485,9 @@ class TestFFTConvolution:
     def test_selection_at_threshold(self, monkeypatch):
         """Networks whose conv2 (k = 1, on a (1, 4, 4) input) has one tap
         fewer than ``_FFT_MIN_TAPS`` or exactly that many, at 1 and 2
-        samples. Below either threshold ``forward`` and ``loss_and_grads``
-        make no FFT call and match the all-im2col run bit for bit; at both,
-        conv2 runs by FFT in both directions."""
+        samples. Below the threshold ``forward`` and ``loss_and_grads``
+        make no FFT call and match the all-im2col run bit for bit; at it,
+        conv2 runs by FFT in both directions at every sample count."""
         calls = spy_calls(monkeypatch, "_pool_conv_backward_fft")
         spy_fft_forward(monkeypatch, calls)
         rng = np.random.default_rng(25)
@@ -479,12 +500,12 @@ class TestFFTConvolution:
             cfg = featnet.FeatNetConfig(input_shape=(1, 4, 4), conv_kernel=1,
                                         conv_filters=(f1, 3), fc_dims=(4, 4, 2, 4), n_classes=2)
             params = featnet.init_params(cfg)
-            for n in (featnet._FFT_MIN_SAMPLES - 1, featnet._FFT_MIN_SAMPLES):
+            for n in (1, 2):
                 x = rng.standard_normal((n, *cfg.input_shape))
                 y = rng.integers(0, cfg.n_classes, n)
                 calls.clear()
                 got = run(params, x, y)
-                if f1 == featnet._FFT_MIN_TAPS and n == featnet._FFT_MIN_SAMPLES:
+                if f1 == featnet._FFT_MIN_TAPS:
                     fft_forward = ("_conv_pool_spectra", n, f1)
                     assert calls == [fft_forward, ("_pool_conv_backward_fft", (n, f1, 2, 2)),
                                      fft_forward]
@@ -512,26 +533,26 @@ class TestFFTConvolution:
 
     def test_paper_shape_runs_conv2_by_fft(self, monkeypatch):
         """At paper shape conv1 (700 taps) stays on im2col and conv2 (6 400
-        taps) goes through the FFT stage in both directions, from 2
-        samples: a training step makes the same single FFT forward as
-        inference, then the FFT backward. A single sample runs im2col in
-        inference and training, which is faster for it."""
+        taps) goes through the FFT stage in both directions, one sample
+        included: a training step makes the same single FFT forward as
+        inference, then the FFT backward. (By the window lowering, conv2
+        would build a 32 MB stacked kernel, and a one-sample forward pass
+        was slower than by FFT.)"""
         calls = spy_calls(monkeypatch, "_pool_conv_backward_fft")
         spy_fft_forward(monkeypatch, calls)
         cfg = featnet.FeatNetConfig()
         params = featnet.init_params(cfg)
-        x = np.zeros((2, *cfg.input_shape))
-        y = np.zeros(2, dtype=int)
         c = cfg.conv_filters[0]
-        featnet.forward(params, x[:1])
-        featnet.loss_and_grads(params, x[:1], y[:1])
-        assert calls == []
-        featnet.forward(params, x)
-        assert calls == [("_conv_pool_spectra", 2, c)]
-        calls.clear()
-        featnet.loss_and_grads(params, x, y)
-        p1 = (2, c, *cfg.stage_shapes()["pool1"])
-        assert calls == [("_conv_pool_spectra", 2, c), ("_pool_conv_backward_fft", p1)]
+        for n in (1, 2):
+            x = np.zeros((n, *cfg.input_shape))
+            y = np.zeros(n, dtype=int)
+            calls.clear()
+            featnet.forward(params, x)
+            assert calls == [("_conv_pool_spectra", n, c)]
+            calls.clear()
+            featnet.loss_and_grads(params, x, y)
+            p1 = (n, c, *cfg.stage_shapes()["pool1"])
+            assert calls == [("_conv_pool_spectra", n, c), ("_pool_conv_backward_fft", p1)]
 
 
 def staged_forward(params, x):
@@ -562,15 +583,14 @@ class TestFusedInference:
     @pytest.mark.parametrize("n", [37, 1], ids=["fft-blocks", "one-sample"])
     def test_matches_staged_forward(self, n):
         """37 samples leave a partial block of input spectra and of
-        products; conv2 (32 x 8 x 8 = 2 048 taps) runs by FFT in both
-        paths. One sample runs both stages by im2col, one after the other."""
+        products; conv2 (32 x 8 x 8 = 2 048 taps) runs by FFT, as it does
+        for one sample, which makes one partial block."""
         params = featnet.init_params(self.MID)
         rng = np.random.default_rng(41)
         params.tensors["bn_mean"] = 0.1 * rng.standard_normal(self.MID.flat_dim)
         params.tensors["bn_var"] = rng.uniform(0.5, 2.0, self.MID.flat_dim)
         x = rng.standard_normal((n, *self.MID.input_shape))
-        p1_shape = (n, 32, *self.MID.stage_shapes()["pool1"])
-        assert featnet._by_fft(p1_shape, params["conv2_w"].shape) == (n > 1)
+        assert featnet._by_fft(params["conv2_w"].shape)
         for got, want in zip(featnet.forward(params, x), staged_forward(params, x)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -582,7 +602,7 @@ class TestFusedInference:
         rng = np.random.default_rng(42)
         x = rng.standard_normal((37, *self.MID.input_shape))
         _, _, cache = featnet._forward_full(params, x, train_mode=True)
-        assert featnet._by_fft(cache["p1"].shape, params["conv2_w"].shape)
+        assert featnet._by_fft(params["conv2_w"].shape)
         p1, idx1 = featnet._conv_pool_forward(x, params["conv1_w"], params["conv1_b"],
                                               need_idx=True)
         assert np.array_equal(cache["p1"], np.maximum(p1, 0.0))
