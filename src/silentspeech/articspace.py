@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError, _count
+from .errors import DataError, UsageError, _count, _real
 from . import svgfig
 
 logger = logging.getLogger(__name__)
@@ -276,7 +276,7 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
     then one split dimension and one split value per internal node in
     pre-order. A given seed therefore always yields the same trees.
     """
-    n_trees, psi = _count(n_trees, "n_trees"), _count(psi, "psi")
+    n_trees, psi, seed = _count(n_trees, "n_trees"), _count(psi, "psi"), _count(seed, "seed", 0)
     if psi < 2:
         raise UsageError(f"need psi >= 2, got {psi}")
     points = _finite_2d(points, "isolation forest fit")
@@ -307,6 +307,7 @@ def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
                    seed: int = 0) -> ContourCloud:
     """Drop the ceil(contamination * N) highest-scoring points of a default
     :func:`fit_iforest` forest; ties broken by stable input order."""
+    contamination, seed = _real(contamination, "contamination"), _count(seed, "seed", 0)
     if not 0.0 <= contamination < 0.5:
         raise UsageError(f"contamination must be in [0, 0.5), got {contamination}")
     n = cloud.points.shape[0]

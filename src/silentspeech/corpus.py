@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericalError, UsageError, open_input, read_text
+from .errors import DataError, NumericalError, UsageError, _count, _real, open_input, read_text
 
 MODES = ("modal", "silent", "whispered")
 SPLITS = ("train", "validation", "test")
@@ -391,6 +391,7 @@ def split_prompt_disjoint(manifest: Manifest, test_prompts: set[str],
         raise UsageError(f"test_prompts must be a set of prompts, not the string {test_prompts!r}")
     if not test_prompts:
         raise UsageError("test prompt set must be nonempty")
+    val_fraction, seed = _real(val_fraction, "val_fraction"), _count(seed, "seed", 0)
     if not 0.0 <= val_fraction < 1.0:
         raise UsageError(f"val_fraction must be in [0, 1), got {val_fraction}")
     test_recs, rest = [], []

@@ -12,7 +12,9 @@ its cause.
 
 from __future__ import annotations
 
+import math
 import operator
+from numbers import Real
 from pathlib import Path
 from typing import BinaryIO
 
@@ -45,6 +47,18 @@ def _count(value, name: str, least: int = 1) -> int:
             if count >= least:
                 return count
     raise UsageError(f"need an integer {name} >= {least}, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a real number and not a bool, an int
+    past float range as inf of its sign; UsageError naming ``name``
+    otherwise. Each caller checks its own range."""
+    if isinstance(value, bool) or not isinstance(value, Real):  # numpy's bool is no Real
+        raise UsageError(f"need a real number {name}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def open_input(path: str | Path) -> BinaryIO:

@@ -15,19 +15,17 @@ one matrix of 4*f rows, and a column is the (k+1) x (k+1) input patch
 under one pooled output, taken at stride 2. One BLAS matmul then gives
 each window's four conv outputs as four contiguous row blocks, and
 pooling is their elementwise maximum. Only the part of the map that
-pooling reads is computed, a strip of pooled rows at a time whose column
-buffer holds at most ``_STRIP_BYTES``, pooled straight into its rows of
-the output, so no whole conv map is held. At paper shape conv1 takes one
-strip: 847 x 1 593 columns (10.8 MB, against 35.7 MB for the whole map's
-700 x 6 372) and a 256-row kernel matrix, 21% more FLOPs in a GEMM that
-runs faster for its rows. The buffers and the stacked kernels are built
-once per layer call, so only pooled maps grow with the batch. The
-backward pass runs the same stage: the argmax bytes route the pooled
-gradient into the four row blocks, whose product with the columns is the
-stacked kernels' gradient, folded back over the offsets; for the second
-stage the column gradient is scattered back to the input at stride 2
-(col2im). The first layer's input gradient is never formed, since
-nothing consumes it.
+pooling reads is computed, one GEMM per sample. At paper shape conv1's
+columns are 847 x 1 593 (10.8 MB, against 35.7 MB for the whole map's
+700 x 6 372) and its kernel matrix has 256 rows: 21% more FLOPs in a
+GEMM that runs faster for its rows. The buffers and the stacked kernels
+are built once per layer call, so only pooled maps grow with the batch.
+The backward pass runs the same stage:
+the argmax bytes route the pooled gradient into the four row blocks,
+whose product with the columns is the stacked kernels' gradient, folded
+back over the offsets; for the second stage the column gradient is
+scattered back to the input at stride 2 (col2im). The first layer's
+input gradient is never formed, since nothing consumes it.
 
 Conv2 runs through real FFTs instead, in both directions (Mathieu, Henaff
 & LeCun 2014), when its im2col column holds at least ``_FFT_MIN_TAPS``
@@ -50,8 +48,8 @@ Small configs (k = 2-5, at most a few hundred taps) keep im2col
 everywhere; a k = 3 config took twice as long by FFT.
 
 Training and inference share one conv route (:func:`_conv_stages`). When
-conv2 runs by FFT, each sample's conv1 map is pooled strip by strip
-straight into the zero-padded grid, ReLU'd there, and its spectrum joins
+conv2 runs by FFT, each sample's conv1 map is pooled straight into the
+zero-padded grid, ReLU'd there, and its spectrum joins
 its block's input spectra, so inference holds no batch-sized conv1
 output; training also copies the ReLU'd map and its argmax bytes into the
 batch's pooled conv1 output, which the backward pass reads. Otherwise the
@@ -67,11 +65,10 @@ patch, in another order: paper conv1's pooled output moved by about
 Each stage max-pools the pre-activation map and applies ReLU to the
 pooled map, which is four times smaller; max-pooling commutes with the
 monotone ReLU, so the result is the same as ReLU then pool. Pooling
-takes four maxima without copying windows: of the four row blocks in an
-im2col stage, of four strided views in the FFT stage, straight into the
-pooled output (a strip's rows of a sample, or the FFT stage's block of
-samples x filters). The argmax positions the backward pass needs are
-written beside it, only in train mode, one byte each.
+takes four maxima without copying windows, of the four row blocks in an
+im2col stage or of four strided views in the FFT stage, and writes the
+argmax bytes the backward pass needs beside them, only in train mode.
+Both backward passes route the pooled gradient back into the same views.
 
 The network splits at the bottleneck: :func:`bottleneck_logits` takes
 fc3's output to logits through fc4 and the output layer, the same code
@@ -104,14 +101,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import window_stack
-from .errors import DataError, NumericalError, UsageError, _count, open_input
+from .errors import DataError, NumericalError, UsageError, _count, _real, open_input
 
 _CKPT_MAGIC = b"FNET"
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
@@ -119,7 +115,6 @@ _LOAD_BLOCK = 1 << 18  # float32 values per checkpoint read or write block (1 Mi
 _ACCURACY_CHUNK = 512  # samples per forward pass when scoring accuracy
 _POOL = 2  # max-pool window side and stride of both conv stages
 _FFT_MIN_TAPS = 2048  # taps per output (c*k*k) from which conv2 runs by FFT
-_STRIP_BYTES = 18 << 20  # largest column buffer of a strip of pooled rows in an im2col conv stage
 _FFT_FILTERS = 16  # filters per block of kernel spectra in the FFT conv stage
 _FFT_SAMPLES = 32  # samples per block of input spectra in the forward FFT conv stage
 _FFT_MAP_SAMPLES = 16  # samples per block of its products and inverse transforms
@@ -150,11 +145,14 @@ class FeatNetConfig:
             object.__setattr__(self, name, tuple(_count(size, name) for size in sizes))
         for name, least in (("conv_kernel", 1), ("n_classes", 2), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        lr, l2 = self.lr, self.l2_weight
-        if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 < lr < math.inf:
+        # plain floats, so that a numpy float32 reaches no json.dumps
+        lr, l2 = _real(self.lr, "lr"), _real(self.l2_weight, "l2_weight")
+        if not 0.0 < lr < math.inf:
             raise UsageError(f"need a finite lr > 0, got {lr!r}")
-        if isinstance(l2, bool) or not isinstance(l2, Real) or not 0.0 <= l2 < math.inf:
+        if not 0.0 <= l2 < math.inf:
             raise UsageError(f"need a finite l2_weight >= 0, got {l2!r}")
+        object.__setattr__(self, "lr", lr)
+        object.__setattr__(self, "l2_weight", l2)
         for name, (oh, ow) in self.stage_shapes().items():
             if oh < 1 or ow < 1:
                 raise UsageError(
@@ -272,7 +270,7 @@ def _by_fft(w_shape) -> bool:
     return math.prod(w_shape[1:]) >= _FFT_MIN_TAPS
 
 
-class _Strips:
+class _PoolWindows:
     """An im2col conv stage (Chellapilla et al. 2006) lowered to pooling
     windows: each p x p window (p = ``_POOL``) of a sample's conv map is
     computed in one product.
@@ -281,13 +279,10 @@ class _Strips:
     the p*p offsets (i, j) of a window and stacked into one (p*p*f, c*K*K)
     matrix ``w2``, whose row block ``i*p + j`` holds the kernels shifted by
     (i, j). A column is the K x K input patch under one pooled output,
-    taken at stride p. So one matmul gives each window's p*p conv outputs
-    as p*p contiguous row blocks, and pooling is their elementwise maximum.
-    Columns are taken a strip of ``rows`` pooled rows at a time, as many
-    as fit ``_STRIP_BYTES`` (at least one). The stacked kernels, the column
-    buffer and the strip's row blocks are allocated once per stage and
-    reused for every strip and sample; the backward pass reads the same
-    columns and routes its gradient into the same blocks.
+    taken at stride p. So one matmul per sample gives each window's p*p
+    conv outputs as the p*p row blocks of ``blocks`` (p*p, f, ph, pw), and
+    pooling is their elementwise maximum. The buffers are allocated once
+    per stage; the backward pass routes its gradient into the same blocks.
     """
 
     def __init__(self, x_shape, w):
@@ -296,37 +291,24 @@ class _Strips:
         p = _POOL
         self.side = side = k + p - 1
         _, _, self.ph, self.pw = _pooled_shape(x_shape, w.shape)
-        taps = c * side * side
-        self.rows = min(max(1, _STRIP_BYTES // (taps * self.pw * 8)), self.ph)
         stacked = np.zeros((p, p, f, c, side, side))
         for i in range(p):
             for j in range(p):
                 stacked[i, j, :, :, i:i + k, j:j + k] = w
-        self.w2 = stacked.reshape(p * p * f, taps)
-        self._cols = np.empty(taps * self.rows * self.pw)
-        self._blocks = np.empty(p * p * f * self.rows * self.pw)
+        self.w2 = stacked.reshape(p * p * f, c * side * side)
+        self._cols = np.empty((c * side * side, self.ph * self.pw))
+        self.blocks = np.empty((p * p, f, self.ph, self.pw))
 
-    def strips(self):
-        """(first pooled row, pooled rows) of each strip."""
-        return [(r0, min(self.rows, self.ph - r0)) for r0 in range(0, self.ph, self.rows)]
-
-    def cols(self, x_s, r0, r):
-        """The columns (c*K*K, r*pw) of pooled rows r0 .. r0+r-1 of one sample
-        x_s (c, h, w): row ``(ci*K + u)*K + v``, column ``(i - r0)*pw + j``
-        holds ``x_s[ci, p*i + u, p*j + v]``. One copy from the stride-p
-        window view."""
+    def cols(self, x_s):
+        """The columns (c*K*K, ph*pw) of one sample x_s (c, h, w): row
+        ``(ci*K + u)*K + v``, column ``i*pw + j`` holds ``x_s[ci, p*i + u,
+        p*j + v]``. One copy from the stride-p window view."""
         c = x_s.shape[0]
-        side, p, pw = self.side, _POOL, self.pw
-        cols = self._cols[:c * side * side * r * pw].reshape(c * side * side, r * pw)
-        part = x_s[:, p * r0:p * (r0 + r - 1) + side, :p * (pw - 1) + side]
+        side, p, ph, pw = self.side, _POOL, self.ph, self.pw
+        part = x_s[:, :p * (ph - 1) + side, :p * (pw - 1) + side]
         patches = sliding_window_view(part, (side, side), axis=(1, 2))[:, ::p, ::p]
-        np.copyto(cols.reshape(c, side, side, r, pw), patches.transpose(0, 3, 4, 1, 2))
-        return cols
-
-    def blocks(self, r):
-        """The strip buffer for r pooled rows, as p*p row blocks (p*p, f, r, pw)."""
-        return self._blocks[:self.w2.shape[0] * r * self.pw].reshape(
-            _POOL * _POOL, -1, r, self.pw)
+        np.copyto(self._cols.reshape(c, side, side, ph, pw), patches.transpose(0, 3, 4, 1, 2))
+        return self._cols
 
     def __call__(self, x_s, b, out, idx=None):
         """Pool the conv map of one sample x_s (c, h, w), plus the bias b,
@@ -334,12 +316,9 @@ class _Strips:
         :func:`_pool_max`); returns ``out``. The bias is added to the
         pooled map, a quarter of the values: rounding is monotone, so the
         maximum of the biased values is the biased maximum."""
-        for r0, r in self.strips():
-            conv = self.blocks(r)
-            np.matmul(self.w2, self.cols(x_s, r0, r), out=conv.reshape(len(self.w2), -1))
-            band = np.s_[:, r0:r0 + r]
-            _pool_max(conv, out[band], None if idx is None else idx[band])
-            out[band] += b[:, None, None]
+        np.matmul(self.w2, self.cols(x_s), out=self.blocks.reshape(len(self.w2), -1))
+        _pool_max(self.blocks, out, idx)
+        out += b[:, None, None]
         return out
 
 
@@ -347,11 +326,11 @@ def _conv_pool_forward(x, w, b, need_idx):
     """Valid convolution (cross-correlation) of x (n, c, h, w) with
     w (f, c, k, k) plus bias, then max-pool, by im2col.
 
-    Runs one sample at a time through :class:`_Strips`, so only the pooled
-    (n, f, oh // _POOL, ow // _POOL) output and, with ``need_idx``, its
-    argmax indices grow with the batch.
+    Runs one sample at a time through :class:`_PoolWindows`, so only the
+    pooled (n, f, oh // _POOL, ow // _POOL) output and, with ``need_idx``,
+    its argmax indices grow with the batch.
     """
-    stage = _Strips(x.shape, w)
+    stage = _PoolWindows(x.shape, w)
     out = np.empty(_pooled_shape(x.shape, w.shape))
     idx = np.empty(out.shape, dtype=np.uint8) if need_idx else None
     for s in range(len(x)):
@@ -478,7 +457,7 @@ def _conv_pool_spectra(spectra, xf, w, b, out, idx):
     bins straight into the layout the inverse transform reads; then the
     bias add and the pool. The working buffers are allocated once per call
     and reused, and the kernel spectra's buffers are freed on return, so
-    that the next block's conv1 strips never lie beside them.
+    that the next block's conv1 buffers never lie beside them.
     """
     m = xf.shape[1]
     f = w.shape[0]
@@ -504,7 +483,7 @@ def _conv_pool_spectra(spectra, xf, w, b, out, idx):
             conv = conv[:, :, :oh, :ow]
             conv += b[f0:f0 + fb, None, None]
             block = np.s_[j0:j0 + mb, f0:f0 + fb]
-            _pool_forward(conv, out[block], None if idx is None else idx[block])
+            _pool_max(_pool_views(conv), out[block], None if idx is None else idx[block])
     spectra.free_kernel_buffers()
 
 
@@ -516,7 +495,7 @@ def _conv_stages(x, t, train_mode):
     otherwise.
 
     When conv2 runs by FFT (:func:`_by_fft`), the input spectra of each
-    block of ``_FFT_SAMPLES`` samples come straight from conv1's strips
+    block of ``_FFT_SAMPLES`` samples come straight from conv1's stage
     (:func:`_conv1_spectra`) and go through :func:`_conv_pool_spectra`.
     Otherwise the two im2col stages run one after the other.
     """
@@ -543,12 +522,12 @@ def _conv_stages(x, t, train_mode):
 
 def _conv1_spectra(x, w, b, spectra, p1, idx1):
     """The input spectra (bins, n, c) of conv2 for the samples x (n, c, h, w):
-    each sample's conv1 map is pooled by :class:`_Strips` straight into the
-    zero-padded grid of ``spectra`` and ReLU'd there. Given ``p1`` and
-    ``idx1`` (train mode), sample j's ReLU'd map is also copied into
-    ``p1[j]`` and its argmax bytes written into ``idx1[j]``. The strips'
+    each sample's conv1 map is pooled by :class:`_PoolWindows` straight
+    into the zero-padded grid of ``spectra`` and ReLU'd there. Given ``p1``
+    and ``idx1`` (train mode), sample j's ReLU'd map is also copied into
+    ``p1[j]`` and its argmax bytes written into ``idx1[j]``. The stage's
     buffers are freed on return, before conv2's own buffers are allocated."""
-    conv1 = _Strips(x.shape, w)
+    conv1 = _PoolWindows(x.shape, w)
 
     def fill(j, grid):
         np.maximum(conv1(x[j], b, grid, None if idx1 is None else idx1[j]), 0.0, out=grid)
@@ -559,11 +538,11 @@ def _conv1_spectra(x, w, b, spectra, p1, idx1):
 
 def _pool_conv_backward(x, w, dpool, idx, need_dx):
     """Gradients (dx, dw, db) of :func:`_conv_pool_forward`, given the
-    gradient ``dpool`` of its pooled output, by the same :class:`_Strips`
-    stage.
+    gradient ``dpool`` of its pooled output, by the same
+    :class:`_PoolWindows` stage.
 
-    Per sample and strip, the argmax bytes route the pooled gradient into
-    the p*p row blocks of the strip buffer; the stacked kernels' gradient
+    Per sample, the argmax bytes route the pooled gradient into the p*p row
+    blocks of the stage (:func:`_pool_route`); the stacked kernels' gradient
     accumulates that block matrix times the columns' transpose, and is
     folded back over the p*p offsets into dw at the end. For dx the column
     gradient ``w2.T @ blocks`` is written into the column buffer and
@@ -577,26 +556,20 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     dw = np.zeros(w.shape)
     db = dpool.sum(axis=(2, 3)).sum(axis=0)
     dx = np.zeros(x.shape) if need_dx else None
-    stage = _Strips(x.shape, w)
-    side, pw = stage.side, stage.pw
+    stage = _PoolWindows(x.shape, w)
+    side, ph, pw = stage.side, stage.ph, stage.pw
     dstacked = np.zeros_like(stage.w2)
+    blocks = stage.blocks.reshape(len(dstacked), ph * pw)
     for s in range(n):
-        for r0, r in stage.strips():
-            band = np.s_[:, r0:r0 + r]
-            dpool_s, idx_s = dpool[s][band], idx[s][band]
-            blocks = stage.blocks(r)
-            for q, block in enumerate(blocks):
-                np.multiply(dpool_s, idx_s == q, out=block)
-            blocks = blocks.reshape(len(dstacked), r * pw)
-            cols = stage.cols(x[s], r0, r)
-            dstacked += blocks @ cols.T
-            if need_dx:
-                np.matmul(stage.w2.T, blocks, out=cols)
-                view = cols.reshape(c, side, side, r, pw)
-                for u in range(side):
-                    for v in range(side):
-                        dx[s, :, p * r0 + u:p * (r0 + r - 1) + u + 1:p,
-                           v:p * (pw - 1) + v + 1:p] += view[:, u, v]
+        _pool_route(dpool[s], idx[s], stage.blocks)
+        cols = stage.cols(x[s])
+        dstacked += blocks @ cols.T
+        if need_dx:
+            np.matmul(stage.w2.T, blocks, out=cols)
+            view = cols.reshape(c, side, side, ph, pw)
+            for u in range(side):
+                for v in range(side):
+                    dx[s, :, u:p * (ph - 1) + u + 1:p, v:p * (pw - 1) + v + 1:p] += view[:, u, v]
     dstacked = dstacked.reshape(p, p, f, c, side, side)
     for i in range(p):
         for j in range(p):
@@ -609,11 +582,11 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     on the grid of the forward FFT stage (Mathieu et al. 2014), for conv2
     when :func:`_by_fft` selects it.
 
-    Per block of samples and filters, the conv-map gradients are scattered
-    onto the zero grid and transformed to DA. Per bin, the weight
-    gradient's spectrum is the sum over samples of conj(DA) X, with X the
-    input spectra; :meth:`_Spectra.correlation_taps` forms it and reads
-    out its k x k taps, which are added up across sample blocks. The
+    Per block of samples and filters, the pooled gradient is routed into
+    the strided views of the zero grid, which is transformed to DA. Per
+    bin, the weight gradient's spectrum is the sum over samples of
+    conj(DA) X, with X the input spectra; :meth:`_Spectra.correlation_taps`
+    forms it and reads out its k x k taps, added up across sample blocks. The
     input gradient's spectrum is the sum over filters of DA K, with K the
     kernel spectra; it is accumulated as its conjugate, conj(DA) times the
     conjugate spectra that :meth:`_Spectra.kernels` builds, and taken back
@@ -636,7 +609,9 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     spectra = _Spectra(x.shape, w.shape, ns)
     gh, gw, gr, bins = spectra.gh, spectra.gw, spectra.gr, spectra.bins
     # flat buffers, viewed at each block's size so that partial blocks stay contiguous
-    grid_buf = np.zeros(ns * nf * gh * gw)  # written only inside each map's oh x ow corner
+    # each map keeps its gh x gw slot in every block, so cells outside its
+    # pooled windows are never written and stay zero
+    grid_buf = np.zeros(ns * nf * gh * gw)
     spec_buf = np.empty(ns * nf * gh * gr, dtype=complex)
     daf_buf = np.empty(bins * ns * nf, dtype=complex)
     dxf_buf = np.empty(bins * ns * c, dtype=complex)
@@ -650,9 +625,8 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
         for f0 in range(0, f, nf):
             fb = min(nf, f - f0)
             block = np.s_[s0:s0 + m, f0:f0 + fb]
-            da = _pool_backward(dpool[block], idx[block], (m, fb, oh, ow))
             grid = grid_buf[:m * fb * gh * gw].reshape(m, fb, gh, gw)
-            grid[:, :, :oh, :ow] = da
+            _pool_route(dpool[block], idx[block], _pool_views(grid[:, :, :oh, :ow]))
             spec = spec_buf[:m * fb * gh * gr].reshape(m, fb, gh, gr)
             np.fft.rfft2(grid, out=spec)
             # conj(DA) per bin as (fb, m), so that both products below read
@@ -670,17 +644,13 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     return dx, dw, db
 
 
-def _pool_forward(x, out, idx=None):
-    """p x p max-pool (p = ``_POOL``) over the last two axes of x (..., h, w)
-    into ``out`` (..., h // p, w // p), dropping trailing rows and columns.
-
-    The max is taken over the p*p strided views ``x[..., i::p, j::p]``
-    (:func:`_pool_max`), so no window copy is made.
-    """
+def _pool_views(x):
+    """The p*p strided views (..., h // p, w // p) of the windows of x
+    (..., h, w), row-major by window position (p = ``_POOL``); trailing
+    rows and columns are left out."""
     p = _POOL
     h, w = x.shape[-2:]
-    oh, ow = h // p, w // p
-    _pool_max([x[..., i:oh * p:p, j:ow * p:p] for i in range(p) for j in range(p)], out, idx)
+    return [x[..., i:h // p * p:p, j:w // p * p:p] for i in range(p) for j in range(p)]
 
 
 def _pool_max(views, out, idx=None):
@@ -698,17 +668,12 @@ def _pool_max(views, out, idx=None):
             np.copyto(idx, q, where=views[q] == out)
 
 
-def _pool_backward(dout, idx, in_shape):
-    """Gradient of :func:`_pool_forward`: each window's ``dout`` goes to its
-    argmax position, zeros elsewhere and in the dropped rows and columns."""
-    p = _POOL
-    h, w = in_shape[-2:]
-    oh, ow = h // p, w // p
-    dx = np.zeros(in_shape)
-    for i in range(p):
-        for j in range(p):
-            np.copyto(dx[..., i:oh * p:p, j:ow * p:p], dout, where=idx == i * p + j)
-    return dx
+def _pool_route(dout, idx, views):
+    """Gradient of :func:`_pool_max`: each window's ``dout`` into the view
+    of its argmax position, zeros into the others, so every element of
+    the views is written."""
+    for q, view in enumerate(views):
+        np.multiply(dout, idx == q, out=view)
 
 
 def _bn_forward(x, gamma, beta, mean, var):
@@ -741,6 +706,8 @@ def _forward_full(params, x, train_mode):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != cfg.input_shape:
         raise DataError(f"sample shape {x.shape[1:]} != config {cfg.input_shape}")
+    if len(x) == 0:
+        raise DataError("a batch of zero samples has no forward pass")
     # checked here, before NaN reaches the batch-norm moments or, by FFT, a whole map
     finite = np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
     if not finite.all():
@@ -994,6 +961,7 @@ def gradient_check(params: FeatNetParams, x: np.ndarray, y: np.ndarray,
     coordinates. The step is small enough not to cross the ReLU and
     max-pool kinks near a unit of a wide He-scaled conv stage, which a step
     of 1e-3 did, and large enough that round-off stays below 1e-7."""
+    n_coords = _count(n_coords, "n_coords")
     epsilon = 1e-5
     params = params.copy()
     _, grads = loss_and_grads(params, x, y)

@@ -49,6 +49,7 @@ BAD_CALLS = {
     "FeatNetConfig-lr-string": lambda: dataclasses.replace(TINY, lr="0.1"),
     "FeatNetConfig-lr-bool": lambda: dataclasses.replace(TINY, lr=True),
     "FeatNetConfig-l2-string": lambda: dataclasses.replace(TINY, l2_weight="0"),
+    "FeatNetConfig-lr-huge-int": lambda: dataclasses.replace(TINY, lr=10 ** 400),
     "FeatNetConfig-seed-float": lambda: dataclasses.replace(TINY, seed=1.5),
     "FeatNetConfig-seed-negative": lambda: dataclasses.replace(TINY, seed=-1),
     "FeatNetConfig-seed-bool": lambda: dataclasses.replace(TINY, seed=True),
@@ -68,8 +69,20 @@ BAD_CALLS = {
     "fit_iforest-psi-float": lambda: articspace.fit_iforest(POINTS, psi=2.5),
     "fit_iforest-trees-float": lambda: articspace.fit_iforest(POINTS, n_trees=1.5),
     "fit_iforest-trees-bool": lambda: articspace.fit_iforest(POINTS, n_trees=True),
+    "fit_iforest-seed-negative": lambda: articspace.fit_iforest(POINTS, seed=-1),
+    "fit_iforest-seed-float": lambda: articspace.fit_iforest(POINTS, seed=1.5),
     "prune_outliers-contamination": lambda: articspace.prune_outliers(
         articspace.ContourCloud("s0", "modal", POINTS), contamination=0.5),
+    "prune_outliers-contamination-string": lambda: articspace.prune_outliers(
+        articspace.ContourCloud("s0", "modal", POINTS), contamination="0.1"),
+    "prune_outliers-seed-negative": lambda: articspace.prune_outliers(
+        articspace.ContourCloud("s0", "modal", POINTS), contamination=0.0, seed=-1),
+    "prune_outliers-seed-float": lambda: articspace.prune_outliers(
+        articspace.ContourCloud("s0", "modal", POINTS), contamination=0.2, seed=1.5),
+    "gradient_check-coords-zero": lambda: featnet.gradient_check(featnet.init_params(TINY),
+                                                                 X, Y, n_coords=0),
+    "gradient_check-coords-negative": lambda: featnet.gradient_check(featnet.init_params(TINY),
+                                                                     X, Y, n_coords=-1),
     "betainc-a": lambda: stats.betainc(0.0, 1.0, 0.5),
     "student_t_sf-t": lambda: stats.student_t_sf(np.inf, 3),
     "student_t_sf-df": lambda: stats.student_t_sf(1.0, 0),
@@ -83,6 +96,12 @@ BAD_CALLS = {
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=-0.3),
     "split_prompt_disjoint-val-one": lambda: corpus.split_prompt_disjoint(
         corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction=1.0),
+    "split_prompt_disjoint-val-string": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), {"p"}, val_fraction="0.1"),
+    "split_prompt_disjoint-seed-negative": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), {"p"}, seed=-1),
+    "split_prompt_disjoint-seed-float": lambda: corpus.split_prompt_disjoint(
+        corpus.Manifest(phones=["p0"], records=[]), {"p"}, seed=1.5),
     "wer-string-reference": lambda: recognizer.wer([("a b", ["a", "b"])]),
     "wer-string-hypothesis": lambda: recognizer.wer([(["a", "b"], "a b")]),
     "wer-none-hypothesis": lambda: recognizer.wer([(["a"], None)]),
@@ -281,6 +300,11 @@ BAD_DATA = {
                      r"1-D series, got shapes \(2, 2\) and \(2, 2\)"),
     "syllable_rate-zero": (lambda d: stats.syllable_rate(0, 1.0),
                            "syllable count must be >= 1, got 0"),
+    "forward-empty-batch": (lambda d: featnet.forward(featnet.init_params(TINY), X[:0]),
+                            "a batch of zero samples has no forward pass"),
+    "loss_and_grads-empty-batch": (
+        lambda d: featnet.loss_and_grads(featnet.init_params(TINY), X[:0], Y[:0]),
+        "a batch of zero samples has no forward pass"),
     "train_sgd-empty-validation": (
         lambda d: featnet.train_sgd(featnet.init_params(TINY), X, Y, X[:0], Y[:0]),
         "train and validation sets must be nonempty"),

@@ -332,28 +332,24 @@ def whole_map_conv_pool(x, w, b):
     for s in range(n):
         conv = w.reshape(f, -1) @ whole_map_cols(x[s], k)
         conv += b[:, None]
-        featnet._pool_forward(conv.reshape(f, oh, ow), out[s], idx[s])
+        featnet._pool_max(featnet._pool_views(conv.reshape(f, oh, ow)), out[s], idx[s])
     return out, idx
 
 
 class TestStrips:
-    """An im2col stage lowered to pooling windows, in strips of pooled
-    rows, against the whole-map code."""
+    """An im2col stage lowered to pooling windows, one GEMM over a sample's
+    whole pooled map, against the whole-map code."""
 
-    @pytest.mark.parametrize("rows", [2, 6, 16])
-    def test_matches_whole_map(self, rows, monkeypatch):
-        """Strips of 2 and 6 pooled rows (the last one partial), and a
-        budget beyond the map's 8 pooled rows, which takes one strip, on an
-        odd-sided map whose last row and column pooling drops: the pooled
-        output within 1e-12 of the whole map's scale, the same argmax
-        bytes, and every gradient within 1e-12 of its largest value."""
-        rng = np.random.default_rng(rows)
+    def test_matches_whole_map(self):
+        """An odd-sided map whose last row and column pooling drops: the
+        pooled output within 1e-12 of the whole map's scale, the same
+        argmax bytes, and every gradient within 1e-12 of its largest
+        value."""
+        rng = np.random.default_rng(16)
         x = rng.standard_normal((2, 3, 20, 24))  # conv map 17 x 21, pooled 8 x 10
         w = rng.standard_normal((5, 3, 4, 4))
         b = rng.standard_normal(5)
-        monkeypatch.setattr(featnet, "_STRIP_BYTES", rows * 3 * 5 * 5 * 10 * 8)
-        stage = featnet._Strips(x.shape, w)
-        assert (stage.ph, stage.rows) == (8, min(rows, 8))
+        assert featnet._PoolWindows(x.shape, w).blocks.shape == (4, 5, 8, 10)
         out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
         ref_out, ref_idx = whole_map_conv_pool(x, w, b)
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
@@ -367,31 +363,31 @@ class TestStrips:
 
     def test_paper_depth_matches_whole_map(self):
         """A conv1 of paper depth and kernel (700 taps, 64 filters) on an
-        even-sided map (32 x 72), in one strip: within 1e-12 of the
-        whole-map matmul's scale, argmax bytes included. The window
-        lowering sums each output's taps in another order, so it is not
-        bit-identical."""
+        even-sided map (32 x 72): within 1e-12 of the whole-map matmul's
+        scale, argmax bytes included. The window lowering sums each
+        output's taps in another order, so it is not bit-identical."""
         rng = np.random.default_rng(40)
         x = rng.standard_normal((2, 7, 41, 81))
         w = rng.standard_normal((64, 7, 10, 10)) * np.sqrt(2.0 / 700)
         b = rng.standard_normal(64)
-        assert featnet._Strips(x.shape, w).rows == 16
+        assert featnet._PoolWindows(x.shape, w).blocks.shape == (4, 64, 16, 36)
         out, idx = featnet._conv_pool_forward(x, w, b, need_idx=True)
         ref_out, ref_idx = whole_map_conv_pool(x, w, b)
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * conv_scale(x, w, b)
         assert np.array_equal(idx, ref_idx)
 
-    def test_paper_conv1_strips_fit_budget(self):
-        """Paper conv1 computes all 27 pooled rows in one strip, whose
-        column buffer of 11 x 11 patches (10.8 MB) fits ``_STRIP_BYTES``,
-        with a stacked kernel matrix of 4 x 64 rows."""
+    def test_paper_conv1_whole_map_buffers(self):
+        """Paper conv1 computes its 27 x 59 pooled map from one column
+        buffer of 11 x 11 patches (10.8 MB, against 35.7 MB of whole-map
+        columns) and a stacked kernel matrix of 4 x 64 rows."""
         cfg = featnet.FeatNetConfig()
         w = np.zeros(featnet.param_shapes(cfg)["conv1_w"])
-        stage = featnet._Strips((1, *cfg.input_shape), w)
-        assert (stage.ph, stage.pw) == cfg.stage_shapes()["pool1"]
-        assert stage.rows == stage.ph == 27
+        stage = featnet._PoolWindows((1, *cfg.input_shape), w)
+        assert (stage.ph, stage.pw) == cfg.stage_shapes()["pool1"] == (27, 59)
         assert stage.w2.shape == (256, 7 * 11 * 11)
-        assert stage._cols.nbytes == 7 * 11 * 11 * 27 * 59 * 8 <= featnet._STRIP_BYTES
+        assert stage._cols.shape == (7 * 11 * 11, 27 * 59)
+        assert stage._cols.nbytes == 7 * 11 * 11 * 27 * 59 * 8
+        assert stage.blocks.shape == (4, 64, 27, 59)
 
 
 def spy_calls(monkeypatch, *names):
@@ -432,11 +428,14 @@ def fft_conv_pool(x, w, b, need_idx):
 # (n, c, h, w, f, k) layers for the FFT conv stage: paper conv2's channels
 # and grid with 11 samples and 20 filters, which leave a partial block of
 # samples and of filters in both directions; a 5-smooth input that needs no
-# padding; and one padded along both axes
+# padding, whose conv map is odd in width; one padded along both axes; and
+# one whose conv map (13 x 17) is odd in both, so that pooling drops a row
+# and a column of each map's grid slot over a partial block of samples
 FFT_LAYERS = pytest.mark.parametrize("n, c, h, wd, f, k", [
     pytest.param(11, 64, 27, 59, 20, 10, id="paper-conv2-partial-blocks"),
     pytest.param(3, 32, 25, 24, 5, 8, id="no-padding"),
     pytest.param(9, 21, 23, 31, 17, 10, id="padded-height-and-width"),
+    pytest.param(6, 24, 22, 26, 18, 10, id="odd-conv-map"),
 ])
 
 
@@ -653,15 +652,38 @@ class TestPooling:
         assert ref_out.shape == (shape[0], shape[1], shape[2] // p, shape[3] // p)
         out = np.full(ref_out.shape, np.nan)
         idx = np.full(ref_out.shape, 255, dtype=np.uint8)
-        featnet._pool_forward(x, out, idx)
+        featnet._pool_max(featnet._pool_views(x), out, idx)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(idx, ref_idx)
-        dout = rng.standard_normal(out.shape)
-        dx = featnet._pool_backward(dout, idx, x.shape)
-        assert np.array_equal(dx, reference_pool_backward(dout, ref_idx, x.shape, p))
         out_only = np.full(ref_out.shape, np.nan)
-        featnet._pool_forward(x, out_only)
+        featnet._pool_max(featnet._pool_views(x), out_only)
         assert np.array_equal(out_only, out)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3, 7, 9), (1, 2, 9, 10), (3, 1, 11, 8)])
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_route_matches_reference_backward(self, p, shape, kind, monkeypatch):
+        """Routed into the views of a NaN-filled map, the pooled gradient
+        fills every element of every view, equal to the reference gradient
+        there, and leaves the rows and columns that pooling drops
+        unwritten."""
+        monkeypatch.setattr(featnet, "_POOL", p)
+        rng = np.random.default_rng(p * 1000 + shape[2] * 10 + shape[3] + 1)
+        x = self.pool_input(kind, shape, rng)
+        ref_out, ref_idx = reference_pool_forward(x, p)
+        idx = np.empty(ref_out.shape, dtype=np.uint8)
+        featnet._pool_max(featnet._pool_views(x), np.empty(ref_out.shape), idx)
+        dout = rng.standard_normal(ref_out.shape)
+        dx = np.full(shape, np.nan)
+        views = featnet._pool_views(dx)
+        featnet._pool_route(dout, idx, views)
+        assert all(not np.isnan(v).any() for v in views)
+        ph, pw = ref_out.shape[2:]
+        pooled = np.s_[..., :ph * p, :pw * p]
+        assert np.array_equal(dx[pooled], reference_pool_backward(dout, ref_idx, shape, p)[pooled])
+        dropped = np.ones(shape[2:], dtype=bool)
+        dropped[:ph * p, :pw * p] = False
+        assert np.isnan(dx[..., dropped]).all()
 
     @pytest.mark.parametrize("kind", ["normal", "ties"])
     def test_writes_only_into_a_block_view(self, kind):
@@ -673,7 +695,7 @@ class TestPooling:
         ref_out, ref_idx = reference_pool_forward(x, featnet._POOL)
         out = np.full((3, 5, *ref_out.shape[2:]), np.nan)
         idx = np.full(out.shape, 255, dtype=np.uint8)
-        featnet._pool_forward(x, out[:, 1:3], idx[:, 1:3])
+        featnet._pool_max(featnet._pool_views(x), out[:, 1:3], idx[:, 1:3])
         assert np.array_equal(out[:, 1:3], ref_out)
         assert np.array_equal(idx[:, 1:3], ref_idx)
         outside = np.ones(5, dtype=bool)
@@ -757,7 +779,7 @@ class TestMemory:
     def test_inference_growth_past_one_block(self, paper_peak):
         """Samples past the first block of ``_FFT_SAMPLES`` input spectra
         cost paper-shape inference less than 0.5 MiB each, their pooled
-        maps and fc activations: each block frees its conv1 strips and its
+        maps and fc activations: each block frees its conv1 buffers and its
         kernel spectra's buffers before the next block allocates its own
         (1.8 MiB per sample when the kernel buffers outlived their block)."""
         assert featnet._FFT_SAMPLES == 32
@@ -1218,6 +1240,15 @@ class TestCheckpoint:
         featnet.save_params(featnet.init_params(cfg), tmp_path / "net.ckpt")
         assert featnet.load_params(tmp_path / "net.ckpt").config == cfg
         assert cfg == dataclasses.replace(TINY, seed=3)
+
+    def test_numpy_float_config_round_trip(self, tmp_path):
+        """A float32 lr and an int l2_weight are kept as plain floats, so
+        the config's JSON can be written (a float32 made json.dumps raise
+        TypeError), and it reads back equal."""
+        cfg = dataclasses.replace(TINY, lr=np.float32(0.5), l2_weight=1)
+        assert (type(cfg.lr), type(cfg.l2_weight)) == (float, float)
+        featnet.save_params(featnet.init_params(cfg), tmp_path / "net.ckpt")
+        assert featnet.load_params(tmp_path / "net.ckpt").config == cfg
 
     def test_round_trip(self, tmp_path):
         params = featnet.init_params(dataclasses.replace(SMALL, seed=11))
