@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError, _count, _real
+from .errors import DataError, UsageError, _array, _count, _real
 from . import svgfig
 
 logger = logging.getLogger(__name__)
@@ -59,7 +59,7 @@ class ContourCloud:
     points: np.ndarray  # (n, 2) pooled over all contours of speaker x mode
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
+        self.points = _array(self.points, f"{self.speaker_id}/{self.mode} points", np.float64)
         if self.points.size == 0:
             raise DataError(f"{self.speaker_id}/{self.mode}: empty contour cloud")
         if not np.isfinite(self.points).all():
@@ -100,7 +100,7 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> np
     intensity; columns whose smoothed maximum stays below
     ``_RIDGE_THRESHOLD`` are omitted. Returns the (n, 2) float64 (x, y)
     points; ``utt_id`` and ``frame_index`` label its "no ridge" error."""
-    frame = np.asarray(frame, dtype=np.float64)
+    frame = _array(frame, "ridge_track frame", np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise DataError(f"expected non-empty 2-D frame, got shape {frame.shape}")
     smoothed = _smooth_columns(frame)
@@ -120,7 +120,7 @@ def ridge_track(frame: np.ndarray, utt_id: str = "", frame_index: int = 0) -> np
 def _finite_2d(points: np.ndarray, what: str) -> np.ndarray:
     """``points`` as a 2-D float64 array (one row for a single point);
     DataError for more than two dimensions or on NaN or inf."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.atleast_2d(_array(points, what, np.float64))
     if points.ndim != 2:
         raise DataError(f"{what}: need an (n, d) array of points, got shape {points.shape}")
     if not np.isfinite(points).all():
@@ -131,7 +131,7 @@ def _finite_2d(points: np.ndarray, what: str) -> np.ndarray:
 def average_path_length(n: int | np.ndarray) -> np.ndarray | float:
     """Expected isolation path length c(n) = 2 H(n-1) - 2 (n-1)/n with
     H(i) = ln(i) + Euler-Mascheroni; 0 for n <= 1."""
-    n_arr = np.asarray(n, dtype=np.float64)
+    n_arr = _array(n, "average_path_length n", np.float64)
     out = np.zeros_like(n_arr)
     mask = n_arr >= 2
     nm = n_arr[mask]

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericalError, UsageError, _count, _real, open_input, read_text
+from .errors import (DataError, NumericalError, UsageError, _array, _count, _real, open_input,
+                     read_text)
 
 MODES = ("modal", "silent", "whispered")
 SPLITS = ("train", "validation", "test")
@@ -54,7 +55,7 @@ def write_frames(path: str | Path, frames: np.ndarray) -> None:
     Integer input is stored as u8, so its values must lie in 0..255;
     floating input is stored as little-endian f32.
     """
-    frames = np.asarray(frames)
+    frames = _array(frames, "frame stack")
     if frames.ndim != 3 or frames.size == 0:
         raise DataError(f"frame stack must be non-empty (n, h, w), got shape {frames.shape}")
     code = _CODE_FOR_KIND.get(frames.dtype.kind)
@@ -110,7 +111,7 @@ def read_frames(path: str | Path) -> np.ndarray:
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
     """Write an (n, d) feature matrix as f32 frames of shape 1 x d."""
-    features = np.asarray(features, dtype=np.float32)
+    features = _array(features, "features", np.float32)
     if features.ndim != 2:
         raise DataError(f"features must be (n, d), got shape {features.shape}")
     write_frames(path, features[:, None, :])
@@ -125,7 +126,7 @@ def read_features(path: str | Path) -> np.ndarray:
 
 
 def write_labels(path: str | Path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
+    labels = _array(labels, "labels")
     if labels.ndim != 1:
         raise DataError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and labels.dtype.kind not in "iu":
@@ -337,7 +338,8 @@ def normalize(sequences: list[np.ndarray]) -> tuple[float, float, list[np.ndarra
     """
     if not sequences:
         raise DataError("cannot compute normalization statistics from an empty set")
-    flat = np.concatenate([np.asarray(s, dtype=np.float64).ravel() for s in sequences])
+    flat = np.concatenate([_array(s, f"sequence {i}", np.float64).ravel()
+                           for i, s in enumerate(sequences)])
     mean = float(flat.mean())
     with np.errstate(invalid="ignore"):  # inf pixels: reported below
         std = float(flat.std())
@@ -355,7 +357,7 @@ def apply_normalization(frames: np.ndarray, mean: float, std: float) -> np.ndarr
     if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
         raise DataError("normalization statistics need a finite mean and a finite, "
                         f"positive std; got mean={mean}, std={std}")
-    return (np.asarray(frames, dtype=np.float64) - mean) / std
+    return (_array(frames, "frames", np.float64) - mean) / std
 
 
 def window_stack(frames: np.ndarray) -> np.ndarray:
@@ -365,7 +367,7 @@ def window_stack(frames: np.ndarray) -> np.ndarray:
     there is exactly one sample per frame. The result is a read-only view
     of one edge-padded copy of the frames (n + 24 frames).
     """
-    frames = np.asarray(frames)
+    frames = _array(frames, "frames")
     if frames.ndim < 1 or frames.shape[0] < 1:
         raise DataError("cannot window an empty sequence")
     n = frames.shape[0]

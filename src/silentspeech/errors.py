@@ -7,7 +7,8 @@ NumericalError -> 3.
 Every reader opens its input file through :func:`open_input` (bytes) or
 :func:`read_text` (UTF-8 text), so a path that is missing, a directory or
 otherwise unreadable raises DataError naming it, with the ``OSError`` as
-its cause.
+its cause. Every entry that takes an array reads it through :func:`_array`,
+so a ragged nesting or text raises DataError naming the argument.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import operator
 from numbers import Real
 from pathlib import Path
 from typing import BinaryIO
+
+import numpy as np
 
 
 class SilentSpeechError(Exception):
@@ -59,6 +62,18 @@ def _real(value, name: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _array(value, name: str, dtype=None) -> np.ndarray:
+    """``value`` by ``np.asarray``, cast to ``dtype`` if one is given under
+    numpy's ``same_kind`` rule, which casts no text, object or complex array
+    to a float; DataError naming ``name`` where numpy raises, as it does for
+    a ragged nesting."""
+    try:
+        array = np.asarray(value)
+        return array if dtype is None else array.astype(dtype, casting="same_kind", copy=False)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{name} must be a rectangular array of numbers ({exc})") from exc
 
 
 def open_input(path: str | Path) -> BinaryIO:

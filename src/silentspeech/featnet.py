@@ -104,10 +104,10 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .corpus import window_stack
-from .errors import DataError, NumericalError, UsageError, _count, _real, open_input
+from .errors import DataError, NumericalError, UsageError, _array, _count, _real, open_input
 
 _CKPT_MAGIC = b"FNET"
 _DECAY_ROWS = 512  # rows of a weight gradient per weight-decay block
@@ -292,9 +292,8 @@ class _PoolWindows:
         self.side = side = k + p - 1
         _, _, self.ph, self.pw = _pooled_shape(x_shape, w.shape)
         stacked = np.zeros((p, p, f, c, side, side))
-        for i in range(p):
-            for j in range(p):
-                stacked[i, j, :, :, i:i + k, j:j + k] = w
+        for i, j in np.ndindex(p, p):
+            stacked[i, j, :, :, i:i + k, j:j + k] = w
         self.w2 = stacked.reshape(p * p * f, c * side * side)
         self._cols = np.empty((c * side * side, self.ph * self.pw))
         self.blocks = np.empty((p * p, f, self.ph, self.pw))
@@ -302,12 +301,9 @@ class _PoolWindows:
     def cols(self, x_s):
         """The columns (c*K*K, ph*pw) of one sample x_s (c, h, w): row
         ``(ci*K + u)*K + v``, column ``i*pw + j`` holds ``x_s[ci, p*i + u,
-        p*j + v]``. One copy from the stride-p window view."""
-        c = x_s.shape[0]
-        side, p, ph, pw = self.side, _POOL, self.ph, self.pw
-        part = x_s[:, :p * (ph - 1) + side, :p * (pw - 1) + side]
-        patches = sliding_window_view(part, (side, side), axis=(1, 2))[:, ::p, ::p]
-        np.copyto(self._cols.reshape(c, side, side, ph, pw), patches.transpose(0, 3, 4, 1, 2))
+        p*j + v]``. One copy from :func:`_windows`."""
+        windows = _windows(x_s, self.side)
+        np.copyto(self._cols.reshape(windows.shape), windows)
         return self._cols
 
     def __call__(self, x_s, b, out, idx=None):
@@ -545,8 +541,8 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     blocks of the stage (:func:`_pool_route`); the stacked kernels' gradient
     accumulates that block matrix times the columns' transpose, and is
     folded back over the p*p offsets into dw at the end. For dx the column
-    gradient ``w2.T @ blocks`` is written into the column buffer and
-    scattered back with K*K stride-p slice-adds (col2im). db sums the
+    gradient ``w2.T @ blocks`` is written into the column buffer and added
+    back through each (u, v) slice of :func:`_windows` (col2im). db sums the
     pooled gradient, as the FFT backward does. With ``need_dx`` False, dx
     is skipped and returned as None.
     """
@@ -557,23 +553,22 @@ def _pool_conv_backward(x, w, dpool, idx, need_dx):
     db = dpool.sum(axis=(2, 3)).sum(axis=0)
     dx = np.zeros(x.shape) if need_dx else None
     stage = _PoolWindows(x.shape, w)
-    side, ph, pw = stage.side, stage.ph, stage.pw
+    side = stage.side
     dstacked = np.zeros_like(stage.w2)
-    blocks = stage.blocks.reshape(len(dstacked), ph * pw)
+    blocks = stage.blocks.reshape(len(dstacked), -1)
     for s in range(n):
         _pool_route(dpool[s], idx[s], stage.blocks)
         cols = stage.cols(x[s])
         dstacked += blocks @ cols.T
         if need_dx:
             np.matmul(stage.w2.T, blocks, out=cols)
-            view = cols.reshape(c, side, side, ph, pw)
-            for u in range(side):
-                for v in range(side):
-                    dx[s, :, u:p * (ph - 1) + u + 1:p, v:p * (pw - 1) + v + 1:p] += view[:, u, v]
+            windows = _windows(dx[s], side)
+            view = cols.reshape(windows.shape)
+            for u, v in np.ndindex(side, side):
+                windows[:, u, v] += view[:, u, v]
     dstacked = dstacked.reshape(p, p, f, c, side, side)
-    for i in range(p):
-        for j in range(p):
-            dw += dstacked[i, j, :, :, i:i + k, j:j + k]
+    for i, j in np.ndindex(p, p):
+        dw += dstacked[i, j, :, :, i:i + k, j:j + k]
     return dx, dw, db
 
 
@@ -644,13 +639,24 @@ def _pool_conv_backward_fft(x, w, dpool, idx):
     return dx, dw, db
 
 
+def _windows(a, side):
+    """The side x side windows of a (..., h, w) at stride p (p = ``_POOL``),
+    as one strided view (..., side, side, ph, pw) of a, with ph = (h - side)
+    // p + 1 and pw likewise, so that it never reaches past a: entry
+    ``[..., u, v, i, j]`` is ``a[..., p*i + u, p*j + v]``. Windows overlap
+    when side > p, so a write through the view goes one (u, v) at a time."""
+    (*lead, h, w), (*outer, sh, sw) = a.shape, a.strides
+    return as_strided(a, (*lead, side, side, (h - side) // _POOL + 1, (w - side) // _POOL + 1),
+                      (*outer, sh, sw, _POOL * sh, _POOL * sw))
+
+
 def _pool_views(x):
     """The p*p strided views (..., h // p, w // p) of the windows of x
-    (..., h, w), row-major by window position (p = ``_POOL``); trailing
-    rows and columns are left out."""
-    p = _POOL
-    h, w = x.shape[-2:]
-    return [x[..., i:h // p * p:p, j:w // p * p:p] for i in range(p) for j in range(p)]
+    (..., h, w), row-major by window position (p = ``_POOL``): the
+    ``[..., i, j, :, :]`` slices of :func:`_windows`, which leave trailing
+    rows and columns out."""
+    windows = _windows(x, _POOL)
+    return [windows[..., i, j, :, :] for i, j in np.ndindex(_POOL, _POOL)]
 
 
 def _pool_max(views, out, idx=None):
@@ -703,7 +709,7 @@ def forward(params: FeatNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _forward_full(params, x, train_mode):
     cfg = params.config
     t = params.tensors
-    x = np.asarray(x, dtype=np.float64)
+    x = _array(x, "x", np.float64)
     if x.shape[1:] != cfg.input_shape:
         raise DataError(f"sample shape {x.shape[1:]} != config {cfg.input_shape}")
     if len(x) == 0:
@@ -750,7 +756,7 @@ def bottleneck_logits(params: FeatNetParams, feats: np.ndarray) -> np.ndarray:
     """Logits of bottleneck feature rows, such as :func:`extract_bottleneck`
     returns: fc4 and the output layer, the code that ends :func:`forward`.
     DataError unless ``feats`` is (n, bottleneck_dim) and finite."""
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = _array(feats, "feats", np.float64)
     d = params.config.bottleneck_dim
     if feats.ndim != 2 or feats.shape[1] != d:
         raise DataError(f"bottleneck features must be (n, {d}), got shape {feats.shape}")
@@ -763,7 +769,7 @@ def bottleneck_logits(params: FeatNetParams, feats: np.ndarray) -> np.ndarray:
 def _labels(y, n: int, n_classes: int, what: str) -> np.ndarray:
     """``y`` as int64 if it holds one integer label in [0, n_classes) for
     each of ``n`` samples; DataError naming ``what`` otherwise."""
-    y = np.asarray(y)
+    y = _array(y, what)
     if y.shape != (n,):
         raise DataError(f"{what}: need one label per sample, got shape {y.shape} "
                         f"for {n} samples")
@@ -867,6 +873,7 @@ def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose most probable class is their label;
     DataError when ``x`` has no samples or ``y`` does not hold one class
     index per sample of ``x``."""
+    x = _array(x, "x")
     if x.shape[0] == 0:
         raise DataError("accuracy of zero samples is undefined")
     y = _labels(y, x.shape[0], params.config.n_classes, "y")
@@ -889,6 +896,7 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     then becomes the tensor, so no parameter set is ever copied. Both
     label sets are checked against their samples before the first step.
     """
+    train_x, val_x = _array(train_x, "train_x"), _array(val_x, "val_x")
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config
@@ -944,6 +952,7 @@ def extract_bottleneck(params: FeatNetParams, frames: np.ndarray,
     GEMM, so changing ``chunk`` may change the last bits.
     """
     chunk = _count(chunk, "chunk")
+    frames = _array(frames, "frames", np.float64)
     x = window_stack(frames)
     finite = np.isfinite(frames).reshape(len(x), -1).all(axis=1)
     if not finite.all():

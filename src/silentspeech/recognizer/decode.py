@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ..errors import DataError, UsageError
+from ..errors import DataError, UsageError, _array
 from .lexicon import Lexicon
 from .lm import BOS, EOS, BigramLm
 
@@ -29,8 +29,8 @@ def emission_scores(logits: np.ndarray, train_labels: np.ndarray) -> np.ndarray:
     """log_softmax(logits) less the log add-one prior of each class over
     ``train_labels``, one row per frame; DataError unless the labels are
     1-D integers within the logits' classes."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(train_labels)
+    logits = _array(logits, "logits", np.float64)
+    labels = _array(train_labels, "training labels")
     if logits.ndim != 2:
         raise DataError(f"logits must be (frames, classes), got shape {logits.shape}")
     n = logits.shape[1]
@@ -49,7 +49,7 @@ def _viterbi(emissions, chains, enter, leave, edges):
     score edges[j, i], and ends in chain i with score leave[i]. Returns the
     path's score, its state (an index into the concatenated chains) at each
     frame, and the chains it visits, in order."""
-    emissions = np.asarray(emissions, dtype=np.float64)
+    emissions = _array(emissions, "emissions", np.float64)
     if emissions.ndim != 2 or emissions.shape[0] == 0:
         raise DataError(f"emissions must be (frames, phones) with frames >= 1, "
                         f"got shape {emissions.shape}")

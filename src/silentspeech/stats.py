@@ -6,11 +6,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, _array
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -89,8 +90,8 @@ class PairedSeries:
     values_b: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values_a = np.asarray(self.values_a, dtype=np.float64)
-        self.values_b = np.asarray(self.values_b, dtype=np.float64)
+        self.values_a = _array(self.values_a, "paired series values_a", np.float64)
+        self.values_b = _array(self.values_b, "paired series values_b", np.float64)
         if len(self.keys) != len(set(self.keys)):
             raise DataError("paired series keys must be unique")
         if not (len(self.keys) == self.values_a.size == self.values_b.size):
@@ -181,8 +182,7 @@ def holm_bonferroni(p_values: list[float]) -> list[bool]:
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     """Sample Pearson correlation coefficient of two 1-D series, scale-free:
     each series is scaled by :func:`_unit_scale` before it is centred."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _array(x, "pearson_r x", np.float64), _array(y, "pearson_r y", np.float64)
     if x.ndim != 1 or y.ndim != 1:
         raise DataError(f"pearson_r needs 1-D series, got shapes {x.shape} and {y.shape}")
     if x.size != y.size or x.size < 2:
@@ -202,10 +202,10 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 def syllable_rate(syllable_count: int, duration_s: float) -> float:
     """Syllables per second for one utterance."""
-    if not 0.0 < duration_s < math.inf:
-        raise DataError(f"duration must be positive and finite, got {duration_s}")
-    if syllable_count < 1:
-        raise DataError(f"syllable count must be >= 1, got {syllable_count}")
+    if not (isinstance(duration_s, Real) and 0.0 < duration_s < math.inf):
+        raise DataError(f"duration must be positive and finite, got {duration_s!r}")
+    if not isinstance(syllable_count, Real) or syllable_count < 1:
+        raise DataError(f"syllable count must be >= 1, got {syllable_count!r}")
     return syllable_count / duration_s
 
 
@@ -282,9 +282,9 @@ def build_mode_report(utterance_metrics: MetricTable,
         for metric, per_mode in metrics.items():
             for mode, values in per_mode.items():
                 for key, value in values.items():
-                    if not math.isfinite(value):
+                    if not (isinstance(value, Real) and math.isfinite(value)):
                         raise DataError(f"metric {metric!r}, mode {mode!r}, key {key!r}: "
-                                        f"value {value} is not finite")
+                                        f"value {value!r} is not finite")
     summaries: list[SummaryRow] = []
     tests: list[TestRow] = []
     excluded: set[str] = set()

@@ -14,6 +14,9 @@ Y = np.zeros(2, dtype=int)
 POINTS = np.random.default_rng(0).random((10, 2))
 LEXICON = recognizer.Lexicon(["p0", "p1"], {"ab": (0, 1), "ba": (1, 0)})
 LM = recognizer.train_bigram([["ab", "ba"]], LEXICON.words)
+RAGGED = [[0.0, 1.0], [1.0]]  # no array: numpy raises a bare ValueError for it
+RAGGED_BATCH = [np.zeros(TINY.input_shape), np.zeros((1, 8, 7))]
+NOT_NUMBERS = "must be a rectangular array of numbers"
 
 # every argument check of the public API, each with an argument it rejects
 BAD_CALLS = {
@@ -308,6 +311,91 @@ BAD_DATA = {
     "train_sgd-empty-validation": (
         lambda d: featnet.train_sgd(featnet.init_params(TINY), X, Y, X[:0], Y[:0]),
         "train and validation sets must be nonempty"),
+    # ragged nestings and text, of which numpy makes no array of numbers
+    "forward-ragged": (lambda d: featnet.forward(featnet.init_params(TINY), RAGGED_BATCH),
+                       f"^x {NOT_NUMBERS} \\(setting an array element"),
+    "forward-string": (lambda d: featnet.forward(featnet.init_params(TINY), ["a", "b"]),
+                       f"^x {NOT_NUMBERS} \\(Cannot cast"),
+    "loss_and_grads-ragged": (
+        lambda d: featnet.loss_and_grads(featnet.init_params(TINY), RAGGED_BATCH, Y),
+        f"^x {NOT_NUMBERS}"),
+    "loss_and_grads-string": (
+        lambda d: featnet.loss_and_grads(featnet.init_params(TINY), ["a", "b"], Y),
+        f"^x {NOT_NUMBERS}"),
+    "bottleneck_logits-ragged": (
+        lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), RAGGED),
+        f"^feats {NOT_NUMBERS}"),
+    "bottleneck_logits-string": (
+        lambda d: featnet.bottleneck_logits(featnet.init_params(TINY), "abc"),
+        f"^feats {NOT_NUMBERS}"),
+    "accuracy-ragged": (lambda d: featnet.accuracy(featnet.init_params(TINY), RAGGED_BATCH, Y),
+                        f"^x {NOT_NUMBERS}"),
+    "accuracy-string": (lambda d: featnet.accuracy(featnet.init_params(TINY), ["a", "b"], Y),
+                        f"^x {NOT_NUMBERS}"),
+    "train_sgd-ragged": (
+        lambda d: featnet.train_sgd(featnet.init_params(TINY), RAGGED_BATCH, Y, X, Y),
+        f"^train_x {NOT_NUMBERS}"),
+    "train_sgd-ragged-validation": (
+        lambda d: featnet.train_sgd(featnet.init_params(TINY), X, Y, RAGGED_BATCH, Y),
+        f"^val_x {NOT_NUMBERS}"),
+    "train_sgd-string": (
+        lambda d: featnet.train_sgd(featnet.init_params(TINY), ["a", "b"], Y, X, Y),
+        f"^x {NOT_NUMBERS}"),
+    "train_sgd-ragged-labels": (
+        lambda d: featnet.train_sgd(featnet.init_params(TINY), X, [[0], [0, 1]], X, Y),
+        f"^train_y {NOT_NUMBERS}"),
+    "extract_bottleneck-ragged": (
+        lambda d: featnet.extract_bottleneck(featnet.init_params(TINY),
+                                             [np.zeros((8, 8)), np.zeros((8, 7))]),
+        f"^frames {NOT_NUMBERS}"),
+    "extract_bottleneck-string": (
+        lambda d: featnet.extract_bottleneck(featnet.init_params(TINY), [["a"]]),
+        f"^frames {NOT_NUMBERS}"),
+    "ContourCloud-ragged": (lambda d: articspace.ContourCloud("s1", "modal", RAGGED),
+                            f"^s1/modal points {NOT_NUMBERS}"),
+    "ridge_track-string": (lambda d: articspace.ridge_track("abc"),
+                           f"^ridge_track frame {NOT_NUMBERS}"),
+    "fit_iforest-ragged": (lambda d: articspace.fit_iforest(RAGGED),
+                           f"^isolation forest fit {NOT_NUMBERS}"),
+    "anomaly_score-string": (
+        lambda d: articspace.anomaly_score(articspace.fit_iforest(POINTS), "abc"),
+        f"^isolation forest scoring {NOT_NUMBERS}"),
+    "convex_hull-ragged": (lambda d: articspace.convex_hull(RAGGED),
+                           f"^convex_hull {NOT_NUMBERS}"),
+    "polygon_area-string": (lambda d: articspace.polygon_area("abc"),
+                            f"^polygon_area {NOT_NUMBERS}"),
+    "average_path_length-string": (lambda d: articspace.average_path_length("abc"),
+                                   f"^average_path_length n {NOT_NUMBERS}"),
+    "PairedSeries-ragged": (lambda d: stats.PairedSeries(["a", "b"], RAGGED, [1, 2]),
+                            f"^paired series values_a {NOT_NUMBERS}"),
+    "pearson_r-string": (lambda d: stats.pearson_r([1, 2, 3], ["x", "y", "z"]),
+                         f"^pearson_r y {NOT_NUMBERS}"),
+    "build_mode_report-string-value": (
+        lambda d: stats.build_mode_report({}, {"hull_area": {"modal": {"s0": "1.0", "s1": 2.0}}}),
+        "metric 'hull_area', mode 'modal', key 's0': value '1.0' is not finite"),
+    "syllable_rate-string": (lambda d: stats.syllable_rate("3", 1.0),
+                             "syllable count must be >= 1, got '3'"),
+    "syllable_rate-string-duration": (lambda d: stats.syllable_rate(3, "1.0"),
+                                      "duration must be positive and finite, got '1.0'"),
+    "normalize-ragged": (lambda d: corpus.normalize([np.zeros((1, 2, 2)), RAGGED]),
+                         f"^sequence 1 {NOT_NUMBERS}"),
+    "apply_normalization-string": (lambda d: corpus.apply_normalization("abc", 0.0, 1.0),
+                                   f"^frames {NOT_NUMBERS}"),
+    "window_stack-ragged": (lambda d: corpus.window_stack(RAGGED), f"^frames {NOT_NUMBERS}"),
+    "write_frames-ragged": (lambda d: corpus.write_frames(d / "f.artf", [RAGGED]),
+                            f"^frame stack {NOT_NUMBERS}"),
+    "write_features-string": (lambda d: corpus.write_features(d / "f.artf", [["a", "b"]]),
+                              f"^features {NOT_NUMBERS}"),
+    "write_labels-ragged": (lambda d: corpus.write_labels(d / "l.lab", [[0, 1], [1]]),
+                            f"^labels {NOT_NUMBERS}"),
+    "emission_scores-string": (lambda d: recognizer.emission_scores("abc", np.array([0])),
+                               f"^logits {NOT_NUMBERS}"),
+    "emission_scores-ragged-labels": (
+        lambda d: recognizer.emission_scores(np.zeros((2, 2)), [[0, 1], [1]]),
+        f"^training labels {NOT_NUMBERS}"),
+    "decode-ragged": (lambda d: recognizer.decode(RAGGED, LEXICON, LM),
+                      f"^emissions {NOT_NUMBERS}"),
+    "align-string": (lambda d: recognizer.align("abc", [0]), f"^emissions {NOT_NUMBERS}"),
 }
 
 

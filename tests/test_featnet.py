@@ -704,6 +704,56 @@ class TestPooling:
         assert (idx[:, outside] == 255).all()
 
 
+class TestWindows:
+    """The one stride-2 window view that im2col columns, col2im and pooling
+    read, against numpy's bounds-checked ``sliding_window_view``, on
+    odd-sided maps with leading dims: a contiguous one, and a cropped view
+    of a larger grid like the FFT backward's ``grid[:, :, :oh, :ow]``."""
+
+    @staticmethod
+    def maps(cropped):
+        grid = np.random.default_rng(int(cropped)).standard_normal((2, 3, 30, 36))
+        return grid, (grid[:, :, :23, :29] if cropped else grid[:, :, :23, :29].copy())
+
+    @pytest.mark.parametrize("side", [2, 3, 11])
+    @pytest.mark.parametrize("cropped", [False, True], ids=["contiguous", "cropped"])
+    def test_matches_sliding_window_view(self, side, cropped):
+        """Entry [..., u, v, i, j] is a[..., 2i + u, 2j + v], over every
+        window that fits in a and no more."""
+        assert featnet._POOL == 2
+        _, a = self.maps(cropped)
+        want = sliding_window_view(a, (side, side), axis=(-2, -1))[..., ::2, ::2, :, :]
+        want = np.moveaxis(want, (-2, -1), (-4, -3))
+        got = featnet._windows(a, side)
+        ph, pw = got.shape[-2:]
+        assert got.shape == want.shape == (2, 3, side, side, ph, pw)
+        assert 2 * (ph - 1) + side <= 23 < 2 * ph + side
+        assert 2 * (pw - 1) + side <= 29 < 2 * pw + side
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, a)
+
+    @pytest.mark.parametrize("side", [2, 3, 11])
+    @pytest.mark.parametrize("cropped", [False, True], ids=["contiguous", "cropped"])
+    def test_slice_adds_count_covering_windows(self, side, cropped):
+        """Adding 1 through each (u, v) slice of a zero map, as col2im adds
+        column gradients, leaves in each cell the number of windows that
+        cover it, and writes nothing outside the map."""
+        grid, a = self.maps(cropped)
+        grid[...] = 0.0
+        a[...] = 0.0
+        windows = featnet._windows(a, side)
+        for u, v in np.ndindex(side, side):
+            windows[:, :, u, v] += 1.0
+        ph, pw = windows.shape[-2:]
+
+        def cover(n, m):  # windows i in [0, m) with 2i <= r < 2i + side, per index r
+            start = 2 * np.arange(m)[:, None]
+            return ((start <= np.arange(n)) & (np.arange(n) < start + side)).sum(axis=0)
+        assert np.array_equal(a, np.broadcast_to(np.outer(cover(23, ph), cover(29, pw)), a.shape))
+        if cropped:
+            assert grid.sum() == a.sum()
+
+
 def traced_peak(fn, *args):
     """Peak bytes allocated while ``fn(*args)`` runs, under tracemalloc."""
     tracemalloc.start()
@@ -982,6 +1032,21 @@ class TestTraining:
         assert not metrics[-1]["selected"]
         for name in featnet.FeatNetParams.TENSOR_NAMES:
             assert np.array_equal(best[name], ref_best[name]), name
+
+    def test_list_input_matches_array(self):
+        """Nested lists train and score as the arrays they hold do: the
+        same metrics and trained tensors, bit for bit, and the same
+        accuracy."""
+        cfg = dataclasses.replace(TINY, batch_size=4)
+        x, y = toy_dataset(cfg, 7, np.random.default_rng(16))
+        params = featnet.init_params(cfg)
+        best, metrics = featnet.train_sgd(params, x[:10], y[:10], x[10:], y[10:], epochs=2)
+        lists = [a.tolist() for a in (x[:10], y[:10], x[10:], y[10:])]
+        list_best, list_metrics = featnet.train_sgd(params, *lists, epochs=2)
+        assert list_metrics == metrics
+        for name in featnet.FeatNetParams.TENSOR_NAMES:
+            assert np.array_equal(list_best[name], best[name]), name
+        assert featnet.accuracy(best, x.tolist(), y.tolist()) == featnet.accuracy(best, x, y)
 
     def test_selected_epoch_is_argmax(self):
         rng = np.random.default_rng(12)
