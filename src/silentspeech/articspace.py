@@ -39,6 +39,8 @@ from . import svgfig
 logger = logging.getLogger(__name__)
 
 _EULER_GAMMA = 0.5772156649015329
+_N_TREES = 100  # isolation trees per forest (Liu, Ting & Zhou 2008)
+_PSI = 256  # subsample size per tree; clouds of fewer points use them all
 _ORIENT_SCALE = 1 << 16
 _ORIENT_LIMIT = float(1 << 47)  # |x| * _ORIENT_SCALE stays below 2^63
 _RIDGE_SIGMA = 2.0  # Gaussian sigma, in rows, of the smoothing ridge_track applies
@@ -266,19 +268,18 @@ def _build_tree(data: np.ndarray, height_limit: int, rng: np.random.Generator,
     return _Tree(np.array(feature), np.array(threshold), np.array(path))
 
 
-def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
-                seed: int = 0) -> IsolationForest:
-    """Standard isolation forest: each tree on a psi-subsample with uniform
-    random split dimension and uniform split value, grown to height limit
-    ceil(log2 psi).
+def fit_iforest(points: np.ndarray, seed: int = 0) -> IsolationForest:
+    """Standard isolation forest of ``_N_TREES`` trees, each on a subsample
+    of psi = min(``_PSI``, n) points with uniform random split dimension and
+    uniform split value, grown to height limit ceil(log2 psi). The forest
+    needs n >= 2 points, so psi >= 2 and every tree has height >= 1.
 
     Random numbers are drawn in a fixed order: per tree, the subsample,
     then one split dimension and one split value per internal node in
-    pre-order. A given seed therefore always yields the same trees.
+    pre-order. A given seed therefore always yields the same trees, and
+    tree i draws all its numbers before tree i + 1.
     """
-    n_trees, psi, seed = _count(n_trees, "n_trees"), _count(psi, "psi"), _count(seed, "seed", 0)
-    if psi < 2:
-        raise UsageError(f"need psi >= 2, got {psi}")
+    seed = _count(seed, "seed", 0)
     points = _finite_2d(points, "isolation forest fit")
     n = points.shape[0]
     if n < 2:
@@ -287,13 +288,13 @@ def fit_iforest(points: np.ndarray, n_trees: int = 100, psi: int = 256,
         span = points.max(axis=0) - points.min(axis=0)
     if not np.isfinite(span).all():
         raise DataError("isolation forest fit: coordinate range overflows float64")
-    psi_eff = min(psi, n)
-    height_limit = int(math.ceil(math.log2(psi_eff))) if psi_eff > 1 else 0
-    leaf_c = average_path_length(np.arange(psi_eff + 1)).tolist()
+    psi = min(_PSI, n)
+    height_limit = int(math.ceil(math.log2(psi)))
+    leaf_c = average_path_length(np.arange(psi + 1)).tolist()
     rng = np.random.default_rng(seed)
-    forest = IsolationForest(psi=psi_eff, n_dims=points.shape[1])
-    for _ in range(n_trees):
-        idx = rng.choice(n, size=psi_eff, replace=False)
+    forest = IsolationForest(psi=psi, n_dims=points.shape[1])
+    for _ in range(_N_TREES):
+        idx = rng.choice(n, size=psi, replace=False)
         forest.trees.append(_build_tree(points[idx], height_limit, rng, leaf_c))
     return forest
 
@@ -305,8 +306,9 @@ def anomaly_score(forest: IsolationForest, points: np.ndarray) -> np.ndarray:
 
 def prune_outliers(cloud: ContourCloud, contamination: float = 0.02,
                    seed: int = 0) -> ContourCloud:
-    """Drop the ceil(contamination * N) highest-scoring points of a default
-    :func:`fit_iforest` forest; ties broken by stable input order."""
+    """Drop the ceil(contamination * N) highest-scoring points of the
+    :func:`fit_iforest` forest of ``seed``; ties broken by stable input
+    order."""
     contamination, seed = _real(contamination, "contamination"), _count(seed, "seed", 0)
     if not 0.0 <= contamination < 0.5:
         raise UsageError(f"contamination must be in [0, 0.5), got {contamination}")
@@ -400,20 +402,25 @@ def pool_clouds(contours_by_utt: dict[str, list[np.ndarray]],
                 utt_meta: dict[str, tuple[str, str]]) -> list[ContourCloud]:
     """Pool contour points per (speaker, mode).
 
-    ``utt_meta`` maps utt_id -> (speaker_id, mode). Each contour must be an
-    (n, 2) array with n >= 2, as :func:`ridge_track` returns; DataError
-    names the ``utt_id[i]`` of any other.
+    ``utt_meta`` maps utt_id -> (speaker_id, mode), a tuple of two strings.
+    Each contour must be an (n, 2) array with n >= 2, as :func:`ridge_track`
+    returns; DataError names the ``utt_id[i]`` of any other, and the
+    ``utt_id`` of any other metadata.
     """
     pooled: dict[tuple[str, str], list[np.ndarray]] = {}
     for utt_id, contours in contours_by_utt.items():
         if utt_id not in utt_meta:
             raise DataError(f"contours reference unknown utterance {utt_id!r}")
+        meta = utt_meta[utt_id]
+        if not (isinstance(meta, tuple) and len(meta) == 2
+                and all(isinstance(v, str) for v in meta)):
+            raise DataError(f"{utt_id}: need a (speaker, mode) pair of strings, got {meta!r}")
         for i, c in enumerate(contours):
             # a type test, as np.ndim raises a bare ValueError for a ragged list
             if not isinstance(c, np.ndarray) or c.ndim != 2 or c.shape[1] != 2 or len(c) < 2:
                 raise DataError(f"{utt_id}[{i}]: contour needs an (n, 2) array "
                                 "of n >= 2 (x, y) points")
-        pooled.setdefault(utt_meta[utt_id], []).extend(contours)
+        pooled.setdefault(meta, []).extend(contours)
     # a (speaker, mode) without points gets an empty cloud, which ContourCloud rejects
     return [ContourCloud(spk, mode, np.concatenate(pts or [np.empty((0, 2))]))
             for (spk, mode), pts in sorted(pooled.items())]

@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -176,8 +177,10 @@ class UtteranceRecord:
         if not 0.0 < self.duration_s < math.inf:
             raise DataError(f"{self.utt_id}: duration must be positive and finite, "
                             f"got {self.duration_s}")
-        if self.syllable_count < 1:
-            raise DataError(f"{self.utt_id}: syllable_count must be >= 1")
+        count = self.syllable_count
+        if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+            raise DataError(f"{self.utt_id}: syllable_count must be >= 1 and an integer, "
+                            f"got {count!r}")
 
     def phone_labels(self) -> np.ndarray | None:
         if self.labels_path is None:
@@ -334,8 +337,13 @@ def normalize(sequences: list[np.ndarray]) -> tuple[float, float, list[np.ndarra
 
     Returns (mean, std, normalized copies). Statistics are computed once
     over the training split and must be re-applied to held-out data with
-    :func:`apply_normalization`.
+    :func:`apply_normalization`. ``sequences`` is a list of frame arrays:
+    one array in its place would pass as a list of its rows, so it raises
+    DataError.
     """
+    if isinstance(sequences, np.ndarray):
+        raise DataError(f"normalize needs a list of frame sequences, not one array "
+                        f"of shape {sequences.shape}")
     if not sequences:
         raise DataError("cannot compute normalization statistics from an empty set")
     flat = np.concatenate([_array(s, f"sequence {i}", np.float64).ravel()

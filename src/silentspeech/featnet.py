@@ -766,6 +766,15 @@ def bottleneck_logits(params: FeatNetParams, feats: np.ndarray) -> np.ndarray:
     return _head(params.tensors, feats)[1]
 
 
+def _batch(x, what: str, dtype=None) -> np.ndarray:
+    """``x`` by :func:`_array`; DataError naming ``what`` for a 0-d value,
+    which has no sample axis to take a length from."""
+    x = _array(x, what, dtype)
+    if x.ndim == 0:
+        raise DataError(f"{what}: need a batch with a sample axis, got the 0-d value {x}")
+    return x
+
+
 def _labels(y, n: int, n_classes: int, what: str) -> np.ndarray:
     """``y`` as int64 if it holds one integer label in [0, n_classes) for
     each of ``n`` samples; DataError naming ``what`` otherwise."""
@@ -795,6 +804,7 @@ def loss_and_grads(params: FeatNetParams, x: np.ndarray,
     caches and buffers are freed (see the module docstring)."""
     cfg = params.config
     t = params.tensors
+    x = _batch(x, "x", np.float64)
     y = _labels(y, len(x), cfg.n_classes, "y")
     logits, _, cache = _forward_full(params, x, train_mode=True)
     n = logits.shape[0]
@@ -873,7 +883,7 @@ def accuracy(params: FeatNetParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose most probable class is their label;
     DataError when ``x`` has no samples or ``y`` does not hold one class
     index per sample of ``x``."""
-    x = _array(x, "x")
+    x = _batch(x, "x")
     if x.shape[0] == 0:
         raise DataError("accuracy of zero samples is undefined")
     y = _labels(y, x.shape[0], params.config.n_classes, "y")
@@ -896,7 +906,7 @@ def train_sgd(params: FeatNetParams, train_x: np.ndarray, train_y: np.ndarray,
     then becomes the tensor, so no parameter set is ever copied. Both
     label sets are checked against their samples before the first step.
     """
-    train_x, val_x = _array(train_x, "train_x"), _array(val_x, "val_x")
+    train_x, val_x = _batch(train_x, "train_x"), _batch(val_x, "val_x")
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("train and validation sets must be nonempty")
     cfg = params.config

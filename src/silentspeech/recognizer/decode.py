@@ -132,9 +132,13 @@ def wer(pairs) -> float:
     """Word error rate of (reference, hypothesis) word-list pairs: their
     word-level Levenshtein edits (substitutions, insertions, deletions)
     summed, over their reference words summed. DataError when the
-    references hold no word; UsageError when a pair member is not a list
-    (or tuple) of word strings, such as a string, which would be scored
-    letter by letter."""
+    references hold no word; UsageError when ``pairs`` does not iterate as
+    pairs, or a pair member is not a list (or tuple) of word strings, such
+    as a string, which would be scored letter by letter."""
+    try:
+        pairs = [(ref, hyp) for ref, hyp in pairs]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"wer needs (reference, hypothesis) pairs ({exc})") from exc
     edits = n_ref = 0
     for ref, hyp in pairs:
         if not all(isinstance(words, (list, tuple)) and all(isinstance(w, str) for w in words)

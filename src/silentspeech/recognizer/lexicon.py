@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
 
-from ..errors import DataError, read_text
+from ..errors import DataError, UsageError, read_text
 
 
 @dataclass
@@ -39,6 +39,11 @@ class Lexicon:
         return sorted(self.entries)
 
     def phones_for(self, words: list[str]) -> list[int]:
+        """The phone indices of ``words`` in order; UsageError for a string,
+        which would iterate as its characters, and DataError naming a word
+        outside the lexicon."""
+        if isinstance(words, str):
+            raise UsageError(f"phones_for needs a list of words, not the string {words!r}")
         seq: list[int] = []
         for w in words:
             if w not in self.entries:

@@ -65,11 +65,11 @@ class BigramLm:
 def train_bigram(sentences: list[list[str]], vocab: Iterable[str]) -> BigramLm:
     """Interpolated Witten-Bell bigram over word sequences, predicting the
     words of ``vocab`` (the lexicon's words, say) and the sentence end.
-    Empty sentences are skipped. UsageError when ``vocab`` is a string,
-    which would iterate as its characters; DataError for a vocabulary word
-    that is not a nonempty string without surrounding whitespace (the
-    lexicon's rule for its words), a sentence word outside ``vocab`` or a
-    reserved symbol in either."""
+    Empty sentences are skipped. UsageError when ``vocab`` or a sentence is
+    a string, which would iterate as its characters; DataError for a
+    vocabulary word that is not a nonempty string without surrounding
+    whitespace (the lexicon's rule for its words), a sentence word outside
+    ``vocab`` or a reserved symbol in either."""
     if isinstance(vocab, str):
         raise UsageError(f"vocab must be a collection of words, not the string {vocab!r}")
     vocab = list(vocab)
@@ -87,6 +87,8 @@ def train_bigram(sentences: list[list[str]], vocab: Iterable[str]) -> BigramLm:
     uni_counts = dict.fromkeys(vocab + [EOS], 0)
     successors: dict[str, dict[str, int]] = {h: {} for h in [BOS] + vocab}
     for s in sentences:
+        if isinstance(s, str):
+            raise UsageError(f"a sentence must be a list of words, not the string {s!r}")
         if BOS in s or EOS in s:
             raise DataError(f"sentence {s!r} holds a reserved symbol {BOS!r} or {EOS!r}")
         for history, w in zip([BOS] + s, s + [EOS]):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,7 @@ def student_t_sf(t: float, df: float) -> float:
     """Two-tailed p-value of Student's t: I_{df/(df+t^2)}(df/2, 1/2)."""
     if not math.isfinite(t):
         raise UsageError(f"t statistic must be finite, got {t}")
-    if df < 1:
+    if not df >= 1:  # NaN fails it too
         raise UsageError(f"degrees of freedom must be >= 1, got {df}")
     if t == 0.0:
         return 1.0
@@ -201,10 +201,13 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def syllable_rate(syllable_count: int, duration_s: float) -> float:
-    """Syllables per second for one utterance."""
-    if not (isinstance(duration_s, Real) and 0.0 < duration_s < math.inf):
+    """Syllables per second for one utterance: an integer count >= 1 over a
+    positive, finite duration. DataError otherwise, and for a bool."""
+    if isinstance(duration_s, bool) or not (isinstance(duration_s, Real)
+                                            and 0.0 < duration_s < math.inf):
         raise DataError(f"duration must be positive and finite, got {duration_s!r}")
-    if not isinstance(syllable_count, Real) or syllable_count < 1:
+    if (isinstance(syllable_count, bool) or not isinstance(syllable_count, Integral)
+            or syllable_count < 1):
         raise DataError(f"syllable count must be >= 1, got {syllable_count!r}")
     return syllable_count / duration_s
 
@@ -282,7 +285,8 @@ def build_mode_report(utterance_metrics: MetricTable,
         for metric, per_mode in metrics.items():
             for mode, values in per_mode.items():
                 for key, value in values.items():
-                    if not (isinstance(value, Real) and math.isfinite(value)):
+                    if isinstance(value, bool) or not (isinstance(value, Real)
+                                                       and math.isfinite(value)):
                         raise DataError(f"metric {metric!r}, mode {mode!r}, key {key!r}: "
                                         f"value {value!r} is not finite")
     summaries: list[SummaryRow] = []

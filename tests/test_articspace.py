@@ -301,15 +301,15 @@ class TestIsolationForest:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((100, 2))
-        s1 = arts.anomaly_score(arts.fit_iforest(pts, 20, 64, seed=7), pts)
-        s2 = arts.anomaly_score(arts.fit_iforest(pts, 20, 64, seed=7), pts)
+        s1 = arts.anomaly_score(arts.fit_iforest(pts, seed=7), pts)
+        s2 = arts.anomaly_score(arts.fit_iforest(pts, seed=7), pts)
         assert np.array_equal(s1, s2)
-        s3 = arts.anomaly_score(arts.fit_iforest(pts, 20, 64, seed=8), pts)
+        s3 = arts.anomaly_score(arts.fit_iforest(pts, seed=8), pts)
         assert not np.array_equal(s1, s3)
 
     def test_identical_points_equal_scores(self):
         pts = np.ones((50, 2))
-        forest = arts.fit_iforest(pts, 10, 16, seed=0)
+        forest = arts.fit_iforest(pts, seed=0)
         scores = arts.anomaly_score(forest, pts)
         assert np.allclose(scores, scores[0])
         assert scores[0] == pytest.approx(0.5)
@@ -319,7 +319,7 @@ class TestIsolationForest:
         inliers = rng.standard_normal((200, 2))
         outliers = rng.standard_normal((10, 2)) + 10.0
         pts = np.vstack([inliers, outliers])
-        forest = arts.fit_iforest(pts, n_trees=1000, psi=128, seed=1)
+        forest = arts.fit_iforest(pts, seed=1)
         scores = arts.anomaly_score(forest, pts)
         assert scores[200:].mean() > scores[:200].mean()
 
@@ -330,7 +330,7 @@ class TestIsolationForest:
         inputs = [rng.standard_normal((50, 3)),
                   rng.integers(0, 4, size=(50, 3)).astype(np.float64)]
         for pts in inputs:
-            forest = arts.fit_iforest(pts, n_trees=25, psi=32, seed=2)
+            forest = arts.fit_iforest(pts, seed=2)
             c_psi = arts.average_path_length(forest.psi)
             scores = arts.anomaly_score(forest, pts)
             for i in range(50):
@@ -345,7 +345,7 @@ class TestIsolationForest:
         rng = np.random.default_rng(15)
         pts = rng.integers(0, 6, size=(400, 2)).astype(np.float64)
         pts[::7] = -0.0  # -0.0 and 0.0 compare equal and share a path
-        forest = arts.fit_iforest(pts, n_trees=30, psi=64, seed=4)
+        forest = arts.fit_iforest(pts, seed=4)
         got = forest.path_lengths(pts)
         for i in range(pts.shape[0]):
             total = 0.0
@@ -359,34 +359,38 @@ class TestIsolationForest:
         """The heap-order builder draws the same numbers in the same order
         as the recursive reference, so every tree holds the reference's
         splits and leaf paths in the heap slots they map to, and every
-        point takes the same path through both."""
+        point takes the same path through both. Clouds of 4, 16, 64 and
+        300 points give trees of height 2, 4, 6 and 8. Tree i draws all its
+        numbers before tree i + 1, so a forest's first 20 trees are the
+        reference's 20-tree forest."""
         rng = np.random.default_rng(100 * dims + len(kind))
         if kind == "normal":
-            pts = rng.standard_normal((300, dims))
+            cloud = rng.standard_normal((300, dims))
         elif kind == "int_grid":
-            pts = rng.integers(0, 5, size=(300, dims)).astype(np.float64)
+            cloud = rng.integers(0, 5, size=(300, dims)).astype(np.float64)
         else:
-            pts = np.full((300, dims), 3.0)
-        queries = np.vstack([pts, rng.uniform(-6.0, 6.0, size=(100, dims))])
-        for psi in (4, 16, 64, 256):
-            seed = psi + dims
-            forest = arts.fit_iforest(pts, n_trees=20, psi=psi, seed=seed)
-            ref = reference_fit_trees(pts, n_trees=20, psi=psi, seed=seed)
-            assert len(forest.trees) == len(ref)
-            for tree, want in zip(forest.trees, ref):
-                assert_heap_tree_equals(tree, want, math.ceil(math.log2(psi)))
+            cloud = np.full((300, dims), 3.0)
+        queries = np.vstack([cloud, rng.uniform(-6.0, 6.0, size=(100, dims))])
+        for n, height in ((4, 2), (16, 4), (64, 6), (300, 8)):
+            pts = cloud[:n]
+            seed = n + dims
+            forest = arts.fit_iforest(pts, seed=seed)
+            ref = reference_fit_trees(pts, n_trees=20, psi=256, seed=seed)
+            assert len(forest.trees) >= len(ref) == 20
+            for tree, want in zip(forest.trees[:20], ref):
+                assert_heap_tree_equals(tree, want, height)
                 one_tree = arts.IsolationForest(psi=forest.psi, n_dims=dims, trees=[tree])
                 assert np.array_equal(one_tree.path_lengths(queries),
                                       reference_tree_paths(want, queries))
 
     def test_non_finite_rejected(self):
         pts = np.random.default_rng(16).standard_normal((20, 2))
-        forest = arts.fit_iforest(pts, n_trees=5, psi=8, seed=0)
+        forest = arts.fit_iforest(pts, seed=0)
         for bad in (np.nan, np.inf):
             broken = pts.copy()
             broken[3, 1] = bad
             with pytest.raises(DataError, match="NaN or inf"):
-                arts.fit_iforest(broken, n_trees=5, psi=8, seed=0)
+                arts.fit_iforest(broken, seed=0)
             with pytest.raises(DataError, match="NaN or inf"):
                 forest.path_lengths(broken)
 
@@ -395,26 +399,30 @@ class TestIsolationForest:
         """A forest fit on 3-D points names both widths for 2-D or 4-D
         points instead of scoring them wrongly or ignoring a column."""
         rng = np.random.default_rng(20)
-        forest = arts.fit_iforest(rng.standard_normal((40, 3)), n_trees=5, psi=16, seed=0)
+        forest = arts.fit_iforest(rng.standard_normal((40, 3)), seed=0)
         assert forest.n_dims == 3
         with pytest.raises(DataError, match=f"fit on 3-D points, cannot score {width}-D"):
             arts.anomaly_score(forest, rng.standard_normal((10, width)))
 
-    def test_degenerate_parameters_rejected(self):
-        pts = np.random.default_rng(18).random((10, 2))
-        for n_trees, psi in ((0, 8), (5, 1), (5, 0)):
-            with pytest.raises(ValueError):
-                arts.fit_iforest(pts, n_trees=n_trees, psi=psi, seed=0)
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_forest_size(self, n):
+        """Every forest has ``_N_TREES`` trees on subsamples of
+        min(``_PSI``, n) points."""
+        forest = arts.fit_iforest(np.random.default_rng(18).random((n, 2)), seed=0)
+        assert len(forest.trees) == arts._N_TREES == 100
+        assert forest.psi == min(arts._PSI, n) == min(256, n)
+        height = math.ceil(math.log2(forest.psi))
+        assert all(t.path.size == 1 << height for t in forest.trees)
 
     def test_overflowing_range_rejected(self):
         pts = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0]])
         with pytest.raises(DataError, match="range"):
-            arts.fit_iforest(pts, n_trees=5, psi=4, seed=0)
+            arts.fit_iforest(pts, seed=0)
 
     def test_score_invariant_to_tree_order(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((60, 2))
-        forest = arts.fit_iforest(pts, n_trees=10, psi=32, seed=3)
+        forest = arts.fit_iforest(pts, seed=3)
         before = arts.anomaly_score(forest, pts)
         forest.trees = forest.trees[::-1]
         assert np.allclose(before, arts.anomaly_score(forest, pts))
@@ -426,11 +434,11 @@ class TestIsolationForest:
     def test_fit_three_dimensional_array_rejected(self):
         cloud = np.random.default_rng(21).standard_normal((50, 2, 1))
         with pytest.raises(DataError, match=r"fit: need an \(n, d\) array.*\(50, 2, 1\)"):
-            arts.fit_iforest(cloud, n_trees=5, psi=16, seed=0)
+            arts.fit_iforest(cloud, seed=0)
 
     def test_score_three_dimensional_array_rejected(self):
         rng = np.random.default_rng(22)
-        forest = arts.fit_iforest(rng.standard_normal((50, 2)), n_trees=5, psi=16, seed=0)
+        forest = arts.fit_iforest(rng.standard_normal((50, 2)), seed=0)
         for shape in ((5, 2, 1), (50, 2, 1)):
             with pytest.raises(DataError, match=r"scoring: need an \(n, d\) array"):
                 arts.anomaly_score(forest, np.zeros(shape))

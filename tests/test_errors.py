@@ -68,10 +68,6 @@ BAD_CALLS = {
         featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=2.5),
     "extract_bottleneck-chunk-bool": lambda: featnet.extract_bottleneck(
         featnet.init_params(TINY), np.zeros((3, 8, 8)), chunk=True),
-    "fit_iforest-psi": lambda: articspace.fit_iforest(POINTS, psi=1),
-    "fit_iforest-psi-float": lambda: articspace.fit_iforest(POINTS, psi=2.5),
-    "fit_iforest-trees-float": lambda: articspace.fit_iforest(POINTS, n_trees=1.5),
-    "fit_iforest-trees-bool": lambda: articspace.fit_iforest(POINTS, n_trees=True),
     "fit_iforest-seed-negative": lambda: articspace.fit_iforest(POINTS, seed=-1),
     "fit_iforest-seed-float": lambda: articspace.fit_iforest(POINTS, seed=1.5),
     "prune_outliers-contamination": lambda: articspace.prune_outliers(
@@ -89,6 +85,7 @@ BAD_CALLS = {
     "betainc-a": lambda: stats.betainc(0.0, 1.0, 0.5),
     "student_t_sf-t": lambda: stats.student_t_sf(np.inf, 3),
     "student_t_sf-df": lambda: stats.student_t_sf(1.0, 0),
+    "student_t_sf-df-nan": lambda: stats.student_t_sf(1.0, math.nan),
     "holm_bonferroni-empty": lambda: stats.holm_bonferroni([]),
     "holm_bonferroni-p": lambda: stats.holm_bonferroni([1.5]),
     "split_prompt_disjoint-prompts": lambda: corpus.split_prompt_disjoint(
@@ -110,6 +107,10 @@ BAD_CALLS = {
     "wer-none-hypothesis": lambda: recognizer.wer([(["a"], None)]),
     "wer-number-word": lambda: recognizer.wer([(["a", 1], ["a"])]),
     "train_bigram-vocab-string": lambda: recognizer.train_bigram([["a"]], "abc"),
+    "train_bigram-sentence-string": lambda: recognizer.train_bigram(["ab"], ["a", "b"]),
+    "wer-one-member-pair": lambda: recognizer.wer([(["a"],)]),
+    "wer-number": lambda: recognizer.wer(3),
+    "phones_for-string": lambda: LEXICON.phones_for("ab ba"),
 }
 
 
@@ -191,6 +192,12 @@ BAD_DATA = {
     "UtteranceRecord-split": (lambda d: record(split="dev"), "u1: unknown split 'dev'"),
     "UtteranceRecord-syllables": (lambda d: record(syllable_count=0),
                                   "u1: syllable_count must be >= 1"),
+    "UtteranceRecord-syllables-bool": (lambda d: record(syllable_count=True),
+                                       "u1: syllable_count must be >= 1 and an integer, "
+                                       "got True"),
+    "UtteranceRecord-syllables-float": (lambda d: record(syllable_count=2.5),
+                                        "u1: syllable_count must be >= 1 and an integer, "
+                                        "got 2.5"),
     "load_manifest-field": (
         lambda d: corpus.load_manifest(write_bytes(d / "m.json", b'{"phones": []}')),
         "m.json: missing top-level field 'records'"),
@@ -199,6 +206,8 @@ BAD_DATA = {
             ["p0"], [record(), record(utt_id="u2", split="test")]))),
         r"prompts shared between train and test: \['p'\]"),
     "normalize-empty": (lambda d: corpus.normalize([]), "empty set"),
+    "normalize-one-array": (lambda d: corpus.normalize(np.zeros((2, 3, 3))),
+                            r"list of frame sequences, not one array of shape \(2, 3, 3\)"),
     "pool_clouds-one-point": (
         lambda d: articspace.pool_clouds({"u1": [np.zeros((2, 2))] * 4 + [np.zeros((1, 2))]},
                                          {"u1": ("s1", "modal")}),
@@ -218,6 +227,9 @@ BAD_DATA = {
                                r"polygon_area expects \(n, 2\) vertices"),
     "pool_clouds-utterance": (lambda d: articspace.pool_clouds({"u9": []}, {}),
                               "unknown utterance 'u9'"),
+    "pool_clouds-meta-not-pair": (
+        lambda d: articspace.pool_clouds({"u": [np.zeros((2, 2))]}, {"u": "x"}),
+        r"^u: need a \(speaker, mode\) pair of strings, got 'x'$"),
     "train_bigram-word-outside-vocabulary": (
         lambda d: recognizer.train_bigram([["w1", "w2"]], ["w1"]),
         "holds the word 'w2', which is not in the vocabulary"),
@@ -303,11 +315,28 @@ BAD_DATA = {
                      r"1-D series, got shapes \(2, 2\) and \(2, 2\)"),
     "syllable_rate-zero": (lambda d: stats.syllable_rate(0, 1.0),
                            "syllable count must be >= 1, got 0"),
+    "syllable_rate-bool": (lambda d: stats.syllable_rate(True, 2.0),
+                           "syllable count must be >= 1, got True"),
+    "syllable_rate-fraction": (lambda d: stats.syllable_rate(2.5, 1.0),
+                               "syllable count must be >= 1, got 2.5"),
+    "syllable_rate-bool-duration": (lambda d: stats.syllable_rate(3, True),
+                                    "duration must be positive and finite, got True"),
+    "build_mode_report-bool-value": (
+        lambda d: stats.build_mode_report({}, {"hull_area": {"modal": {"s0": True}}}),
+        "metric 'hull_area', mode 'modal', key 's0': value True is not finite"),
     "forward-empty-batch": (lambda d: featnet.forward(featnet.init_params(TINY), X[:0]),
                             "a batch of zero samples has no forward pass"),
     "loss_and_grads-empty-batch": (
         lambda d: featnet.loss_and_grads(featnet.init_params(TINY), X[:0], Y[:0]),
         "a batch of zero samples has no forward pass"),
+    # a 0-d value has no sample axis to take the batch length from
+    "loss_and_grads-0d": (lambda d: featnet.loss_and_grads(featnet.init_params(TINY), 3.0, [0]),
+                          "^x: need a batch with a sample axis, got the 0-d value 3.0$"),
+    "accuracy-0d": (lambda d: featnet.accuracy(featnet.init_params(TINY), 3.0, [0]),
+                    "^x: need a batch with a sample axis"),
+    "train_sgd-0d": (lambda d: featnet.train_sgd(featnet.init_params(TINY), 3.0, [0], 3.0, [0],
+                                                 epochs=1),
+                     "^train_x: need a batch with a sample axis"),
     "train_sgd-empty-validation": (
         lambda d: featnet.train_sgd(featnet.init_params(TINY), X, Y, X[:0], Y[:0]),
         "train and validation sets must be nonempty"),
